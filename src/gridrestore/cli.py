@@ -6,8 +6,10 @@ two-placement, three-assumed by three-actual study) and ``report``
 (summarize a sweep directory). Every flag can also be supplied through an
 environment variable named ``GRIDRESTORE_<FLAG>`` (for example
 ``GRIDRESTORE_CASE``); explicit flags win. Outputs are deterministic:
-repeated runs produce byte-identical files except for the ``meta`` block
-in JSON outputs, which carries the timestamp.
+repeated runs with the same BLAS thread count (``OPENBLAS_NUM_THREADS``)
+produce byte-identical files except for the ``meta`` block in JSON
+outputs, which carries the timestamp. A different thread count can
+change the last digits of the AC replay values.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class RunConfig:
     backend: str = "auto"
     node_budget: int = 1_000_000
     penalty: float = 1.0
-    seed: int = 0  # reserved; runs are deterministic
 
     def load_network(self) -> Network:
         net = (

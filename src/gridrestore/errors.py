@@ -31,11 +31,3 @@ class UnboundedError(GridRestoreError):
 
 class SolverError(GridRestoreError):
     """The solver failed numerically or exhausted its work budget."""
-
-
-class ConvergenceError(GridRestoreError):
-    """An AC power flow solve did not reach the requested residual tolerance."""
-
-    def __init__(self, message, state=None):
-        self.state = state
-        super().__init__(message)

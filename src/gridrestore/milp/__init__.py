@@ -4,7 +4,7 @@
 
 * ``"builtin"`` -- the revised simplex / branch-and-bound shipped here,
 * ``"highs"``   -- HiGHS through scipy (the external-backend seam),
-* ``"auto"``    -- HiGHS when scipy provides it, builtin otherwise.
+* ``"auto"``    -- HiGHS (``scipy.optimize.milp``, present from scipy 1.10).
 
 Every solution is re-verified against the raw constraint matrix before
 it is returned.
@@ -33,18 +33,9 @@ DEFAULT_REL_GAP = 1e-6
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-def _has_highs() -> bool:
-    try:
-        import scipy.optimize  # noqa: F401
-
-        return hasattr(scipy.optimize, "milp")
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return False
-
-
 def resolve_backend(backend: str) -> str:
     if backend == "auto":
-        return "highs" if _has_highs() else "builtin"
+        return "highs"
     if backend not in ("builtin", "highs"):
         raise ValueError(f"unknown solver backend {backend!r}")
     return backend

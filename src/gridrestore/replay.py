@@ -6,7 +6,9 @@ and their flows are removed from the problem entirely (so zero flow
 holds exactly, not numerically), and buses in islands without an
 energized source are fixed at V = 0 with full shed before any solver
 runs. Live islands are solved independently with one angle reference
-each; the lower voltage bound is soft, charged to the objective.
+each; the lower voltage bound is soft, charged to the objective. Each
+island is one SLSQP solve from a flat start, polished once more with
+SLSQP only when its residuals stay above tolerance.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
 
 from .errors import GridRestoreError
 from .model import Network
-from .rop import RestorationPlan, component_key
+from .rop import DamageSets, RestorationPlan, component_key
 from .scenarios import EffectiveCase
 
 DEFAULT_PENALTY_WEIGHT = 1.0
@@ -319,7 +319,7 @@ class _IslandNlp:
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
 
-    def bounds(self) -> sopt.Bounds:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(self.n_var)
         hi = np.empty(self.n_var)
         lo[self.iv], hi[self.iv] = 0.0, self.v_max
@@ -332,7 +332,7 @@ class _IslandNlp:
         lo[self.iqg] = [g.q_min for g in self.gens]
         hi[self.iqg] = [g.q_max for g in self.gens]
         lo[self.ivt], hi[self.ivt] = 0.0, self.v_min
-        return sopt.Bounds(lo, hi)
+        return lo, hi
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_var)
@@ -430,28 +430,6 @@ class _IslandNlp:
                 np.add.at(J, (rows, cols), 2 * p * dp[off] + 2 * q * dq[off])
         return J
 
-    # -- linear pieces ----------------------------------------------------
-    def linear_constraints(self) -> list:
-        cons = []
-        rows, cols, vals = [], [], []
-        for k in range(self.nb):
-            rows += [k, k]
-            cols += [int(self.iv[k]), int(self.ivt[k])]
-            vals += [1.0, 1.0]
-        a_soft = sp.csr_matrix((vals, (rows, cols)), shape=(self.nb, self.n_var)).toarray()
-        cons.append(sopt.LinearConstraint(a_soft, self.v_min, np.inf))
-        if self.nl:
-            rows, cols, vals = [], [], []
-            for k in range(self.nl):
-                rows += [k, k]
-                cols += [int(self.ith[self.block.i[k]]), int(self.ith[self.block.j[k]])]
-                vals += [1.0, -1.0]
-            a_ang = sp.csr_matrix((vals, (rows, cols)), shape=(self.nl, self.n_var)).toarray()
-            cons.append(
-                sopt.LinearConstraint(a_ang, self.block.a_min, self.block.a_max)
-            )
-        return cons
-
     def violation(self, u: np.ndarray) -> float:
         viol = float(np.max(np.abs(self.balance(u)), initial=0.0))
         if self.nl:
@@ -466,75 +444,34 @@ class _IslandNlp:
         soft = self.v_min - u[self.iv] - u[self.ivt]
         return max(viol, float(np.max(soft, initial=0.0)))
 
-    def solve(self, tol: float, x0: np.ndarray | None = None) -> np.ndarray:
-        """SLSQP from a flat start; interior-point retry if residuals stall."""
+    def solve(self, tol: float) -> np.ndarray:
+        """SLSQP from a flat start; one SLSQP polish if residuals stall."""
         c = self.objective_vector()
-        lb, hi = self.bounds().lb, self.bounds().ub
-        best_u = None
-        best_viol = np.inf
+        lo, hi = self.bounds()
+        bounds = list(zip(lo, hi))
+        constraints = self._slsqp_constraints()
 
-        def record(u):
-            nonlocal best_u, best_viol
-            u = np.clip(u, lb, hi)
-            v = self.violation(u)
-            if v < best_viol:
-                best_u, best_viol = u, v
-            return v
-
-        starts = [self.start_point() if x0 is None else x0]
-        for attempt, u0 in enumerate(starts):
+        def run(u0, maxiter, ftol):
             res = sopt.minimize(
                 lambda z: float(c @ z),
                 u0,
                 jac=lambda z: c,
-                bounds=list(zip(lb, hi)),
-                constraints=self._slsqp_constraints(),
+                bounds=bounds,
+                constraints=constraints,
                 method="SLSQP",
-                options={"maxiter": 400, "ftol": 1e-12},
+                options={"maxiter": maxiter, "ftol": ftol},
             )
-            if record(res.x) <= tol:
-                return best_u
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = sopt.minimize(
-                lambda z: float(c @ z),
-                best_u if best_u is not None else self.start_point(),
-                jac=lambda z: c,
-                hess=lambda z: np.zeros((self.n_var, self.n_var)),
-                bounds=self.bounds(),
-                constraints=self._trust_constraints(),
-                method="trust-constr",
-                options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 500, "verbose": 0},
-            )
-        if record(res.x) <= tol:
-            return best_u
-        # last resort: re-polish the best point with SLSQP
-        res = sopt.minimize(
-            lambda z: float(c @ z),
-            best_u,
-            jac=lambda z: c,
-            bounds=list(zip(lb, hi)),
-            constraints=self._slsqp_constraints(),
-            method="SLSQP",
-            options={"maxiter": 800, "ftol": 1e-14},
-        )
-        record(res.x)
-        return best_u
+            u = np.clip(res.x, lo, hi)
+            return u, self.violation(u)
 
-    def _trust_constraints(self) -> list:
-        cons = [
-            sopt.NonlinearConstraint(self.balance, 0.0, 0.0, jac=self.balance_jac)
-        ]
-        if self.nl:
-            cons.append(
-                sopt.NonlinearConstraint(
-                    self.thermal, -np.inf, 0.0, jac=self.thermal_jac
-                )
-            )
-        cons.extend(self.linear_constraints())
-        return cons
+        u, viol = run(self.start_point(), 400, 1e-12)
+        if viol <= tol:
+            return u
+        polished, polished_viol = run(u, 800, 1e-14)
+        return polished if polished_viol < viol else u
 
-    def _slsqp_constraints(self):
+    def _slsqp_constraints(self) -> list[dict]:
+        """Balance, thermal, soft voltage floor, then angle differences."""
         cons = [
             {"type": "eq", "fun": self.balance, "jac": self.balance_jac},
         ]
@@ -546,28 +483,25 @@ class _IslandNlp:
                     "jac": lambda z: -self.thermal_jac(z),
                 }
             )
-        for lc in self.linear_constraints():
-            A = lc.A.toarray() if sp.issparse(lc.A) else np.asarray(lc.A)
-            lb = np.asarray(lc.lb, dtype=float) * np.ones(A.shape[0])
-            ub = np.asarray(lc.ub, dtype=float) * np.ones(A.shape[0])
-            fin_lb = np.isfinite(lb)
-            fin_ub = np.isfinite(ub)
-            if fin_lb.any():
-                cons.append(
-                    {
-                        "type": "ineq",
-                        "fun": lambda z, A=A[fin_lb], b=lb[fin_lb]: A @ z - b,
-                        "jac": lambda z, A=A[fin_lb]: A,
-                    }
-                )
-            if fin_ub.any():
-                cons.append(
-                    {
-                        "type": "ineq",
-                        "fun": lambda z, A=A[fin_ub], b=ub[fin_ub]: b - A @ z,
-                        "jac": lambda z, A=A[fin_ub]: -A,
-                    }
-                )
+        # v + v_t >= v_min
+        a_soft = np.zeros((self.nb, self.n_var))
+        a_soft[np.arange(self.nb), self.iv] = 1.0
+        a_soft[np.arange(self.nb), self.ivt] = 1.0
+        cons.append(
+            {"type": "ineq", "fun": lambda z: a_soft @ z - self.v_min, "jac": lambda z: a_soft}
+        )
+        if self.nl:
+            # a_min <= th_i - th_j <= a_max
+            a_ang = np.zeros((self.nl, self.n_var))
+            a_ang[np.arange(self.nl), self.ith[self.block.i]] = 1.0
+            a_ang[np.arange(self.nl), self.ith[self.block.j]] = -1.0
+            a_min, a_max = self.block.a_min, self.block.a_max
+            cons.append(
+                {"type": "ineq", "fun": lambda z: a_ang @ z - a_min, "jac": lambda z: a_ang}
+            )
+            cons.append(
+                {"type": "ineq", "fun": lambda z: a_max - a_ang @ z, "jac": lambda z: -a_ang}
+            )
         return cons
 
 
@@ -578,20 +512,7 @@ def build_rip_step(
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
 ) -> AcOpfProblem:
     """Fix the plan's statuses at period t over the actual case."""
-    net = case.network
-    damaged_keys = set()
-    for b in net.buses:
-        if b.damaged:
-            damaged_keys.add(component_key("bus", b.id))
-    for l in net.lines:
-        if l.damaged:
-            damaged_keys.add(component_key("line", l.id))
-    for g in net.generators:
-        if g.damaged:
-            damaged_keys.add(component_key("gen", g.id))
-    for d in net.demands:
-        if d.damaged:
-            damaged_keys.add(component_key("demand", d.id))
+    damaged_keys = set(DamageSets.from_network(case.network).component_keys())
     if damaged_keys != set(plan.energization):
         raise GridRestoreError(
             "plan's damaged components do not match the case damage set"

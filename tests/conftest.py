@@ -1,11 +1,7 @@
-import warnings
-
 import pytest
 
 from gridrestore import datasets
 from gridrestore.model import time_grid_for
-
-warnings.filterwarnings("ignore", message="delta_grad")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from gridrestore import replay
 from gridrestore.errors import GridRestoreError
 from gridrestore.model import Bus, Demand, Generator, Network, TimeGrid
 from gridrestore.replay import (
+    _IslandNlp,
     build_rip_step,
     residuals,
     simulate_plan,
@@ -251,3 +254,69 @@ def test_rip_result_serialization(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "demand_id,t0,t1,t2"
     assert len(lines) == 1 + 2
+
+
+def _chain_island_nlp():
+    case = apply_der_mode(chain3(damage=()), NO_DER, DerMode.BASE)
+    problem = build_rip_step(case, fixed_plan([]), 0)
+    (island,) = problem.islands
+    return _IslandNlp(case.network, island, problem.penalty_weight)
+
+
+def _scripted_minimize(monkeypatch, results):
+    """Replace the NLP solver; each call pops the next scripted ``x``.
+
+    ``None`` in the script runs the real solver for that call.
+    """
+    real = replay.sopt.minimize
+    calls = []
+
+    def fake(fun, x0, **kwargs):
+        calls.append({"x0": np.array(x0, copy=True), "method": kwargs["method"]})
+        x = results.pop(0)
+        if x is None:
+            return real(fun, x0, **kwargs)
+        return replay.sopt.OptimizeResult(x=np.array(x, copy=True), success=False)
+
+    monkeypatch.setattr(replay.sopt, "minimize", fake)
+    return calls
+
+
+def _violating_point(nlp, tol):
+    """Over-range voltage (so clipping shows) and half the load served."""
+    u = nlp.start_point()
+    u[nlp.iv] = 5.0
+    u[nlp.ix] = 0.5
+    clipped = np.clip(u, *nlp.bounds())
+    assert nlp.violation(clipped) > tol
+    return u, clipped
+
+
+def test_island_solve_stops_after_one_slsqp_within_tol(monkeypatch):
+    nlp = _chain_island_nlp()
+    calls = _scripted_minimize(monkeypatch, [None])
+    u = nlp.solve(1e-6)
+    assert [c["method"] for c in calls] == ["SLSQP"]
+    assert nlp.violation(u) <= 1e-6
+
+
+def test_island_solve_polishes_once_from_clipped_point(monkeypatch):
+    nlp = _chain_island_nlp()
+    bad, clipped = _violating_point(nlp, 1e-6)
+    calls = _scripted_minimize(monkeypatch, [bad, None])
+    u = nlp.solve(1e-6)
+    assert [c["method"] for c in calls] == ["SLSQP", "SLSQP"]
+    np.testing.assert_array_equal(calls[1]["x0"], clipped)
+    assert nlp.violation(u) <= 1e-6
+
+
+def test_island_solve_keeps_first_point_when_polish_is_worse(monkeypatch):
+    nlp = _chain_island_nlp()
+    bad, clipped = _violating_point(nlp, 1e-6)
+    worse = clipped.copy()
+    worse[nlp.ipg] = nlp.bounds()[1][nlp.ipg]  # every unit at full output
+    assert nlp.violation(worse) > nlp.violation(clipped)
+    calls = _scripted_minimize(monkeypatch, [bad, worse])
+    u = nlp.solve(1e-6)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(u, clipped)
