@@ -20,20 +20,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets
 from .errors import GridRestoreError
-from .metrics import energy_not_served, reconnection_times
 from .model import Network, TimeGrid, apply_damage, load_case, time_grid_for
 from .replay import simulate_plan
 from .rop import RestorationPlan, build_rop, rop_ens_mwh, solve_rop
 from .scenarios import DerMode, DerPlacement, apply_der_mode, load_scenario
+from .study import run_study
 
 ENV_PREFIX = "GRIDRESTORE_"
-ALL_MODES = (DerMode.BASE, DerMode.HOME_MICROGRID, DerMode.COMMUNITY_MICROGRID)
 
 
 @dataclass
@@ -47,8 +45,6 @@ class RunConfig:
     tol: float = 1e-6
     jobs: int = 1
     backend: str = "auto"
-    node_budget: int = 1_000_000
-    penalty: float = 1.0
 
     def load_network(self) -> Network:
         net = (
@@ -126,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=_env_default("tol", 1e-6, float), help="AC residual tolerance")
         sp.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int), help="parallel workers for sweep cells")
         sp.add_argument("--backend", default=_env_default("backend", "auto"), choices=["auto", "highs", "builtin"], help="MILP backend")
-        sp.add_argument("--node-budget", type=int, default=_env_default("node_budget", 1_000_000, int))
-        sp.add_argument("--penalty", type=float, default=_env_default("penalty", 1.0, float), help="voltage violation weight")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
     common(sp)
@@ -158,8 +152,6 @@ def _config_from_args(args) -> RunConfig:
         tol=args.tol,
         jobs=args.jobs,
         backend=args.backend,
-        node_budget=args.node_budget,
-        penalty=args.penalty,
     )
 
 
@@ -172,12 +164,7 @@ def cmd_plan(config: RunConfig, mode_text: str) -> int:
     case = apply_der_mode(network, placement, mode)
     grid = config.time_grid(network)
     instance = build_rop(case, grid)
-    plan = solve_rop(
-        instance,
-        rel_gap=config.gap,
-        node_budget=config.node_budget,
-        backend=config.backend,
-    )
+    plan = solve_rop(instance, rel_gap=config.gap, backend=config.backend)
     plan.save(out / "plan.json")
     ens = rop_ens_mwh(plan, instance)
     _write_json(
@@ -205,9 +192,7 @@ def cmd_simulate(config: RunConfig, plan_path: str, actual_mode_text: str) -> in
     mode = DerMode.parse(actual_mode_text)
     case = apply_der_mode(network, placement, mode)
     plan = RestorationPlan.load(plan_path)
-    result = simulate_plan(
-        case, plan, tol=config.tol, penalty_weight=config.penalty
-    )
+    result = simulate_plan(case, plan, tol=config.tol)
     result.save(out / "rip_result.json")
     result.write_served_csv(out / "served.csv")
     _write_json(
@@ -229,114 +214,60 @@ def cmd_simulate(config: RunConfig, plan_path: str, actual_mode_text: str) -> in
     return 0 if result.converged else 3
 
 
-def _sweep_cell(payload):
-    """One replay cell; module level so worker processes can unpickle it."""
-    (placement, actual_mode, plan, network, tol, penalty) = payload
-    case = apply_der_mode(network, placement, actual_mode)
-    result = simulate_plan(case, plan, tol=tol, penalty_weight=penalty)
-    return result
-
-
 def cmd_sweep(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     network = config.load_network()
-    grid = config.time_grid(network)
-    placements = config.placements()
+    study = run_study(
+        network,
+        config.placements(),
+        config.time_grid(network),
+        rel_gap=config.gap,
+        backend=config.backend,
+        tol=config.tol,
+        jobs=config.jobs,
+    )
 
-    plans: dict[tuple[str, DerMode], RestorationPlan] = {}
-    rop_rows = []
+    for (name, mode), plan in study.plans.items():
+        plan.save(out / f"plan_{name}_{mode.value}.json")
+        print(f"rop: {name}/{mode.value} ENS {study.rop_ens[(name, mode)]:.3f} MWh")
     failures = []
-    for placement in placements:
-        for mode in ALL_MODES:
-            case = apply_der_mode(network, placement, mode)
-            instance = build_rop(case, grid)
-            plan = solve_rop(
-                instance,
-                rel_gap=config.gap,
-                node_budget=config.node_budget,
-                backend=config.backend,
-            )
-            plans[(placement.name, mode)] = plan
-            ens = rop_ens_mwh(plan, instance)
-            rop_rows.append((placement.name, mode.value, ens, plan))
-            plan.save(out / f"plan_{placement.name}_{mode.value}.json")
-            print(f"rop: {placement.name}/{mode.value} ENS {ens:.3f} MWh", flush=True)
-
-    cells = [
-        (placement, assumed, actual)
-        for placement in placements
-        for assumed in ALL_MODES
-        for actual in ALL_MODES
-    ]
-    payloads = [
-        (p, actual, plans[(p.name, assumed)], network, config.tol, config.penalty)
-        for (p, assumed, actual) in cells
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_sweep_cell, payloads))
-    else:
-        results = [_sweep_cell(pl) for pl in payloads]
-
-    sens_rows = []
-    matched: dict[tuple[str, DerMode], float] = {}
-    for (placement, assumed, actual), result in zip(cells, results):
-        sens_rows.append(
-            (placement.name, assumed.value, actual.value, result.ens_mwh, result.converged)
-        )
+    for (name, assumed, actual), result in study.replays.items():
         if not result.converged:
-            failures.append((placement.name, assumed.value, actual.value))
-        if assumed is actual:
-            matched[(placement.name, actual)] = result.ens_mwh
+            failures.append((name, assumed.value, actual.value))
         print(
-            f"rip: {placement.name} assumed={assumed.value} actual={actual.value} "
-            f"ENS {result.ens_mwh:.3f} MWh",
-            flush=True,
+            f"rip: {name} assumed={assumed.value} actual={actual.value} "
+            f"ENS {result.ens_mwh:.3f} MWh"
         )
+
+    def matched(name: str, mode: DerMode) -> float:
+        return study.replays[(name, mode, mode)].ens_mwh
 
     with open(out / "ens_summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["placement", "mode", "rop_ens_mwh", "rip_ens_mwh"])
-        for name, mode_value, ens, plan in rop_rows:
-            w.writerow(
-                [name, mode_value, f"{ens:.6f}",
-                 f"{matched[(name, DerMode.parse(mode_value))]:.6f}"]
-            )
-
-    recon_rows = []
-    group_rows = []
-    for placement in placements:
-        for mode in ALL_MODES:
-            case = apply_der_mode(network, placement, mode)
-            plan = plans[(placement.name, mode)]
-            recon = reconnection_times(plan, case, grid.step_hours)
-            for d in case.network.demands:
-                recon_rows.append(
-                    (placement.name, mode.value, d.id, d.bus,
-                     int(d.id in case.der_demand_ids), recon.hours(d.id))
-                )
-            ens_rep = energy_not_served(
-                plan.served_fraction, case.network.demands, grid.step_hours,
-                der_demand_ids=case.der_demand_ids, base_mva=case.network.base_mva,
-            )
-            group_rows.append(
-                (placement.name, mode.value, recon.der_avg_hours,
-                 recon.non_der_avg_hours, ens_rep.der_group_mwh,
-                 ens_rep.non_der_group_mwh)
-            )
+        for (name, mode), ens in study.rop_ens.items():
+            w.writerow([name, mode.value, f"{ens:.6f}", f"{matched(name, mode):.6f}"])
 
     with open(out / "reconnection.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["placement", "mode", "demand", "bus", "has_der", "t_d_hours"])
-        for row in recon_rows:
-            w.writerow([*row[:5], f"{row[5]:.3f}"])
+        for (name, mode), case in study.cases.items():
+            recon = study.reconnection[(name, mode)]
+            for d in case.network.demands:
+                w.writerow(
+                    [name, mode.value, d.id, d.bus, int(d.id in case.der_demand_ids),
+                     f"{recon.hours(d.id):.3f}"]
+                )
 
     with open(out / "sensitivity.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["placement", "assumed", "actual", "ens_mwh", "converged"])
-        for name, assumed, actual, ens, ok in sens_rows:
-            w.writerow([name, assumed, actual, f"{ens:.6f}", int(ok)])
+        for (name, assumed, actual), result in study.replays.items():
+            w.writerow(
+                [name, assumed.value, actual.value, f"{result.ens_mwh:.6f}",
+                 int(result.converged)]
+            )
 
     _write_json(
         out / "fig2_ens.json",
@@ -345,11 +276,11 @@ def cmd_sweep(config: RunConfig) -> int:
             "cases": [
                 {
                     "placement": name,
-                    "mode": mode_value,
+                    "mode": mode.value,
                     "rop_ens_mwh": ens,
-                    "rip_ens_mwh": matched[(name, DerMode.parse(mode_value))],
+                    "rip_ens_mwh": matched(name, mode),
                 }
-                for name, mode_value, ens, _ in rop_rows
+                for (name, mode), ens in study.rop_ens.items()
             ],
         },
     )
@@ -359,12 +290,12 @@ def cmd_sweep(config: RunConfig) -> int:
             "description": "average reconnection hours for DER / non-DER groups",
             "rows": [
                 {
-                    "placement": r[0],
-                    "mode": r[1],
-                    "der_avg_hours": r[2],
-                    "non_der_avg_hours": r[3],
+                    "placement": name,
+                    "mode": mode.value,
+                    "der_avg_hours": recon.der_avg_hours,
+                    "non_der_avg_hours": recon.non_der_avg_hours,
                 }
-                for r in group_rows
+                for (name, mode), recon in study.reconnection.items()
             ],
         },
     )
@@ -374,12 +305,12 @@ def cmd_sweep(config: RunConfig) -> int:
             "description": "ENS split by DER / non-DER customer group",
             "rows": [
                 {
-                    "placement": r[0],
-                    "mode": r[1],
-                    "der_group_mwh": r[4],
-                    "non_der_group_mwh": r[5],
+                    "placement": name,
+                    "mode": mode.value,
+                    "der_group_mwh": rep.der_group_mwh,
+                    "non_der_group_mwh": rep.non_der_group_mwh,
                 }
-                for r in group_rows
+                for (name, mode), rep in study.group_ens.items()
             ],
         },
     )
@@ -390,11 +321,11 @@ def cmd_sweep(config: RunConfig) -> int:
             "rows": [
                 {
                     "placement": name,
-                    "assumed": assumed,
-                    "actual": actual,
-                    "ens_mwh": ens,
+                    "assumed": assumed.value,
+                    "actual": actual.value,
+                    "ens_mwh": result.ens_mwh,
                 }
-                for name, assumed, actual, ens, _ in sens_rows
+                for (name, assumed, actual), result in study.replays.items()
             ],
         },
     )

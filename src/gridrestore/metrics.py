@@ -99,27 +99,3 @@ def reconnection_times(
         non_der_avg_hours=float(np.mean(non)) * step_hours if non else float("nan"),
     )
 
-
-def sensitivity_matrix(
-    network,
-    placement,
-    plans: dict,
-    modes,
-    tol: float = 1e-6,
-) -> dict:
-    """ENS grid: rows = assumed mode behind each plan, columns = actual mode.
-
-    ``plans`` maps DerMode -> RestorationPlan. Returns nested dict
-    grid[assumed][actual] = replay ENS in MWh.
-    """
-    from .replay import simulate_plan
-    from .scenarios import apply_der_mode
-
-    grid: dict = {}
-    for assumed, plan in plans.items():
-        grid[assumed] = {}
-        for actual in modes:
-            actual_case = apply_der_mode(network, placement, actual)
-            result = simulate_plan(actual_case, plan, tol=tol)
-            grid[assumed][actual] = result.ens_mwh
-    return grid

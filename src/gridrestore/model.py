@@ -8,7 +8,6 @@ admittances in per-unit; :func:`load_case` performs the conversion.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -418,8 +417,3 @@ def save_case(network: Network, path) -> None:
 def time_grid_for(network: Network, step_hours: float = 1.0) -> TimeGrid:
     """Horizon sized for a one-repair-per-period budget plus the initial step."""
     return TimeGrid(n_periods=1 + network.damaged_component_count(), step_hours=step_hours)
-
-
-def default_reactive(p: float, power_factor: float = 0.95) -> float:
-    """Reactive demand for a load given only active power."""
-    return p * math.tan(math.acos(power_factor))

@@ -165,12 +165,6 @@ def enumerate_cases(network: Network, placements, modes) -> list[EffectiveCase]:
     ]
 
 
-def load_placement(path) -> DerPlacement:
-    """Read a scenario file; returns its placement (mode, if any, is ignored)."""
-    placement, _ = load_scenario(path)
-    return placement
-
-
 def load_scenario(path) -> tuple[DerPlacement, DerMode | None]:
     path = Path(path)
     try:

@@ -12,13 +12,11 @@ import pytest
 
 from gridrestore.metrics import energy_not_served, reconnection_times
 from gridrestore.model import time_grid_for
-from gridrestore.replay import simulate_plan
-from gridrestore.rop import build_rop, check_plan, rop_ens_mwh, solve_rop
+from gridrestore.rop import build_rop, check_plan, solve_rop
 from gridrestore.scenarios import DerMode, apply_der_mode, home_microgrid_load
+from gridrestore.study import ALL_MODES, run_study
 
 from helpers import permutation_oracle, random_radial
-
-MODES = (DerMode.BASE, DerMode.HOME_MICROGRID, DerMode.COMMUNITY_MICROGRID)
 
 ENS_TARGETS_MWH = {
     ("uniform", DerMode.BASE): 27.7,
@@ -39,63 +37,30 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def study(storm_network, storm_grid, uniform_placement, clustered_placement):
-    placements = {"uniform": uniform_placement, "clustered": clustered_placement}
-    cases = {}
-    instances = {}
-    plans = {}
-    rop_ens = {}
-    t0 = time.time()
-    for pname, placement in placements.items():
-        for mode in MODES:
-            case = apply_der_mode(storm_network, placement, mode)
-            inst = build_rop(case, storm_grid)
-            plan = solve_rop(inst, backend="auto")
-            cases[(pname, mode)] = case
-            instances[(pname, mode)] = inst
-            plans[(pname, mode)] = plan
-            rop_ens[(pname, mode)] = rop_ens_mwh(plan, inst)
-    rop_seconds = time.time() - t0
-
-    replays = {}
-    for pname in placements:
-        for assumed in MODES:
-            for actual in MODES:
-                result = simulate_plan(cases[(pname, actual)], plans[(pname, assumed)])
-                replays[(pname, assumed, actual)] = result
-
-    return {
-        "placements": placements,
-        "cases": cases,
-        "instances": instances,
-        "plans": plans,
-        "rop_ens": rop_ens,
-        "rop_seconds": rop_seconds,
-        "replays": replays,
-        "grid": storm_grid,
-    }
+    return run_study(storm_network, [uniform_placement, clustered_placement], storm_grid)
 
 
 def test_criterion_1_six_case_ens(study):
     lines = []
     ok = True
     for (pname, mode), target in ENS_TARGETS_MWH.items():
-        got = study["rop_ens"][(pname, mode)]
+        got = study.rop_ens[(pname, mode)]
         rel = abs(got - target) / target
         ok = ok and rel <= 0.10
         lines.append(f"{pname}/{mode.value}={got:.2f} (target {target}, {rel:+.1%})")
-    total = study["instances"][("uniform", DerMode.BASE)].total_demand_energy_mwh()
+    total = study.instances[("uniform", DerMode.BASE)].total_demand_energy_mwh()
     total_ok = abs(total - TOTAL_ENERGY_MWH) / TOTAL_ENERGY_MWH <= 0.01
-    runtime_ok = study["rop_seconds"] < 1800.0
+    runtime_ok = study.rop_seconds < 1800.0
     _report(
         1,
         ok and total_ok and runtime_ok,
         "; ".join(lines)
-        + f"; total energy {total:.2f} MWh; six-ROP batch {study['rop_seconds']:.0f}s",
+        + f"; total energy {total:.2f} MWh; six-ROP batch {study.rop_seconds:.0f}s",
     )
 
 
 def test_criterion_2_strict_orderings(study):
-    e = study["rop_ens"]
+    e = study.rop_ens
     checks = []
     for pname in ("uniform", "clustered"):
         checks.append(
@@ -122,13 +87,13 @@ def test_criterion_3_rop_rip_agreement(study):
     ok = True
     for pname in ("uniform", "clustered"):
         for mode in (DerMode.BASE, DerMode.HOME_MICROGRID):
-            rop = study["rop_ens"][(pname, mode)]
-            rip = study["replays"][(pname, mode, mode)].ens_mwh
+            rop = study.rop_ens[(pname, mode)]
+            rip = study.replays[(pname, mode, mode)].ens_mwh
             rel = abs(rip - rop) / rop
             ok = ok and rel <= 1e-4
             details.append(f"{pname}/{mode.value}: |Δ|={rel:.1e}")
-        rop_c = study["rop_ens"][(pname, DerMode.COMMUNITY_MICROGRID)]
-        rip_c = study["replays"][
+        rop_c = study.rop_ens[(pname, DerMode.COMMUNITY_MICROGRID)]
+        rip_c = study.replays[
             (pname, DerMode.COMMUNITY_MICROGRID, DerMode.COMMUNITY_MICROGRID)
         ].ens_mwh
         ok = ok and rip_c > rop_c
@@ -141,10 +106,10 @@ def test_criterion_4_sensitivity_structure(study):
     matched_ok = True
     for pname in ("uniform", "clustered"):
         worst = 0.0
-        for actual in MODES:
+        for actual in ALL_MODES:
             col = {
-                assumed: study["replays"][(pname, assumed, actual)].ens_mwh
-                for assumed in MODES
+                assumed: study.replays[(pname, assumed, actual)].ens_mwh
+                for assumed in ALL_MODES
             }
             if col[actual] > min(col.values()) + 1e-9:
                 matched_ok = False
@@ -160,34 +125,21 @@ def test_criterion_4_sensitivity_structure(study):
 
 
 def test_criterion_5_reconnection_and_group_ens(study):
-    grid = study["grid"]
     recon = {}
-    for mode in MODES:
-        case = study["cases"][("clustered", mode)]
-        plan = study["plans"][("clustered", mode)]
-        rep = reconnection_times(plan, case, grid.step_hours)
+    for mode in ALL_MODES:
+        rep = study.reconnection[("clustered", mode)]
         recon[mode] = rep.der_avg_hours - rep.non_der_avg_hours
     base_ok = -5.0 <= recon[DerMode.BASE] <= -1.0
     home_ok = 5.0 <= recon[DerMode.HOME_MICROGRID] <= 9.0
     comm_ok = 8.0 <= recon[DerMode.COMMUNITY_MICROGRID] <= 12.0
 
-    group_ok = True
-    group = {}
+    group = study.group_ens
+    group_ok = all(
+        rep.der_group_mwh <= rep.non_der_group_mwh + 1e-9 for rep in group.values()
+    )
     for pname in ("uniform", "clustered"):
-        for mode in MODES:
-            case = study["cases"][(pname, mode)]
-            plan = study["plans"][(pname, mode)]
-            rep = energy_not_served(
-                plan.served_fraction,
-                case.network.demands,
-                grid.step_hours,
-                der_demand_ids=case.der_demand_ids,
-                base_mva=case.network.base_mva,
-            )
-            group[(pname, mode)] = rep
-            group_ok = group_ok and rep.der_group_mwh <= rep.non_der_group_mwh + 1e-9
+        base_rep = group[(pname, DerMode.BASE)]
         for mode in (DerMode.HOME_MICROGRID, DerMode.COMMUNITY_MICROGRID):
-            base_rep = group[(pname, DerMode.BASE)]
             rep = group[(pname, mode)]
             group_ok = (
                 group_ok
@@ -230,8 +182,8 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_invariant_suites(study):
     problems = []
-    for key, inst in study["instances"].items():
-        plan = study["plans"][key]
+    for key, inst in study.instances.items():
+        plan = study.plans[key]
         errs = check_plan(plan, inst)
         if errs:
             problems.append(f"{key}: {errs}")
@@ -239,13 +191,13 @@ def test_criterion_7_invariant_suites(study):
         if x.min() < -1e-9 or x.max() > 1 + 1e-9:
             problems.append(f"{key}: served fraction out of bounds")
     worst_resid = 0.0
-    for key, result in study["replays"].items():
+    for key, result in study.replays.items():
         if not result.converged:
             problems.append(f"{key}: period not converged")
         worst_resid = max(worst_resid, max(s.max_residual for s in result.states))
         pname, assumed, actual = key
-        case = study["cases"][(pname, actual)]
-        plan = study["plans"][(pname, assumed)]
+        case = study.cases[(pname, actual)]
+        plan = study.plans[(pname, assumed)]
         for t, state in enumerate(result.states):
             energized = plan.energized_at(t)
             for line in case.network.lines:

@@ -91,29 +91,36 @@ def test_simulate_roundtrip(toy_dir):
     assert len(served) == 4
 
 
-def test_sweep_outputs_and_determinism(toy_dir):
-    out1 = toy_dir / "sweep1"
-    out2 = toy_dir / "sweep2"
-    for out in (out1, out2):
-        code = main(["sweep", *_args(toy_dir, out)])
-        assert code == 0
-    expected = [
-        "ens_summary.csv",
-        "reconnection.csv",
-        "sensitivity.csv",
-        "fig2_ens.json",
-        "fig4_reconnection.json",
-        "fig5_group_ens.json",
-        "fig6_sensitivity.json",
-    ]
-    for name in expected:
+SWEEP_OUTPUTS = (
+    "ens_summary.csv",
+    "reconnection.csv",
+    "sensitivity.csv",
+    "fig2_ens.json",
+    "fig4_reconnection.json",
+    "fig5_group_ens.json",
+    "fig6_sensitivity.json",
+)
+
+
+def _assert_same_sweep_outputs(out1, out2):
+    """All sweep outputs match apart from the timestamp in ``meta``."""
+    for name in SWEEP_OUTPUTS:
         assert (out1 / name).exists(), name
         a = (out1 / name).read_text()
         b = (out2 / name).read_text()
         if name.endswith(".json"):
             a = re.sub(r'"created_utc": "[^"]*"', '"created_utc": ""', a)
             b = re.sub(r'"created_utc": "[^"]*"', '"created_utc": ""', b)
-        assert a == b, f"{name} not deterministic"
+        assert a == b, f"{name} differs"
+
+
+def test_sweep_outputs_and_determinism(toy_dir):
+    out1 = toy_dir / "sweep1"
+    out2 = toy_dir / "sweep2"
+    for out in (out1, out2):
+        code = main(["sweep", *_args(toy_dir, out)])
+        assert code == 0
+    _assert_same_sweep_outputs(out1, out2)
     rows = (out1 / "ens_summary.csv").read_text().strip().splitlines()
     assert rows[0] == "placement,mode,rop_ens_mwh,rip_ens_mwh"
     assert len(rows) == 1 + 3  # one placement file given, three modes
@@ -126,9 +133,7 @@ def test_sweep_parallel_matches_serial(toy_dir):
     parallel = toy_dir / "parallel"
     assert main(["sweep", *_args(toy_dir, serial)]) == 0
     assert main(["sweep", *_args(toy_dir, parallel), "--jobs", "2"]) == 0
-    assert (serial / "sensitivity.csv").read_text() == (
-        parallel / "sensitivity.csv"
-    ).read_text()
+    _assert_same_sweep_outputs(serial, parallel)
 
 
 def test_report_summarizes_sweep(toy_dir, capsys):

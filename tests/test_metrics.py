@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridrestore.errors import GridRestoreError
-from gridrestore.metrics import energy_not_served, reconnection_times, sensitivity_matrix
-from gridrestore.model import Demand
+from gridrestore.metrics import energy_not_served, reconnection_times
+from gridrestore.model import Demand, TimeGrid, time_grid_for
+from gridrestore.replay import simulate_plan
 from gridrestore.rop import RestorationPlan
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
+from gridrestore.study import run_study
 
 from helpers import chain3
 
@@ -108,11 +112,6 @@ def test_reconnection_reports_never_connected():
     case = chain_case()
     bad_plan = RestorationPlan(
         schedule=((), ("line:1",)),
-        energization={"line:1": 1, "line:2": 5},  # line 2 beyond horizon
-        objective_mwh=0.0,
-    )
-    bad_plan = RestorationPlan(
-        schedule=((), ("line:1",)),
         energization={"line:1": 1},
         objective_mwh=0.0,
     )
@@ -120,40 +119,44 @@ def test_reconnection_reports_never_connected():
         reconnection_times(bad_plan, case)
 
 
-def test_sensitivity_matrix_matches_direct_replays():
-    from gridrestore.model import time_grid_for
-    from gridrestore.replay import simulate_plan
-    from gridrestore.rop import build_rop, solve_rop
+ONE_DER = DerPlacement("one", (3,), p_max=0.5, q_min=-0.2, q_max=0.2)
 
+
+def test_run_study_replays_match_direct_simulation():
     net = chain3(damage=(1, 2))
-    placement = DerPlacement("one", (3,), p_max=0.5, q_min=-0.2, q_max=0.2)
-    modes = (DerMode.BASE, DerMode.COMMUNITY_MICROGRID)
-    plans = {}
-    for mode in modes:
-        case = apply_der_mode(net, placement, mode)
-        plans[mode] = solve_rop(build_rop(case, time_grid_for(net)))
-    grid = sensitivity_matrix(net, placement, plans, modes)
-    for assumed in modes:
-        for actual in modes:
-            direct = simulate_plan(
-                apply_der_mode(net, placement, actual), plans[assumed]
-            )
-            assert grid[assumed][actual] == pytest.approx(direct.ens_mwh, abs=1e-9)
+    study = run_study(net, [ONE_DER], time_grid_for(net))
+    assert len(study.plans) == 3 and len(study.replays) == 9
+    for (name, assumed, actual), result in study.replays.items():
+        direct = simulate_plan(
+            apply_der_mode(net, ONE_DER, actual), study.plans[(name, assumed)]
+        )
+        assert result.ens_mwh == pytest.approx(direct.ens_mwh, abs=1e-9)
 
 
-def test_sensitivity_zero_load_grid():
-    from dataclasses import replace
+def test_run_study_replays_on_the_grid_time_step():
+    net = chain3(damage=(1, 2))
+    study = run_study(net, [ONE_DER], TimeGrid(3, step_hours=0.5))
+    key = ("one", DerMode.BASE)
+    # 3 MW out for one half-hour step, then 2 MW for one more
+    assert study.rop_ens[key] == pytest.approx(2.5)
+    matched = study.replays[(*key, DerMode.BASE)]
+    assert matched.ens_mwh == pytest.approx(study.rop_ens[key], rel=1e-4)
 
+
+def test_run_study_zero_load_reads_zero():
     net = chain3(damage=(1, 2))
     net = replace(net, demands=tuple(replace(d, p=0.0, q=0.0) for d in net.demands))
-    plan = RestorationPlan(
-        schedule=((), ("line:1",), ("line:2",)),
-        energization={"line:1": 1, "line:2": 2},
-        objective_mwh=0.0,
-    )
-    modes = (DerMode.BASE, DerMode.HOME_MICROGRID)
-    plans = {m: plan for m in modes}
-    grid = sensitivity_matrix(net, NO_DER, plans, modes)
-    for assumed in modes:
-        for actual in modes:
-            assert grid[assumed][actual] == pytest.approx(0.0, abs=1e-9)
+    study = run_study(net, [NO_DER], time_grid_for(net))
+    values = [
+        *study.rop_ens.values(),
+        *(r.ens_mwh for r in study.replays.values()),
+        *(r.total_mwh for r in study.group_ens.values()),
+    ]
+    assert len(values) == 3 + 9 + 3
+    assert values == pytest.approx([0.0] * len(values), abs=1e-9)
+
+
+def test_run_study_rejects_duplicate_placement_names():
+    net = chain3(damage=(1, 2))
+    with pytest.raises(GridRestoreError, match="unique"):
+        run_study(net, [NO_DER, NO_DER], time_grid_for(net))
