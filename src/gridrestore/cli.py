@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import datasets
-from .errors import GridRestoreError
+from .errors import ConfigError, GridRestoreError
 from .model import Network, TimeGrid, apply_damage, load_case, time_grid_for
 from .replay import simulate_plan
 from .rop import RestorationPlan, build_rop, rop_ens_mwh, solve_rop
@@ -44,14 +44,13 @@ class RunConfig:
     gap: float = 1e-6
     tol: float = 1e-6
     jobs: int = 1
-    backend: str = "auto"
 
     def load_network(self) -> Network:
         net = (
             load_case(self.case_path) if self.case_path else datasets.bundled_case()
         )
         ids = (
-            datasets.load_damage_file(Path(self.damage_path))
+            datasets.load_damage_file(self.damage_path)
             if self.damage_path
             else datasets.bundled_damage_ids()
         )
@@ -68,11 +67,13 @@ class RunConfig:
             if p in ("uniform", "clustered"):  # bundled shorthand
                 out.append(datasets.bundled_placement(p))
             else:
-                out.append(load_scenario(p)[0])
+                out.append(load_scenario(p))
         return out
 
     def time_grid(self, network: Network) -> TimeGrid:
         if self.horizon is not None:
+            if self.horizon < 1:
+                raise ConfigError(f"--horizon must be at least 1, got {self.horizon}")
             return TimeGrid(self.horizon)
         return time_grid_for(network)
 
@@ -121,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gap", type=float, default=_env_default("gap", 1e-6, float), help="MILP relative gap")
         sp.add_argument("--tol", type=float, default=_env_default("tol", 1e-6, float), help="AC residual tolerance")
         sp.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int), help="parallel workers for sweep cells")
-        sp.add_argument("--backend", default=_env_default("backend", "auto"), choices=["auto", "highs", "builtin"], help="MILP backend")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
     common(sp)
@@ -151,7 +151,6 @@ def _config_from_args(args) -> RunConfig:
         gap=args.gap,
         tol=args.tol,
         jobs=args.jobs,
-        backend=args.backend,
     )
 
 
@@ -164,7 +163,7 @@ def cmd_plan(config: RunConfig, mode_text: str) -> int:
     case = apply_der_mode(network, placement, mode)
     grid = config.time_grid(network)
     instance = build_rop(case, grid)
-    plan = solve_rop(instance, rel_gap=config.gap, backend=config.backend)
+    plan = solve_rop(instance, rel_gap=config.gap)
     plan.save(out / "plan.json")
     ens = rop_ens_mwh(plan, instance)
     _write_json(
@@ -223,7 +222,6 @@ def cmd_sweep(config: RunConfig) -> int:
         config.placements(),
         config.time_grid(network),
         rel_gap=config.gap,
-        backend=config.backend,
         tol=config.tol,
         jobs=config.jobs,
     )

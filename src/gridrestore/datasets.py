@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from .model import Network, apply_damage, load_case
+from .errors import CaseFormatError
+from .model import Network, apply_damage, load_case, read_json
 from .scenarios import DerPlacement, load_scenario
 
 CASE_FILE = "ieee123_1ph.json"
@@ -24,13 +24,11 @@ def bundled_case() -> Network:
 
 def bundled_placement(name: str) -> DerPlacement:
     files = {"uniform": UNIFORM_FILE, "clustered": CLUSTERED_FILE}
-    placement, _ = load_scenario(data_path(files[name]))
-    return placement
+    return load_scenario(data_path(files[name]))
 
 
 def bundled_damage_ids() -> list[int]:
-    raw = json.loads(data_path(DAMAGE_FILE).read_text())
-    return [int(i) for i in raw["damaged_line_ids"]]
+    return load_damage_file(data_path(DAMAGE_FILE))
 
 
 def bundled_damaged_case() -> Network:
@@ -38,5 +36,11 @@ def bundled_damaged_case() -> Network:
 
 
 def load_damage_file(path) -> list[int]:
-    raw = json.loads(open(path).read() if isinstance(path, str) else path.read_text())
-    return [int(i) for i in raw["damaged_line_ids"]]
+    """Damaged line ids from a damage file (see ``CASE_SCHEMA.md``)."""
+    raw = read_json(path, "damage")
+    try:
+        return [int(i) for i in raw["damaged_line_ids"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CaseFormatError(
+            f"damage file {path}: expected a 'damaged_line_ids' list of ids ({exc!r})"
+        ) from exc

@@ -9,6 +9,10 @@ class CaseFormatError(GridRestoreError):
     """The case or scenario file could not be parsed."""
 
 
+class ConfigError(GridRestoreError):
+    """A command-line option (or its environment variable) is out of range."""
+
+
 class CaseValidationError(GridRestoreError):
     """A network violates one or more structural invariants."""
 

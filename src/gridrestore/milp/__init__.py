@@ -1,19 +1,18 @@
 """Linear and mixed-integer programming layer.
 
-``solve_lp`` / ``solve_milp`` accept a ``backend`` name:
-
-* ``"builtin"`` -- the revised simplex / branch-and-bound shipped here,
-* ``"highs"``   -- HiGHS through scipy (the external-backend seam),
-* ``"auto"``    -- HiGHS (``scipy.optimize.milp``, present from scipy 1.10).
-
-Every solution is re-verified against the raw constraint matrix before
-it is returned.
+``solve_milp`` solves every MILP with HiGHS (``scipy.optimize.milp``).
+The builtin revised simplex (``solve_lp``) and branch-and-bound
+(``solve_milp_builtin``) are not selectable solvers: they stay as an
+independent reference kernel. The tests' brute-force oracle runs on the
+simplex and HiGHS is cross-checked against the branch-and-bound; checks
+that ran HiGHS on both sides could not catch a solver fault. Every
+solution is re-verified against the raw constraint matrix.
 """
 
 from __future__ import annotations
 
 from .bnb import solve_milp_builtin
-from .highs import solve_lp_highs, solve_milp_highs
+from .highs import solve_milp_highs
 from .problem import (
     INCUMBENT_WITH_GAP,
     INFEASIBLE,
@@ -30,22 +29,10 @@ from .simplex import solve_lp_builtin
 
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_REL_GAP = 1e-6
-DEFAULT_NODE_BUDGET = 1_000_000
 
 
-def resolve_backend(backend: str) -> str:
-    if backend == "auto":
-        return "highs"
-    if backend not in ("builtin", "highs"):
-        raise ValueError(f"unknown solver backend {backend!r}")
-    return backend
-
-
-def solve_lp(
-    lp: LinearProgram, tol: float = DEFAULT_FEAS_TOL, backend: str = "builtin"
-) -> Solution:
-    fn = solve_lp_highs if resolve_backend(backend) == "highs" else solve_lp_builtin
-    sol = fn(lp, tol=tol)
+def solve_lp(lp: LinearProgram, tol: float = DEFAULT_FEAS_TOL) -> Solution:
+    sol = solve_lp_builtin(lp, tol=tol)
     verify_solution(lp, sol, tol)
     return sol
 
@@ -53,14 +40,9 @@ def solve_lp(
 def solve_milp(
     problem: MilpProblem,
     rel_gap: float = DEFAULT_REL_GAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     tol: float = DEFAULT_FEAS_TOL,
-    backend: str = "auto",
 ) -> Solution:
-    if resolve_backend(backend) == "highs":
-        sol = solve_milp_highs(problem, rel_gap=rel_gap, node_budget=node_budget, tol=tol)
-    else:
-        sol = solve_milp_builtin(problem, rel_gap=rel_gap, node_budget=node_budget, tol=tol)
+    sol = solve_milp_highs(problem, rel_gap=rel_gap)
     verify_solution(problem, sol, tol)
     return sol
 
@@ -78,9 +60,6 @@ __all__ = [
     "solve_milp",
     "solve_lp_builtin",
     "solve_milp_builtin",
-    "solve_lp_highs",
-    "solve_milp_highs",
     "feasibility_violation",
     "verify_solution",
-    "resolve_backend",
 ]

@@ -10,7 +10,7 @@ inputs give identical solutions.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,19 +58,7 @@ def solve_milp_builtin(
             hi = lp.col_upper.copy()
             for j, v in fixes.items():
                 lo[j] = hi[j] = float(v)
-            node_lp = type(lp)(
-                maximize=lp.maximize,
-                c=lp.c,
-                a_rows=lp.a_rows,
-                a_cols=lp.a_cols,
-                a_vals=lp.a_vals,
-                n_rows=lp.n_rows,
-                row_lower=lp.row_lower,
-                row_upper=lp.row_upper,
-                col_lower=lo,
-                col_upper=hi,
-                names=lp.names,
-            )
+            node_lp = replace(lp, col_lower=lo, col_upper=hi)
         return solve_lp_builtin(node_lp, tol=tol)
 
     def most_fractional(x: np.ndarray) -> int:

@@ -1,15 +1,13 @@
-"""External-backend seam: HiGHS via scipy.optimize.
+"""HiGHS through ``scipy.optimize.milp``.
 
-The canonical problem form maps one-to-one onto scipy's ``linprog`` /
-``milp`` interfaces, so an industrial solver can be swapped in through
-this single narrow adapter.
+The canonical problem form maps one-to-one onto scipy's ``milp``
+interface: two-sided row bounds, column bounds and an integrality mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
 
 from ..errors import SolverError
 from .problem import (
@@ -17,60 +15,14 @@ from .problem import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LinearProgram,
     MilpProblem,
     Solution,
 )
 
-
-def solve_lp_highs(lp: LinearProgram, tol: float = 1e-7) -> Solution:
-    lp.validate()
-    c = -lp.c if lp.maximize else lp.c
-    a_eq = b_eq = a_ub = b_ub = None
-    if lp.n_rows:
-        A = lp.matrix()
-        eq = np.isfinite(lp.row_lower) & (lp.row_lower == lp.row_upper)
-        if eq.any():
-            a_eq, b_eq = A[eq], lp.row_upper[eq]
-        up = ~eq & np.isfinite(lp.row_upper)
-        lo = ~eq & np.isfinite(lp.row_lower)
-        blocks, rhs = [], []
-        if up.any():
-            blocks.append(A[up])
-            rhs.append(lp.row_upper[up])
-        if lo.any():
-            blocks.append(-A[lo])
-            rhs.append(-lp.row_lower[lo])
-        if blocks:
-            a_ub, b_ub = sp.vstack(blocks), np.concatenate(rhs)
-    kwargs = dict(
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lp.col_lower, lp.col_upper]),
-        method="highs",
-    )
-    res = sopt.linprog(c, options={"presolve": True}, **kwargs)
-    if res.status == 2:
-        # presolve cannot tell infeasible from unbounded; resolve exactly
-        res = sopt.linprog(c, options={"presolve": False}, **kwargs)
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        return Solution(status=OPTIMAL, objective=float(lp.c @ x), x=x, gap=0.0)
-    if res.status == 2:
-        return Solution(status=INFEASIBLE, message=str(res.message))
-    if res.status == 3:
-        return Solution(status=UNBOUNDED, message=str(res.message))
-    raise SolverError(f"LP backend failed: {res.message}")
+NODE_LIMIT = 1_000_000
 
 
-def solve_milp_highs(
-    problem: MilpProblem,
-    rel_gap: float = 1e-6,
-    node_budget: int = 1_000_000,
-    tol: float = 1e-7,
-) -> Solution:
+def solve_milp_highs(problem: MilpProblem, rel_gap: float = 1e-6) -> Solution:
     problem.validate()
     lp = problem.lp
     c = -lp.c if lp.maximize else lp.c
@@ -84,7 +36,7 @@ def solve_milp_highs(
         bounds=sopt.Bounds(lp.col_lower, lp.col_upper),
         integrality=integrality,
     )
-    opts = {"mip_rel_gap": rel_gap, "node_limit": node_budget, "presolve": True}
+    opts = {"mip_rel_gap": rel_gap, "node_limit": NODE_LIMIT, "presolve": True}
     res = sopt.milp(c, options=opts, **kwargs)
     if res.status == 2:
         res = sopt.milp(c, options={**opts, "presolve": False}, **kwargs)
@@ -109,4 +61,4 @@ def solve_milp_highs(
             n_nodes=nodes,
             message=str(res.message),
         )
-    raise SolverError(f"MILP backend failed: {res.message}")
+    raise SolverError(f"HiGHS failed: {res.message}")

@@ -32,7 +32,6 @@ class LinearProgram:
     row_upper: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
-    names: tuple[str, ...] | None = None
 
     @property
     def n_cols(self) -> int:
@@ -52,8 +51,6 @@ class LinearProgram:
             raise ValueError("row bound arrays do not match row count")
         if len(self.col_lower) != n or len(self.col_upper) != n:
             raise ValueError("column bound arrays do not match column count")
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("column name list does not match column count")
         if len(self.a_rows) != len(self.a_cols) or len(self.a_rows) != len(self.a_vals):
             raise ValueError("triplet arrays have inconsistent lengths")
         if len(self.a_rows) and (self.a_rows.min() < 0 or self.a_rows.max() >= m):
@@ -64,41 +61,6 @@ class LinearProgram:
             raise ValueError("row lower bound exceeds upper bound")
         if np.any(self.col_lower > self.col_upper):
             raise ValueError("column lower bound exceeds upper bound")
-
-    def lp_text(self) -> str:
-        """CPLEX LP-format text, for cross-checks against external tools."""
-        names = self.names or tuple(f"x{j}" for j in range(self.n_cols))
-        out = ["Maximize" if self.maximize else "Minimize"]
-        terms = [
-            f"{'+' if cj >= 0 else '-'} {abs(cj):.12g} {names[j]}"
-            for j, cj in enumerate(self.c)
-            if cj != 0
-        ]
-        out.append(" obj: " + (" ".join(terms) if terms else "0 " + names[0]))
-        out.append("Subject To")
-        A = self.matrix().tocsr()
-        for i in range(self.n_rows):
-            row = A.getrow(i)
-            expr = " ".join(
-                f"{'+' if v >= 0 else '-'} {abs(v):.12g} {names[j]}"
-                for j, v in zip(row.indices, row.data)
-            )
-            lo, hi = self.row_lower[i], self.row_upper[i]
-            if lo == hi:
-                out.append(f" r{i}: {expr} = {lo:.12g}")
-            else:
-                if hi < INF:
-                    out.append(f" r{i}u: {expr} <= {hi:.12g}")
-                if lo > -INF:
-                    out.append(f" r{i}l: {expr} >= {lo:.12g}")
-        out.append("Bounds")
-        for j in range(self.n_cols):
-            lo, hi = self.col_lower[j], self.col_upper[j]
-            lo_s = f"{lo:.12g}" if lo > -INF else "-inf"
-            hi_s = f"{hi:.12g}" if hi < INF else "+inf"
-            out.append(f" {lo_s} <= {names[j]} <= {hi_s}")
-        out.append("End")
-        return "\n".join(out) + "\n"
 
 
 @dataclass
@@ -174,7 +136,6 @@ class ProblemBuilder:
         self._obj: list[float] = []
         self._col_lower: list[float] = []
         self._col_upper: list[float] = []
-        self._names: list[str] = []
         self._integer: set[int] = set()
         self._rows: list[int] = []
         self._cols: list[int] = []
@@ -192,7 +153,6 @@ class ProblemBuilder:
 
     def add_column(
         self,
-        name: str,
         lower: float = 0.0,
         upper: float = INF,
         obj: float = 0.0,
@@ -202,7 +162,6 @@ class ProblemBuilder:
         self._obj.append(obj)
         self._col_lower.append(lower)
         self._col_upper.append(upper)
-        self._names.append(name)
         if integer:
             self._integer.add(j)
         return j
@@ -230,7 +189,6 @@ class ProblemBuilder:
             row_upper=np.asarray(self._row_upper, dtype=float),
             col_lower=np.asarray(self._col_lower, dtype=float),
             col_upper=np.asarray(self._col_upper, dtype=float),
-            names=tuple(self._names),
         )
         lp.validate()
         return lp

@@ -322,16 +322,20 @@ _GEN_FIELDS = ("id", "bus", "p_min", "p_max", "q_min", "q_max", "kind", "damaged
 _DEMAND_FIELDS = ("id", "bus", "p", "q", "has_der", "damaged")
 
 
-def load_case(path) -> Network:
-    """Parse a case file and return a validated per-unit Network."""
+def read_json(path, what: str):
+    """Parse a JSON input file; an unreadable or malformed one is a CaseFormatError."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
-        raise CaseFormatError(f"cannot read case file {path}: {exc}") from exc
+        raise CaseFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"case file {path} is not valid JSON: {exc}") from exc
-    network = network_from_dict(raw)
+        raise CaseFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_case(path) -> Network:
+    """Parse a case file and return a validated per-unit Network."""
+    network = network_from_dict(read_json(path, "case"))
     validate(network).raise_if_invalid()
     return network
 

@@ -15,9 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverError, UnboundedError
+from .errors import (
+    CaseFormatError,
+    CaseValidationError,
+    InfeasibleError,
+    SolverError,
+    UnboundedError,
+)
 from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import Network, TimeGrid
+from .model import Network, TimeGrid, read_json
 from .scenarios import EffectiveCase
 
 KIND_ORDER = {"bus": 0, "line": 1, "gen": 2, "demand": 3}
@@ -95,17 +101,31 @@ class RestorationPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RestorationPlan":
-        return cls(
-            schedule=tuple(tuple(p) for p in raw["schedule"]),
-            energization={str(k): int(v) for k, v in raw["energization"].items()},
-            objective_mwh=float(raw["objective_mwh"]),
-            optimal=bool(raw.get("optimal", True)),
-            gap=float(raw.get("gap", 0.0)),
-        )
+        """Parse a saved plan; missing or ill-typed keys raise CaseFormatError."""
+        try:
+            schedule, energization = raw["schedule"], raw["energization"]
+            if not isinstance(schedule, list) or not all(
+                isinstance(p, list) and all(isinstance(k, str) for k in p)
+                for p in schedule
+            ):
+                raise TypeError("'schedule' must be a list of lists of component keys")
+            if not isinstance(energization, dict):
+                raise TypeError("'energization' must map component keys to periods")
+            return cls(
+                schedule=tuple(tuple(p) for p in schedule),
+                energization={str(k): int(v) for k, v in energization.items()},
+                objective_mwh=float(raw["objective_mwh"]),
+                optimal=bool(raw.get("optimal", True)),
+                gap=float(raw.get("gap", 0.0)),
+            )
+        except KeyError as exc:
+            raise CaseFormatError(f"plan is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CaseFormatError(f"plan has an ill-typed value: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "RestorationPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path, "plan"))
 
 
 @dataclass
@@ -159,10 +179,10 @@ def build_rop(
         if abs(l.b) > 0 and l.thermal_limit / abs(l.b) > max(
             abs(l.angle_min), l.angle_max
         ) + 1e-12:
-            raise ValueError(
+            raise CaseValidationError([
                 f"line {l.id}: thermal limit admits a larger angle spread than "
                 "its angle bounds, so the decoupling constant would be invalid"
-            )
+            ])
 
     damaged_buses = set(damage.buses)
     damaged_lines = set(damage.lines)
@@ -185,31 +205,23 @@ def build_rop(
     z_keys = damage.component_keys()
     for t in range(T):
         for d in net.demands:
-            inst.x_col[(d.id, t)] = b.add_column(
-                f"x[d{d.id},t{t}]", 0.0, 1.0, obj=d.p * dt
-            )
+            inst.x_col[(d.id, t)] = b.add_column(0.0, 1.0, obj=d.p * dt)
         for g in net.generators:
             gated = g.damaged or g.bus in damaged_buses
             lo = min(g.p_min, 0.0) if gated else g.p_min
             hi = max(g.p_max, 0.0) if gated else g.p_max
-            inst.pg_col[(g.id, t)] = b.add_column(f"pg[g{g.id},t{t}]", lo, hi)
+            inst.pg_col[(g.id, t)] = b.add_column(lo, hi)
         for l in net.lines:
-            inst.pl_col[(l.id, t)] = b.add_column(
-                f"pl[l{l.id},t{t}]", -l.thermal_limit, l.thermal_limit
-            )
+            inst.pl_col[(l.id, t)] = b.add_column(-l.thermal_limit, l.thermal_limit)
         for bus in net.buses:
             fixed = bus.id == ref
             inst.theta_col[(bus.id, t)] = b.add_column(
-                f"th[b{bus.id},t{t}]",
-                0.0 if fixed else -np.inf,
-                0.0 if fixed else np.inf,
+                0.0 if fixed else -np.inf, 0.0 if fixed else np.inf
             )
         for key in z_keys:
             # the final period is fixed: everything must be back in service
             lo = 1.0 if t == T - 1 else 0.0
-            inst.z_col[(key, t)] = b.add_column(
-                f"z[{key},t{t}]", lo, 1.0, integer=True
-            )
+            inst.z_col[(key, t)] = b.add_column(lo, 1.0, integer=True)
 
     def gates(line) -> list[tuple[str, int]]:
         out = []
@@ -326,16 +338,9 @@ def build_rop(
     return inst
 
 
-def solve_rop(
-    instance: RopInstance,
-    rel_gap: float = 1e-6,
-    node_budget: int = 1_000_000,
-    backend: str = "auto",
-) -> RestorationPlan:
+def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
     """Solve the MILP and extract the energization schedule."""
-    sol = solve_milp(
-        instance.problem, rel_gap=rel_gap, node_budget=node_budget, backend=backend
-    )
+    sol = solve_milp(instance.problem, rel_gap=rel_gap)
     if sol.status == "infeasible":
         raise InfeasibleError("restoration MILP is infeasible")
     if sol.status == "unbounded":

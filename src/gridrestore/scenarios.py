@@ -9,12 +9,11 @@ generators (community microgrid).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import CaseFormatError, UnknownIdError
-from .model import CUSTOMER_DER, Generator, Network
+from .model import CUSTOMER_DER, Generator, Network, read_json
 
 HOME_LOAD_FLOOR = 0.01
 
@@ -165,14 +164,10 @@ def enumerate_cases(network: Network, placements, modes) -> list[EffectiveCase]:
     ]
 
 
-def load_scenario(path) -> tuple[DerPlacement, DerMode | None]:
+def load_scenario(path) -> DerPlacement:
+    """The DER placement of a scenario file; the DER mode is chosen by the caller."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise CaseFormatError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, "scenario")
     if "placement" not in raw:
         raise CaseFormatError(f"scenario file {path} is missing 'placement'")
     p = raw["placement"]
@@ -186,5 +181,4 @@ def load_scenario(path) -> tuple[DerPlacement, DerMode | None]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CaseFormatError(f"scenario file {path}: bad placement ({exc})") from exc
-    mode = DerMode.parse(raw["mode"]) if raw.get("mode") else None
-    return placement, mode
+    return placement

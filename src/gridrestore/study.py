@@ -58,7 +58,6 @@ def run_study(
     grid: TimeGrid,
     *,
     rel_gap: float = 1e-6,
-    backend: str = "auto",
     tol: float = replay.DEFAULT_RESIDUAL_TOL,
     jobs: int = 1,
 ) -> StudyResult:
@@ -78,7 +77,7 @@ def run_study(
     t0 = time.perf_counter()
     for key, case in cases.items():
         instance = rop.build_rop(case, grid)
-        plan = rop.solve_rop(instance, rel_gap=rel_gap, backend=backend)
+        plan = rop.solve_rop(instance, rel_gap=rel_gap)
         instances[key], plans[key] = instance, plan
         rop_ens[key] = rop.rop_ens_mwh(plan, instance)
     rop_seconds = time.perf_counter() - t0

@@ -90,21 +90,17 @@ def dc_shed_optimum(network: Network, energized_damaged: set[int]) -> float:
     ref = network.reference_bus.id
     theta = {
         bus.id: b.add_column(
-            f"th{bus.id}",
-            0.0 if bus.id == ref else -np.inf,
-            0.0 if bus.id == ref else np.inf,
+            0.0 if bus.id == ref else -np.inf, 0.0 if bus.id == ref else np.inf
         )
         for bus in network.buses
     }
-    x = {d.id: b.add_column(f"x{d.id}", 0.0, 1.0, obj=d.p) for d in network.demands}
-    pg = {
-        g.id: b.add_column(f"pg{g.id}", g.p_min, g.p_max) for g in network.generators
-    }
+    x = {d.id: b.add_column(0.0, 1.0, obj=d.p) for d in network.demands}
+    pg = {g.id: b.add_column(g.p_min, g.p_max) for g in network.generators}
     live_lines = [
         l for l in network.lines if not l.damaged or l.id in energized_damaged
     ]
     pl = {
-        l.id: b.add_column(f"pl{l.id}", -l.thermal_limit, l.thermal_limit)
+        l.id: b.add_column(-l.thermal_limit, l.thermal_limit)
         for l in live_lines
     }
     for l in live_lines:
@@ -127,7 +123,7 @@ def dc_shed_optimum(network: Network, energized_damaged: set[int]) -> float:
             elif l.to_bus == bus.id:
                 coeffs[pl[l.id]] = coeffs.get(pl[l.id], 0.0) + 1.0
         b.add_row(coeffs, lower=0.0, upper=0.0)
-    sol = solve_lp(b.build_lp(), backend="builtin")
+    sol = solve_lp(b.build_lp())
     assert sol.status == "optimal", sol.status
     return float(sol.objective)
 

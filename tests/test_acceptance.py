@@ -167,7 +167,7 @@ def test_criterion_6_oracle_equivalence():
     for _ in range(n_nets):
         net = random_radial(rng)
         inst = build_rop(apply_der_mode(net, no_der, DerMode.BASE), time_grid_for(net))
-        plan = solve_rop(inst, backend="auto")
+        plan = solve_rop(inst)
         oracle = permutation_oracle(net)
         rel = abs(plan.objective_mwh - oracle) / max(1.0, abs(oracle))
         worst = max(worst, rel)

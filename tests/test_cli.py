@@ -75,6 +75,56 @@ def test_missing_case_exit_one(toy_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _damage_without_ids(d):
+    (d / "damage.json").write_text(json.dumps({"damaged_lines": [2]}))
+    return ["plan"]
+
+
+def _damage_not_json(d):
+    (d / "damage.json").write_text("damaged_line_ids: [2]")
+    return ["plan"]
+
+
+def _plan_without_schedule(d):
+    (d / "plan.json").write_text(json.dumps({"energization": {}, "objective_mwh": 0.0}))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _plan_with_string_schedule(d):
+    plan = {"schedule": "line:2", "energization": {"line:2": 1}, "objective_mwh": 0.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _zero_horizon(d):
+    return ["plan", "--horizon", "0"]
+
+
+def _thermal_limit_beyond_angle_bound(d):
+    case = json.loads((d / "case.json").read_text())
+    case["lines"][0]["thermal_limit"] = 80.0  # 80 / |b| = 1.6 rad > 0.52 rad
+    (d / "case.json").write_text(json.dumps(case))
+    return ["plan"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _damage_without_ids,
+        _damage_not_json,
+        _plan_without_schedule,
+        _plan_with_string_schedule,
+        _zero_horizon,
+        _thermal_limit_beyond_angle_bound,
+    ],
+)
+def test_bad_input_exits_one(toy_dir, capsys, corrupt):
+    command, *extra = corrupt(toy_dir)
+    code = main([command, *_args(toy_dir, toy_dir / "out_bad"), *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_simulate_roundtrip(toy_dir):
     out = toy_dir / "out_sim"
     assert main(["plan", *_args(toy_dir, out), "--mode", "base"]) == 0

@@ -6,6 +6,7 @@ from gridrestore.milp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    MilpProblem,
     ProblemBuilder,
     Solution,
     feasibility_violation,
@@ -16,43 +17,57 @@ from gridrestore.milp import (
 )
 from gridrestore.milp.simplex import solve_lp_builtin
 
-BACKENDS = ("builtin", "highs")
+
+def highs_lp(lp):
+    """HiGHS on a pure LP: the MILP path with no integer columns, which is
+    what an undamaged feeder sends it."""
+    return solve_milp(MilpProblem(lp))
+
+
+# The builtin simplex and branch-and-bound are the independent reference
+# that the production HiGHS path is checked against.
+LP_SOLVERS = pytest.mark.parametrize(
+    "solve", (solve_lp, highs_lp), ids=("builtin", "highs")
+)
+MILP_SOLVERS = pytest.mark.parametrize(
+    "solve", (solve_milp_builtin, solve_milp), ids=("builtin", "highs")
+)
 
 
 def single_var_lp(upper_row=3.0):
     b = ProblemBuilder(maximize=True)
-    j = b.add_column("x", 0.0, 10.0, obj=1.0)
+    j = b.add_column(0.0, 10.0, obj=1.0)
     b.add_row({j: 1.0}, upper=upper_row)
     return b.build_lp()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_simple_max(backend):
-    sol = solve_lp(single_var_lp(), backend=backend)
+@LP_SOLVERS
+def test_lp_simple_max(solve):
+    sol = solve(single_var_lp())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_infeasible(backend):
-    sol = solve_lp(single_var_lp(upper_row=-1.0), backend=backend)
+@LP_SOLVERS
+def test_lp_infeasible(solve):
+    sol = solve(single_var_lp(upper_row=-1.0))
     assert sol.status == INFEASIBLE
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_unbounded(backend):
+@LP_SOLVERS
+def test_lp_unbounded(solve):
     b = ProblemBuilder(maximize=True)
-    j = b.add_column("x", 0.0, np.inf, obj=1.0)
-    k = b.add_column("y", 0.0, 1.0, obj=0.0)
+    j = b.add_column(0.0, np.inf, obj=1.0)
+    k = b.add_column(0.0, 1.0, obj=0.0)
     b.add_row({k: 1.0}, upper=1.0)
-    sol = solve_lp(b.build_lp(), backend=backend)
+    sol = solve(b.build_lp())
     assert sol.status == UNBOUNDED
 
 
 def test_lp_bounds_only():
     b = ProblemBuilder(maximize=False)
-    b.add_column("x", -2.0, 5.0, obj=1.0)
-    b.add_column("y", -1.0, 4.0, obj=-2.0)
+    b.add_column(-2.0, 5.0, obj=1.0)
+    b.add_column(-1.0, 4.0, obj=-2.0)
     sol = solve_lp_builtin(b.build_lp())
     assert sol.objective == pytest.approx(-2.0 - 8.0)
 
@@ -64,14 +79,14 @@ def dc_chain_lp():
     so with ample limits everything is served (value 3.0).
     """
     b = ProblemBuilder(maximize=True)
-    th = [b.add_column(f"th{i}", -np.inf, np.inf) for i in range(3)]
+    th = [b.add_column(-np.inf, np.inf) for _ in range(3)]
     b._col_lower[th[0]] = b._col_upper[th[0]] = 0.0
-    x1 = b.add_column("x1", 0, 1, obj=1.0)
-    x2 = b.add_column("x2", 0, 1, obj=2.0)
-    pg = b.add_column("pg", -10, 10)
+    x1 = b.add_column(0, 1, obj=1.0)
+    x2 = b.add_column(0, 1, obj=2.0)
+    pg = b.add_column(-10, 10)
     susceptance = -50.0
-    p1 = b.add_column("p1", -8, 8)
-    p2 = b.add_column("p2", -8, 8)
+    p1 = b.add_column(-8, 8)
+    p2 = b.add_column(-8, 8)
     b.add_row({p1: 1.0, th[0]: susceptance, th[1]: -susceptance}, lower=0, upper=0)
     b.add_row({p2: 1.0, th[1]: susceptance, th[2]: -susceptance}, lower=0, upper=0)
     b.add_row({pg: 1.0, p1: -1.0}, lower=0, upper=0)
@@ -80,10 +95,10 @@ def dc_chain_lp():
     return b.build_lp(), p1, p2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_dc_chain_hand_solution(backend):
+@LP_SOLVERS
+def test_lp_dc_chain_hand_solution(solve):
     lp, p1, p2 = dc_chain_lp()
-    sol = solve_lp(lp, backend=backend)
+    sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-8)
     assert sol.x[p1] == pytest.approx(3.0, abs=1e-8)
@@ -92,16 +107,16 @@ def test_lp_dc_chain_hand_solution(backend):
 
 def knapsack():
     b = ProblemBuilder(maximize=True)
-    a = b.add_column("a", 0, 1, obj=2.0, integer=True)
-    c = b.add_column("b", 0, 1, obj=3.0, integer=True)
+    a = b.add_column(0, 1, obj=2.0, integer=True)
+    c = b.add_column(0, 1, obj=3.0, integer=True)
     b.add_row({a: 1.0, c: 1.0}, upper=1.0)
     return b.build_milp(), a, c
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_milp_knapsack(backend):
+@MILP_SOLVERS
+def test_milp_knapsack(solve):
     p, a, c = knapsack()
-    sol = solve_milp(p, backend=backend)
+    sol = solve(p)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0)
     assert round(sol.x[a]) == 0 and round(sol.x[c]) == 1
@@ -109,7 +124,7 @@ def test_milp_knapsack(backend):
 
 def test_milp_integral_root_needs_one_node():
     b = ProblemBuilder(maximize=True)
-    z = b.add_column("z", 0, 1, obj=1.0, integer=True)
+    z = b.add_column(0, 1, obj=1.0, integer=True)
     b.add_row({z: 1.0}, upper=1.0)
     sol = solve_milp_builtin(b.build_milp())
     assert sol.status == OPTIMAL
@@ -117,12 +132,12 @@ def test_milp_integral_root_needs_one_node():
     assert sol.gap == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_milp_infeasible(backend):
+@MILP_SOLVERS
+def test_milp_infeasible(solve):
     b = ProblemBuilder(maximize=True)
-    z = b.add_column("z", 0, 1, obj=1.0, integer=True)
+    z = b.add_column(0, 1, obj=1.0, integer=True)
     b.add_row({z: 1.0}, lower=2.0)
-    sol = solve_milp(b.build_milp(), backend=backend)
+    sol = solve(b.build_milp())
     assert sol.status == INFEASIBLE
 
 
@@ -131,7 +146,7 @@ def test_milp_node_budget_contract():
 
     rng = np.random.RandomState(5)
     b = ProblemBuilder(maximize=True)
-    cols = [b.add_column(f"z{j}", 0, 1, obj=float(rng.rand() + 0.5), integer=True)
+    cols = [b.add_column(0, 1, obj=float(rng.rand() + 0.5), integer=True)
             for j in range(14)]
     w = rng.rand(14) + 0.5
     b.add_row({c: float(wi) for c, wi in zip(cols, w)}, upper=float(w.sum() / 2))
@@ -158,9 +173,9 @@ def test_milp_node_budget_contract():
 
 def test_determinism_identical_runs():
     p, _, _ = knapsack()
-    for backend in BACKENDS:
-        s1 = solve_milp(p, backend=backend)
-        s2 = solve_milp(p, backend=backend)
+    for solve in (solve_milp_builtin, solve_milp):
+        s1 = solve(p)
+        s2 = solve(p)
         assert s1.objective == s2.objective
         assert np.array_equal(s1.x, s2.x)
 
@@ -171,7 +186,7 @@ def test_relaxation_sandwich_random():
         n = rng.randint(2, 7)
         b = ProblemBuilder(maximize=True)
         cols = [
-            b.add_column(f"z{j}", 0, 1, obj=float(rng.randn()), integer=True)
+            b.add_column(0, 1, obj=float(rng.randn()), integer=True)
             for j in range(n)
         ]
         for _ in range(rng.randint(1, 4)):
@@ -181,7 +196,7 @@ def test_relaxation_sandwich_random():
                 upper=float(rng.rand() * n / 2),
             )
         problem = b.build_milp()
-        relaxed = solve_lp(problem.lp, backend="builtin")
+        relaxed = solve_lp(problem.lp)
         integer = solve_milp_builtin(problem)
         if integer.status == OPTIMAL and relaxed.status == OPTIMAL:
             assert relaxed.objective >= integer.objective - 1e-8
@@ -195,9 +210,9 @@ def test_backends_agree_on_random_milps():
         cols = []
         for j in range(n):
             if rng.rand() < 0.6:
-                cols.append(b.add_column(f"z{j}", 0, 1, obj=float(rng.randn()), integer=True))
+                cols.append(b.add_column(0, 1, obj=float(rng.randn()), integer=True))
             else:
-                cols.append(b.add_column(f"x{j}", 0.0, 3.0, obj=float(rng.randn())))
+                cols.append(b.add_column(0.0, 3.0, obj=float(rng.randn())))
         for _ in range(rng.randint(1, 5)):
             picks = rng.choice(n, size=rng.randint(1, n + 1), replace=False)
             coeffs = {cols[int(j)]: float(rng.randn()) for j in picks}
@@ -206,8 +221,8 @@ def test_backends_agree_on_random_milps():
             else:
                 b.add_row(coeffs, lower=float(rng.randn()))
         problem = b.build_milp()
-        s1 = solve_milp(problem, backend="builtin")
-        s2 = solve_milp(problem, backend="highs")
+        s1 = solve_milp_builtin(problem)
+        s2 = solve_milp(problem)
         assert s1.status == s2.status
         if s1.status == OPTIMAL:
             assert s1.objective == pytest.approx(s2.objective, abs=1e-6)
@@ -217,7 +232,7 @@ def test_bound_monotone_incumbent_nondecreasing():
     rng = np.random.RandomState(17)
     b = ProblemBuilder(maximize=True)
     cols = [
-        b.add_column(f"z{j}", 0, 1, obj=float(rng.rand() + 0.2), integer=True)
+        b.add_column(0, 1, obj=float(rng.rand() + 0.2), integer=True)
         for j in range(10)
     ]
     w = rng.rand(10) + 0.3
@@ -237,11 +252,3 @@ def test_verify_solution_rejects_bad_point():
     with pytest.raises(AssertionError):
         verify_solution(lp, fake, tol=1e-7)
     assert feasibility_violation(lp, np.array([9.0])) == pytest.approx(6.0)
-
-
-def test_lp_text_export():
-    lp, _, _ = dc_chain_lp()
-    text = lp.lp_text()
-    assert text.startswith("Maximize")
-    assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
-    assert "x1" in text and "pg" in text

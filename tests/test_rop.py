@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gridrestore.errors import InfeasibleError
+from gridrestore.milp import solve_milp_builtin
 from gridrestore.model import Bus, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
+    _extract_plan,
     build_rop,
     check_plan,
     compute_big_m,
@@ -59,19 +61,34 @@ def test_build_rop_bundled_dimensions(storm_network, storm_grid):
     assert len(inst.problem.integer_columns) == 18 * 19
     n_continuous = T * (52 + 1 + 55 + 56)  # x, substation, flows, angles
     assert inst.problem.lp.n_cols == n_continuous + 18 * 19
-    # one DC balance row per bus per period
-    names = inst.problem.lp.names
     assert len(inst.x_col) == 52 * T
     assert len(inst.theta_col) == 56 * T
     assert all((key, t) in inst.z_col for key in inst.damage.component_keys() for t in range(T))
-    assert len(names) == inst.problem.lp.n_cols
+    # the column maps name every column exactly once
+    assert sorted(_column_names(inst)) == list(range(inst.problem.lp.n_cols))
+
+
+def _column_names(inst):
+    """Column index -> name, in the notation of ``hand_rop_matrix_rows``."""
+    names = {}
+    for (d, t), j in inst.x_col.items():
+        names[j] = f"x[d{d},t{t}]"
+    for (g, t), j in inst.pg_col.items():
+        names[j] = f"pg[g{g},t{t}]"
+    for (l, t), j in inst.pl_col.items():
+        names[j] = f"pl[l{l},t{t}]"
+    for (b, t), j in inst.theta_col.items():
+        names[j] = f"th[b{b},t{t}]"
+    for (key, t), j in inst.z_col.items():
+        names[j] = f"z[{key},t{t}]"
+    return names
 
 
 def hand_rop_matrix_rows():
     """Expected constraint rows for the 3-bus chain, both lines damaged, T=3.
 
     Row encoding: (sorted (name, coeff) tuple, lower, upper). Variable
-    names follow the builder's convention. Big-M slack is |b| * M with
+    names are those of ``_column_names``. Big-M slack is |b| * M with
     M = 2 * 0.52 and |b| = 50 for the helper toy lines.
     """
     INF = np.inf
@@ -128,12 +145,13 @@ def test_build_rop_matches_hand_written_matrix():
     net = chain3(damage=(1, 2))
     inst = build_rop(as_case(net), TimeGrid(3))
     lp = inst.problem.lp
+    names = _column_names(inst)
     A = lp.matrix().tocsr()
     built = set()
     for i in range(lp.n_rows):
         row = A.getrow(i)
         entry = tuple(
-            sorted((lp.names[j], float(v)) for j, v in zip(row.indices, row.data))
+            sorted((names[j], float(v)) for j, v in zip(row.indices, row.data))
         )
         built.add((entry, float(lp.row_lower[i]), float(lp.row_upper[i])))
     expected = set()
@@ -146,12 +164,13 @@ def test_build_rop_matches_hand_written_matrix():
 def test_chain_plan_matches_hand_enumeration():
     net = chain3(damage=(1, 2))
     inst = build_rop(as_case(net), TimeGrid(3))
-    for backend in ("highs", "builtin"):
-        plan = solve_rop(inst, backend=backend)
-        assert plan.objective_mwh == pytest.approx(4.0, abs=1e-7)
-        assert plan_order(plan) == ["line:1", "line:2"]
-        assert plan.energization == {"line:1": 1, "line:2": 2}
-        assert check_plan(plan, inst) == []
+    plan = solve_rop(inst)
+    reference = _extract_plan(inst, solve_milp_builtin(inst.problem))
+    for solved in (plan, reference):
+        assert solved.objective_mwh == pytest.approx(4.0, abs=1e-7)
+        assert plan_order(solved) == ["line:1", "line:2"]
+        assert solved.energization == {"line:1": 1, "line:2": 2}
+        assert check_plan(solved, inst) == []
     assert permutation_oracle(net) == pytest.approx(4.0, abs=1e-9)
     assert rop_ens_mwh(plan, inst) == pytest.approx(5.0, abs=1e-7)
 
@@ -251,7 +270,7 @@ def test_oracle_equivalence_sample():
     for _ in range(10):
         net = random_radial(rng)
         inst = build_rop(as_case(net), time_grid_for(net))
-        plan = solve_rop(inst, backend="highs")
+        plan = solve_rop(inst)
         oracle = permutation_oracle(net)
         assert plan.objective_mwh == pytest.approx(
             oracle, rel=1e-6, abs=1e-6
@@ -262,9 +281,12 @@ def test_builtin_backend_solves_small_rop():
     rng = np.random.RandomState(7)
     net = random_radial(rng, n_buses=5, max_damaged=2)
     inst = build_rop(as_case(net), time_grid_for(net))
-    b = solve_rop(inst, backend="builtin")
-    h = solve_rop(inst, backend="highs")
-    assert b.objective_mwh == pytest.approx(h.objective_mwh, rel=1e-6)
+    reference = solve_milp_builtin(inst.problem)
+    assert reference.status == "optimal"
+    plan = solve_rop(inst)
+    assert _extract_plan(inst, reference).objective_mwh == pytest.approx(
+        plan.objective_mwh, rel=1e-6
+    )
 
 
 def test_plan_round_trip(tmp_path):

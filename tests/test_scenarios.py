@@ -157,10 +157,8 @@ def test_scenario_file_round_trip(tmp_path):
     }
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(payload))
-    placement, mode = load_scenario(path)
-    assert placement.der_nodes == (2, 2, 3)
-    assert placement.p_max == 0.05
-    assert mode is DerMode.COMMUNITY_MICROGRID
+    placement = load_scenario(path)  # the file's mode is ignored
+    assert placement == DerPlacement("x", (2, 2, 3), p_max=0.05)
     path.write_text(json.dumps({"mode": "base"}))
     with pytest.raises(CaseFormatError):
         load_scenario(path)
