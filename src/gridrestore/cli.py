@@ -5,11 +5,12 @@ Subcommands: ``plan`` (solve the restoration ordering MILP), ``simulate``
 two-placement, three-assumed by three-actual study) and ``report``
 (summarize a sweep directory). Every flag can also be supplied through an
 environment variable named ``GRIDRESTORE_<FLAG>`` (for example
-``GRIDRESTORE_CASE``); explicit flags win. Outputs are deterministic:
-repeated runs with the same BLAS thread count (``OPENBLAS_NUM_THREADS``)
-produce byte-identical files except for the ``meta`` block in JSON
-outputs, which carries the timestamp. A different thread count can
-change the last digits of the AC replay values.
+``GRIDRESTORE_CASE``); explicit flags win, and a malformed numeric
+variable is an error only for the commands that read it. Outputs are
+deterministic: repeated runs produce byte-identical files except for the
+``meta`` block in JSON outputs, which carries the timestamp. The AC
+replay runs on one BLAS thread whatever ``OPENBLAS_NUM_THREADS`` or the
+core count is, so neither changes its values.
 """
 
 from __future__ import annotations
@@ -78,11 +79,27 @@ class RunConfig:
         return time_grid_for(network)
 
 
-def _env_default(name: str, fallback=None, cast=str):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
+def _env_default(name: str, fallback=None):
+    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
+
+
+def _number(args, name: str, cast, fallback):
+    """A numeric flag, else its environment variable, else ``fallback``.
+
+    The variable is cast here, not while the parser is built, so a
+    malformed value fails only the commands that read it.
+    """
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    raw = _env_default(name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        variable = ENV_PREFIX + name.upper()
+        raise ConfigError(f"{variable}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _meta() -> dict:
@@ -117,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--scenario", default=_env_default("scenario"), help="scenario JSON (default: bundled uniform)")
         sp.add_argument("--damage", default=_env_default("damage"), help="damage JSON (default: bundled storm set)")
-        sp.add_argument("--horizon", type=int, default=_env_default("horizon", cast=int), help="periods (default: 1 + damaged count)")
+        sp.add_argument("--horizon", type=int, help="periods (default: 1 + damaged count)")
         sp.add_argument("--out", default=_env_default("out", "out"), help="output directory")
-        sp.add_argument("--gap", type=float, default=_env_default("gap", 1e-6, float), help="MILP relative gap")
-        sp.add_argument("--tol", type=float, default=_env_default("tol", 1e-6, float), help="AC residual tolerance")
-        sp.add_argument("--jobs", type=int, default=_env_default("jobs", 1, int), help="parallel workers for sweep cells")
+        sp.add_argument("--gap", type=float, help="MILP relative gap")
+        sp.add_argument("--tol", type=float, help="AC residual tolerance")
+        sp.add_argument("--jobs", type=int, help="parallel workers for sweep cells")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
     common(sp)
@@ -146,11 +163,11 @@ def _config_from_args(args) -> RunConfig:
         case_path=args.case,
         scenario_paths=scenarios,
         damage_path=args.damage,
-        horizon=args.horizon,
+        horizon=_number(args, "horizon", int, RunConfig.horizon),
         out_dir=args.out,
-        gap=args.gap,
-        tol=args.tol,
-        jobs=args.jobs,
+        gap=_number(args, "gap", float, RunConfig.gap),
+        tol=_number(args, "tol", float, RunConfig.tol),
+        jobs=_number(args, "jobs", int, RunConfig.jobs),
     )
 
 

@@ -9,11 +9,22 @@ runs. Live islands are solved independently with one angle reference
 each; the lower voltage bound is soft, charged to the objective. Each
 island is one SLSQP solve from a flat start, polished once more with
 SLSQP only when its residuals stay above tolerance.
+
+``simulate_plan`` solves each distinct island once per replay: with one
+repair per period most islands recur unchanged, and the solve depends
+only on the island, the case, the penalty and the tolerance, all fixed
+within one replay. The state, the residuals and the convergence check
+still run in every period. The replay also pins every loaded OpenBLAS to
+one thread: SLSQP's dense products are too small to gain from more, and
+a fixed count keeps the last digits of the results independent of the
+host's core count and of ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import json
 import math
 from dataclasses import dataclass, field
@@ -319,6 +330,16 @@ class _IslandNlp:
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
 
+        # balance rows of the units and demands, and their constant
+        # entries of balance_jac
+        self.gen_rows = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
+        self.demand_rows = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
+        self.balance_jac0 = np.zeros((2 * nb, self.n_var))
+        self.balance_jac0[self.gen_rows, self.ipg] = 1.0
+        self.balance_jac0[nb + self.gen_rows, self.iqg] = 1.0
+        self.balance_jac0[self.demand_rows, self.ix] = -self.pd
+        self.balance_jac0[nb + self.demand_rows, self.ix] = -self.qd
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(self.n_var)
         hi = np.empty(self.n_var)
@@ -360,14 +381,11 @@ class _IslandNlp:
     def balance(self, u: np.ndarray) -> np.ndarray:
         v, th = u[self.iv], u[self.ith]
         out = np.zeros(2 * self.nb)
-        for k, g in enumerate(self.gens):
-            bi = self.bus_index[g.bus]
-            out[bi] += u[self.ipg[k]]
-            out[self.nb + bi] += u[self.iqg[k]]
-        for k, d in enumerate(self.demands):
-            bi = self.bus_index[d.bus]
-            out[bi] -= u[self.ix[k]] * d.p
-            out[self.nb + bi] -= u[self.ix[k]] * d.q
+        np.add.at(out, self.gen_rows, u[self.ipg])
+        np.add.at(out, self.nb + self.gen_rows, u[self.iqg])
+        x = u[self.ix]
+        np.subtract.at(out, self.demand_rows, x * self.pd)
+        np.subtract.at(out, self.nb + self.demand_rows, x * self.qd)
         if self.block is not None:
             pfr, pto, qfr, qto = self.block.flows(v, th)
             np.subtract.at(out, self.block.i, pfr)
@@ -378,15 +396,7 @@ class _IslandNlp:
 
     def balance_jac(self, u: np.ndarray) -> np.ndarray:
         v, th = u[self.iv], u[self.ith]
-        J = np.zeros((2 * self.nb, self.n_var))
-        for k, g in enumerate(self.gens):
-            bi = self.bus_index[g.bus]
-            J[bi, self.ipg[k]] = 1.0
-            J[self.nb + bi, self.iqg[k]] = 1.0
-        for k, d in enumerate(self.demands):
-            bi = self.bus_index[d.bus]
-            J[bi, self.ix[k]] = -d.p
-            J[self.nb + bi, self.ix[k]] = -d.q
+        J = self.balance_jac0.copy()
         if self.block is not None:
             parts = self.block.flow_partials(v, th)
             bi, bj = self.block.i, self.block.j
@@ -524,8 +534,18 @@ def build_rip_step(
     return AcOpfProblem(case=case, z_bar=z_bar, period=t, penalty_weight=penalty_weight)
 
 
-def solve_ac_opf(problem: AcOpfProblem, tol: float = DEFAULT_RESIDUAL_TOL) -> AcState:
-    """Solve every live island; dead islands are fixed structurally."""
+def solve_ac_opf(
+    problem: AcOpfProblem,
+    tol: float = DEFAULT_RESIDUAL_TOL,
+    *,
+    _solved: dict[Island, np.ndarray] | None = None,
+) -> AcState:
+    """Solve every live island; dead islands are fixed structurally.
+
+    ``_solved`` maps islands to solutions of an earlier period of the same
+    replay (same case, penalty and tolerance); it is read and extended.
+    """
+    solved = {} if _solved is None else _solved
     net = problem.case.network
     v: dict[int, float] = {}
     theta: dict[int, float] = {}
@@ -556,7 +576,9 @@ def solve_ac_opf(problem: AcOpfProblem, tol: float = DEFAULT_RESIDUAL_TOL) -> Ac
         if not island.live:
             continue
         nlp = _IslandNlp(net, island, problem.penalty_weight)
-        u = nlp.solve(tol)
+        u = solved.get(island)
+        if u is None:
+            u = solved[island] = nlp.solve(tol)
         for bid, k in nlp.bus_index.items():
             v[bid] = float(u[nlp.iv[k]])
             theta[bid] = float(u[nlp.ith[k]])
@@ -604,49 +626,34 @@ def solve_ac_opf(problem: AcOpfProblem, tol: float = DEFAULT_RESIDUAL_TOL) -> Ac
 def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
     """Max absolute violation per constraint family, recomputed from scratch."""
     net = problem.case.network
-    e_lines = problem.energized_line_ids
     v = np.array([state.v[b.id] for b in net.buses])
     th = np.array([state.theta[b.id] for b in net.buses])
     bus_index = {b.id: k for k, b in enumerate(net.buses)}
     live = {b for isl in problem.islands if isl.live for b in isl.buses}
+    flows = (state.p_flow_fr, state.p_flow_to, state.q_flow_fr, state.q_flow_to)
 
-    flow_err = 0.0
-    thermal = 0.0
-    angle = 0.0
+    on, off = [], []
+    for l in net.lines:
+        (on if l.id in problem.energized_line_ids and l.from_bus in live else off).append(l)
+    # de-energized or dead-island lines: flows must be exactly zero
+    flow_err = max((abs(f[l.id]) for l in off for f in flows), default=0.0)
+
+    block = _LineBlock(on, bus_index)
+    pfr, pto, qfr, qto = (np.array([f[l.id] for l in on]) for f in flows)
+    for recomputed, stated in zip(block.flows(v, th), (pfr, pto, qfr, qto)):
+        flow_err = max(flow_err, float(np.max(np.abs(recomputed - stated), initial=0.0)))
+    # math.hypot, not np.hypot: the two differ in the last digit
+    apparent = np.array([math.hypot(p, q) for p, q in zip(np.r_[pfr, pto], np.r_[qfr, qto])])
+    thermal = float(np.max(apparent - np.tile(block.t_lim, 2), initial=0.0))
+    diff = th[block.i] - th[block.j]
+    angle = float(np.max(np.r_[diff - block.a_max, block.a_min - diff], initial=0.0))
+
+    # stated flows leave each line's from end, then its to end, in line order
+    ends = np.column_stack([block.i, block.j]).ravel()
     inj_p = np.zeros(len(net.buses))
     inj_q = np.zeros(len(net.buses))
-    for l in net.lines:
-        if l.id not in e_lines or l.from_bus not in live:
-            # de-energized or dead-island line: flows must be exactly zero
-            flow_err = max(
-                flow_err,
-                abs(state.p_flow_fr[l.id]),
-                abs(state.p_flow_to[l.id]),
-                abs(state.q_flow_fr[l.id]),
-                abs(state.q_flow_to[l.id]),
-            )
-            continue
-        blk = _LineBlock([l], {l.from_bus: 0, l.to_bus: 1})
-        vv = np.array([v[bus_index[l.from_bus]], v[bus_index[l.to_bus]]])
-        tt = np.array([th[bus_index[l.from_bus]], th[bus_index[l.to_bus]]])
-        f = blk.flows(vv, tt)
-        flow_err = max(
-            flow_err,
-            abs(f[0][0] - state.p_flow_fr[l.id]),
-            abs(f[1][0] - state.p_flow_to[l.id]),
-            abs(f[2][0] - state.q_flow_fr[l.id]),
-            abs(f[3][0] - state.q_flow_to[l.id]),
-        )
-        s_fr = math.hypot(state.p_flow_fr[l.id], state.q_flow_fr[l.id])
-        s_to = math.hypot(state.p_flow_to[l.id], state.q_flow_to[l.id])
-        thermal = max(thermal, s_fr - l.thermal_limit, s_to - l.thermal_limit, 0.0)
-        diff = th[bus_index[l.from_bus]] - th[bus_index[l.to_bus]]
-        angle = max(angle, diff - l.angle_max, l.angle_min - diff, 0.0)
-        inj_p[bus_index[l.from_bus]] -= state.p_flow_fr[l.id]
-        inj_p[bus_index[l.to_bus]] -= state.p_flow_to[l.id]
-        inj_q[bus_index[l.from_bus]] -= state.q_flow_fr[l.id]
-        inj_q[bus_index[l.to_bus]] -= state.q_flow_to[l.id]
-
+    np.subtract.at(inj_p, ends, np.column_stack([pfr, pto]).ravel())
+    np.subtract.at(inj_q, ends, np.column_stack([qfr, qto]).ravel())
     for g in net.generators:
         if g.id in problem.energized_gen_ids and g.bus in live:
             inj_p[bus_index[g.bus]] += state.p_gen[g.id]
@@ -706,6 +713,56 @@ def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
     }
 
 
+# Thread-count entry points of OpenBLAS builds: the numpy wheel's
+# (64-bit integers), the scipy wheel's, and a plain system build.
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """``(get, set)`` thread-count functions of each OpenBLAS this process loaded."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5) if "openblas" in line else ()
+                if len(fields) == 6 and "openblas" in Path(fields[5].strip()).name:
+                    paths.add(fields[5].strip())
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_API:
+            get, set_threads = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get, set_threads))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(controls, previous):
+            set_threads(n)
+
+
 def simulate_plan(
     actual_case: EffectiveCase,
     plan: RestorationPlan,
@@ -713,12 +770,22 @@ def simulate_plan(
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     step_hours: float = 1.0,
 ) -> RipResult:
-    """Solve every period of the horizon independently and aggregate."""
+    """Solve every period of the horizon and aggregate.
+
+    Periods are independent; an island that recurs is solved once per
+    call, and the call runs on one BLAS thread (see the module docstring).
+    """
     net = actual_case.network
-    states = []
-    for t in range(plan.n_periods):
-        problem = build_rip_step(actual_case, plan, t, penalty_weight=penalty_weight)
-        states.append(solve_ac_opf(problem, tol=tol))
+    solved: dict[Island, np.ndarray] = {}
+    with _one_blas_thread():
+        states = [
+            solve_ac_opf(
+                build_rip_step(actual_case, plan, t, penalty_weight=penalty_weight),
+                tol=tol,
+                _solved=solved,
+            )
+            for t in range(plan.n_periods)
+        ]
     demand_ids = tuple(d.id for d in net.demands)
     x = np.array(
         [[s.served[did] for s in states] for did in demand_ids], dtype=float

@@ -168,9 +168,11 @@ def load_scenario(path) -> DerPlacement:
     """The DER placement of a scenario file; the DER mode is chosen by the caller."""
     path = Path(path)
     raw = read_json(path, "scenario")
-    if "placement" not in raw:
+    if not isinstance(raw, dict) or "placement" not in raw:
         raise CaseFormatError(f"scenario file {path} is missing 'placement'")
     p = raw["placement"]
+    if not isinstance(p, dict):
+        raise CaseFormatError(f"scenario file {path}: 'placement' must be an object")
     try:
         placement = DerPlacement(
             name=p.get("name", path.stem),

@@ -75,36 +75,58 @@ def test_missing_case_exit_one(toy_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _damage_without_ids(d):
+def _damage_without_ids(d, env):
     (d / "damage.json").write_text(json.dumps({"damaged_lines": [2]}))
     return ["plan"]
 
 
-def _damage_not_json(d):
+def _damage_not_json(d, env):
     (d / "damage.json").write_text("damaged_line_ids: [2]")
     return ["plan"]
 
 
-def _plan_without_schedule(d):
+def _plan_without_schedule(d, env):
     (d / "plan.json").write_text(json.dumps({"energization": {}, "objective_mwh": 0.0}))
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
-def _plan_with_string_schedule(d):
+def _plan_with_string_schedule(d, env):
     plan = {"schedule": "line:2", "energization": {"line:2": 1}, "objective_mwh": 0.0}
     (d / "plan.json").write_text(json.dumps(plan))
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
-def _zero_horizon(d):
+def _zero_horizon(d, env):
     return ["plan", "--horizon", "0"]
 
 
-def _thermal_limit_beyond_angle_bound(d):
+def _thermal_limit_beyond_angle_bound(d, env):
     case = json.loads((d / "case.json").read_text())
     case["lines"][0]["thermal_limit"] = 80.0  # 80 / |b| = 1.6 rad > 0.52 rad
     (d / "case.json").write_text(json.dumps(case))
     return ["plan"]
+
+
+def _horizon_variable_not_int(d, env):
+    env.setenv("GRIDRESTORE_HORIZON", "abc")
+    return ["plan"]
+
+
+def _gap_variable_not_float(d, env):
+    env.setenv("GRIDRESTORE_GAP", "tight")
+    return ["plan"]
+
+
+def _tol_variable_not_float(d, env):
+    env.setenv("GRIDRESTORE_TOL", "1e-6x")
+    plan = {"schedule": [[], ["line:2"]], "energization": {"line:2": 1}, "objective_mwh": 2.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _jobs_variable_not_int(d, env):
+    env.setenv("GRIDRESTORE_JOBS", "2.5")
+    return ["sweep"]
 
 
 @pytest.mark.parametrize(
@@ -116,13 +138,32 @@ def _thermal_limit_beyond_angle_bound(d):
         _plan_with_string_schedule,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,
+        _horizon_variable_not_int,
+        _gap_variable_not_float,
+        _tol_variable_not_float,
+        _jobs_variable_not_int,
     ],
 )
-def test_bad_input_exits_one(toy_dir, capsys, corrupt):
-    command, *extra = corrupt(toy_dir)
+def test_bad_input_exits_one(toy_dir, capsys, monkeypatch, corrupt):
+    command, *extra = corrupt(toy_dir, monkeypatch)
     code = main([command, *_args(toy_dir, toy_dir / "out_bad"), *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_number_variable_fails_only_its_readers(toy_dir, capsys, monkeypatch):
+    monkeypatch.setenv("GRIDRESTORE_HORIZON", "abc")
+    assert main(["plan", *_args(toy_dir, toy_dir / "out_plan")]) == 1
+    assert "GRIDRESTORE_HORIZON='abc'" in capsys.readouterr().err
+    out = toy_dir / "sweep_out"
+    out.mkdir()
+    (out / "ens_summary.csv").write_text(
+        "placement,mode,rop_ens_mwh,rip_ens_mwh\ntoy,base,2.0,2.0\n"
+    )
+    for name in ("GAP", "TOL", "JOBS"):
+        monkeypatch.setenv(f"GRIDRESTORE_{name}", "abc")
+    assert main(["report", "--out", str(out)]) == 0
+    assert "toy" in capsys.readouterr().out
 
 
 def test_simulate_roundtrip(toy_dir):

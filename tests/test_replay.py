@@ -320,3 +320,137 @@ def test_island_solve_keeps_first_point_when_polish_is_worse(monkeypatch):
     u = nlp.solve(1e-6)
     assert len(calls) == 2
     np.testing.assert_array_equal(u, clipped)
+
+
+def _spur_feeder_case():
+    """1 -- 2 -- 3 -- 4 with 2-3 and 3-4 damaged; 3-4 is repaired first,
+    so the substation island {1, 2} is the same in periods 0 and 1."""
+    net = Network(
+        buses=(Bus(1, is_reference=True), Bus(2), Bus(3), Bus(4)),
+        lines=(
+            simple_line(1, 1, 2, thermal=8.0),
+            simple_line(2, 3, 4, damaged=True, thermal=8.0),
+            simple_line(3, 2, 3, damaged=True, thermal=8.0),
+        ),
+        generators=(substation(),),
+        demands=tuple(Demand(b - 1, b, 0.5, 0.5 * PF_Q) for b in (2, 3, 4)),
+    )
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    plan = fixed_plan([2, 3])
+    live = [
+        island
+        for t in range(plan.n_periods)
+        for island in build_rip_step(case, plan, t).islands
+        if island.live
+    ]
+    assert len(live) == 3 and len(set(live)) == 2
+    return case, plan, live
+
+
+def _record_island_solves(monkeypatch):
+    solve = _IslandNlp.solve
+    solved = []
+
+    def recording(self, tol):
+        solved.append(self.island)
+        return solve(self, tol)
+
+    monkeypatch.setattr(_IslandNlp, "solve", recording)
+    return solved
+
+
+def test_replay_solves_each_distinct_island_once(monkeypatch):
+    case, plan, live = _spur_feeder_case()
+    solved = _record_island_solves(monkeypatch)
+    opf = replay.solve_ac_opf
+    # reference: every period solved on its own, with no islands shared
+    monkeypatch.setattr(replay, "solve_ac_opf", lambda problem, tol, **_: opf(problem, tol))
+    reference = simulate_plan(case, plan)
+    assert solved == live
+    solved.clear()
+    monkeypatch.setattr(replay, "solve_ac_opf", opf)
+    result = simulate_plan(case, plan)
+    assert solved == list(dict.fromkeys(live))
+    assert result.to_dict() == reference.to_dict()
+    np.testing.assert_array_equal(result.served_fraction, reference.served_fraction)
+    assert result.converged
+
+
+def test_island_solutions_do_not_outlive_a_replay(monkeypatch):
+    case, plan, live = _spur_feeder_case()
+    solved = _record_island_solves(monkeypatch)
+    first = simulate_plan(case, plan)
+    second = simulate_plan(case, plan)
+    assert solved == 2 * list(dict.fromkeys(live))
+    assert first.to_dict() == second.to_dict()
+
+
+def test_replay_runs_on_one_blas_thread(monkeypatch):
+    controls = replay._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    previous = [get() for get, _ in controls]
+
+    def counts():
+        return [get() for get, _ in controls]
+
+    case = apply_der_mode(chain3(damage=(1, 2)), NO_DER, DerMode.BASE)
+    opf = replay.solve_ac_opf
+    inside = []
+
+    def probe(problem, *args, **kwargs):
+        inside.append(counts())
+        return opf(problem, *args, **kwargs)
+
+    def failing(problem, *args, **kwargs):
+        inside.append(counts())
+        raise RuntimeError("period failed")
+
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        monkeypatch.setattr(replay, "solve_ac_opf", probe)
+        simulate_plan(case, fixed_plan([1, 2]))
+        assert counts() == [2] * len(controls)
+        monkeypatch.setattr(replay, "solve_ac_opf", failing)
+        with pytest.raises(RuntimeError):
+            simulate_plan(case, fixed_plan([1, 2]))
+        assert counts() == [2] * len(controls)
+        assert inside == [[1] * len(controls)] * 4
+    finally:
+        for (_, set_threads), n in zip(controls, previous):
+            set_threads(n)
+
+
+def _loop_balance(nlp, u):
+    """The unit and demand terms of balance and balance_jac, one at a time."""
+    out = np.zeros(2 * nlp.nb)
+    J = np.zeros((2 * nlp.nb, nlp.n_var))
+    for k, g in enumerate(nlp.gens):
+        bi = nlp.bus_index[g.bus]
+        out[bi] += u[nlp.ipg[k]]
+        out[nlp.nb + bi] += u[nlp.iqg[k]]
+        J[bi, nlp.ipg[k]] = 1.0
+        J[nlp.nb + bi, nlp.iqg[k]] = 1.0
+    for k, d in enumerate(nlp.demands):
+        bi = nlp.bus_index[d.bus]
+        out[bi] -= u[nlp.ix[k]] * d.p
+        out[nlp.nb + bi] -= u[nlp.ix[k]] * d.q
+        J[bi, nlp.ix[k]] = -d.p
+        J[nlp.nb + bi, nlp.ix[k]] = -d.q
+    return out, J
+
+
+def test_island_balance_matches_loop_reference(storm_network, uniform_placement):
+    case = apply_der_mode(storm_network, uniform_placement, DerMode.COMMUNITY_MICROGRID)
+    damaged = sorted(l.id for l in storm_network.lines if l.damaged)
+    (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
+    # without lines only the unit and demand terms remain
+    nlp = _IslandNlp(case.network, replace(island, lines=()), 1.0)
+    assert len(set(nlp.gen_rows)) < nlp.ng  # some bus hosts several units
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = rng.uniform(*nlp.bounds())
+        out, J = _loop_balance(nlp, u)
+        np.testing.assert_array_equal(nlp.balance(u), out)
+        np.testing.assert_array_equal(nlp.balance_jac(u), J)

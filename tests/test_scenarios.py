@@ -164,6 +164,16 @@ def test_scenario_file_round_trip(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "payload", [{"placement": [50, 42]}, {"placement": "uniform"}, ["placement"]]
+)
+def test_scenario_file_with_malformed_placement(tmp_path, payload):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CaseFormatError):
+        load_scenario(path)
+
+
 def test_mode_parsing_aliases():
     assert DerMode.parse("home") is DerMode.HOME_MICROGRID
     assert DerMode.parse("community_microgrid") is DerMode.COMMUNITY_MICROGRID
