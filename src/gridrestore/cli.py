@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ``plan`` (solve the restoration ordering MILP), ``simulate``
+Subcommands: ``plan`` (solve the restoration ordering), ``simulate``
 (replay a plan through the per-period AC OPF), ``sweep`` (the full
 two-placement, three-assumed by three-actual study) and ``report``
 (summarize a sweep directory). Every flag can also be supplied through an
@@ -124,19 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, scenario_multiple=False):
         sp.add_argument("--case", default=_env_default("case"), help="case JSON (default: bundled feeder)")
+        # the environment default is read in _config_from_args, so that an
+        # explicit --scenario replaces it instead of appending to it
         if scenario_multiple:
             sp.add_argument(
                 "--scenario",
                 action="append",
-                default=None,
                 help="scenario JSON; repeat for several (default: bundled uniform + clustered)",
             )
         else:
-            sp.add_argument("--scenario", default=_env_default("scenario"), help="scenario JSON (default: bundled uniform)")
+            sp.add_argument("--scenario", help="scenario JSON (default: bundled uniform)")
         sp.add_argument("--damage", default=_env_default("damage"), help="damage JSON (default: bundled storm set)")
         sp.add_argument("--horizon", type=int, help="periods (default: 1 + damaged count)")
         sp.add_argument("--out", default=_env_default("out", "out"), help="output directory")
-        sp.add_argument("--gap", type=float, help="MILP relative gap")
+        sp.add_argument("--gap", type=float, help="MILP relative gap (instances the subset DP does not solve)")
         sp.add_argument("--tol", type=float, help="AC residual tolerance")
         sp.add_argument("--jobs", type=int, help="parallel workers for sweep cells")
 
@@ -156,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     scenarios: tuple[str, ...] = ()
-    if getattr(args, "scenario", None):
-        raw = args.scenario
+    raw = args.scenario or _env_default("scenario")
+    if raw:
         scenarios = tuple(raw) if isinstance(raw, list) else (raw,)
     return RunConfig(
         case_path=args.case,

@@ -5,12 +5,23 @@ undamaged components enter the flow model as constants, which keeps the
 MILP at 18 x 19 binaries for the bundled storm case. De-energized lines
 are decoupled from the angle variables through a big-M slack sized by
 :func:`compute_big_m`, which is exact on radial networks.
+
+:func:`solve_rop` finds the exact optimum of an eligible instance by a
+subset dynamic program instead of the MILP search: one repair per
+period, only lines damaged, at most ``DP_MAX_LINES`` of them, and every
+generator able to sit at zero output on a radial feeder. With f(S) the
+best served DC power when the damaged-line set S is energized, the
+optimal order maximizes V(S) = f(S) + max_e V(S + e) from the empty set
+(the Held-Karp recursion), and f has a closed form on a tree. HiGHS then
+solves the MILP with every energization column fixed to that order, for
+the dispatch and the check against the raw matrix, and its objective
+must equal the DP value. Every other instance is solved by HiGHS.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +34,20 @@ from .errors import (
     UnboundedError,
 )
 from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import Network, TimeGrid, read_json
+from .model import Network, TimeGrid, read_json, reachable_buses
 from .scenarios import EffectiveCase
 
 KIND_ORDER = {"bus": 0, "line": 1, "gen": 2, "demand": 3}
+
+# The subset DP keeps 2^K values and one 2^K segment mask per pending
+# segment; above this many damaged lines the instance goes to HiGHS.
+DP_MAX_LINES = 20
+# Candidate repairs whose DP values lie this close (relative) to the best
+# tie; the lowest damaged-line index among them goes first.
+DP_TIE_REL = 1e-12
+# Relative agreement required between the DP value and the LP objective
+# of the dispatch with the DP's order fixed.
+DP_AGREEMENT_TOL = 1e-7
 
 
 def component_key(kind: str, ident: int) -> str:
@@ -339,7 +360,9 @@ def build_rop(
 
 
 def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
-    """Solve the MILP and extract the energization schedule."""
+    """Solve for the energization schedule: by the subset DP when eligible, else HiGHS."""
+    if _dp_eligible(instance):
+        return _solve_by_dp(instance)
     sol = solve_milp(instance.problem, rel_gap=rel_gap)
     if sol.status == "infeasible":
         raise InfeasibleError("restoration MILP is infeasible")
@@ -348,6 +371,189 @@ def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
     if not sol.ok:
         raise SolverError(f"restoration MILP failed: {sol.message}")
     return _extract_plan(instance, sol)
+
+
+def _dp_eligible(instance: RopInstance) -> bool:
+    """Whether the subset DP finds this instance's exact optimum."""
+    net = instance.case.network
+    damage = instance.damage
+    return (
+        instance.budget_per_period == 1
+        and not (damage.buses or damage.generators or damage.demands)
+        and len(damage.lines) <= DP_MAX_LINES
+        and all(g.p_min <= 0.0 <= g.p_max for g in net.generators)
+        and len(net.lines) == len(net.buses) - 1
+        and len(reachable_buses(net, ignore_damage=True)) == len(net.buses)
+    )
+
+
+def _solve_by_dp(instance: RopInstance) -> RestorationPlan:
+    """Order the repairs by the subset DP, then dispatch the fixed order by LP.
+
+    The DP returns the optimal order and its value; HiGHS solves the
+    MILP with every z column fixed to that order, which yields the
+    dispatch (``served_fraction``) and re-checks the point against the
+    raw matrix. The two objectives must agree.
+    """
+    lines, value = _best_order(instance.case.network, instance.time.n_periods)
+    value *= instance.time.step_hours
+    energization = {component_key("line", lid): t + 1 for t, lid in enumerate(lines)}
+    lp = instance.problem.lp
+    lower, upper = lp.col_lower.copy(), lp.col_upper.copy()
+    for (key, t), j in instance.z_col.items():
+        lower[j] = upper[j] = float(t >= energization[key])
+    fixed = MilpProblem(
+        replace(lp, col_lower=lower, col_upper=upper), instance.problem.integer_columns
+    )
+    sol = solve_milp(fixed)
+    if not sol.ok:
+        raise SolverError(f"fixed-order dispatch LP failed: {sol.status} {sol.message}")
+    if abs(sol.objective - value) > DP_AGREEMENT_TOL * max(1.0, abs(value)):
+        raise SolverError(
+            f"fixed-order dispatch LP objective {sol.objective!r} disagrees with "
+            f"the subset DP value {value!r}"
+        )
+    return _extract_plan(instance, replace(sol, gap=0.0))
+
+
+def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
+    """Optimal one-per-period repair order of the damaged lines, and its value.
+
+    The value is the served power summed over the periods (per-unit
+    power times periods): period 0 has nothing repaired, period t <= K
+    the first t lines of the order, and every later period all K. With
+    V(S) = f(S) + max_e V(S + e) over subsets S of the damaged lines,
+    the optimum is V({}); it is folded layer by layer by popcount, and
+    the order follows the argmax from {}, ties going to the lowest
+    damaged-line index.
+    """
+    damaged = [l.id for l in network.lines if l.damaged]
+    k_lines = len(damaged)
+    values = _served_power(network)  # f, then V in place
+    subsets = np.arange(1 << k_lines)
+    values[subsets[-1]] *= n_periods - k_lines  # periods K .. T-1 have every line back
+    popcount = np.zeros(1 << k_lines, dtype=subsets.dtype)
+    for k in range(k_lines):
+        popcount += (subsets >> k) & 1
+    by_layer = np.argsort(popcount, kind="stable")
+    starts = np.searchsorted(popcount[by_layer], np.arange(k_lines + 1))
+    for layer in range(k_lines - 1, -1, -1):
+        s = by_layer[starts[layer] : starts[layer + 1]]
+        best = np.full(len(s), -np.inf)
+        for k in range(k_lines):
+            bit = 1 << k
+            np.maximum(best, np.where(s & bit, -np.inf, values[s | bit]), out=best)
+        values[s] += best
+    order, s = [], 0
+    for _ in range(k_lines):
+        free = [k for k in range(k_lines) if not s >> k & 1]
+        cand = values[[s | 1 << k for k in free]]
+        top = cand.max()
+        k = free[int(np.argmax(cand >= top - DP_TIE_REL * abs(top)))]
+        order.append(damaged[k])
+        s |= 1 << k
+    return order, float(values[0])
+
+
+def _served_power(network: Network) -> np.ndarray:
+    """f(S): the best served DC power with damaged-line subset S energized.
+
+    Entry s of the result is f for the subset whose bit k is set when the
+    k-th damaged line (in ``network.lines`` order) is energized. For all
+    subsets at once, and segment by segment from the leaves up, ``mask``
+    is the bitmask of segment j and the segments below it that connect
+    to it. That is a live island whenever j is the root segment or the
+    damaged line above j is open. Each distinct island is scored once by
+    :func:`_island_values`.
+    """
+    tree = _FeederTree(network)
+    subsets = np.arange(1 << (len(tree.seg_top) - 1), dtype=np.uint32)
+    served = np.zeros(len(subsets))
+    below: dict[int, np.ndarray] = {}  # segment -> connected segments under it
+    for j in range(len(tree.seg_top) - 1, -1, -1):  # children before parents
+        mask = np.full(len(subsets), 1 << j, dtype=np.uint32)
+        if j in below:
+            mask |= below.pop(j)
+        islands = np.unique(mask)
+        values = _island_values(islands, tree)[np.searchsorted(islands, mask)]
+        if j:
+            closed = (subsets >> tree.seg_top[j]) & 1
+            values[closed == 1] = 0.0  # j belongs to the island of its parent
+            parent = tree.seg_parent[j]
+            below[parent] = below.get(parent, 0) | mask * closed
+        served += values
+    return served
+
+
+class _FeederTree:
+    """A radial feeder rooted at its reference bus, buses in breadth-first order.
+
+    The undamaged lines contract the feeder into K + 1 segments, also
+    numbered breadth-first, so segment 0 holds the reference bus and
+    every damaged line opens a new segment below its parent segment.
+    Per bus: ``parent`` (position, -1 at the root), ``seg``, ``cap`` (the
+    thermal limit of the line to the parent), ``supply`` (summed
+    ``p_max``) and ``load``. Per segment: ``seg_parent`` and ``seg_top``,
+    the index of the damaged line above it (-1 at the root).
+    """
+
+    def __init__(self, network: Network):
+        damaged = {l.id: k for k, l in enumerate(l for l in network.lines if l.damaged)}
+        order = [network.reference_bus.id]
+        self.parent, self.seg, cap = [-1], [0], [np.inf]
+        self.seg_parent, self.seg_top = [-1], [-1]
+        seen = set(order)
+        for pos, bid in enumerate(order):
+            for line in network.lines_at.get(bid, ()):
+                other = line.to_bus if line.from_bus == bid else line.from_bus
+                if other in seen:
+                    continue
+                seen.add(other)
+                order.append(other)
+                self.parent.append(pos)
+                cap.append(line.thermal_limit)
+                if line.id in damaged:
+                    self.seg.append(len(self.seg_top))
+                    self.seg_parent.append(self.seg[pos])
+                    self.seg_top.append(damaged[line.id])
+                else:
+                    self.seg.append(self.seg[pos])
+        self.cap = np.asarray(cap)
+        self.supply = np.array(
+            [sum(g.p_max for g in network.generators_at.get(b, ())) for b in order]
+        )
+        self.load = np.array(
+            [sum(d.p for d in network.demands_at.get(b, ())) for b in order]
+        )
+
+
+def _island_values(islands: np.ndarray, tree: _FeederTree) -> np.ndarray:
+    """Best served DC power of each island (a bitmask of segments), in closed form.
+
+    Bottom-up over the bus tree, each bus serves the smaller of its
+    supply (own generation plus the surplus its children pass up) and
+    its demand (own load plus the demand its children could not serve),
+    and passes the remainder to its parent, capped at the thermal limit
+    of the line between them. Serving a subtree from its own units first
+    is optimal because every served MW weighs the same and every unit
+    may sit at zero output.
+    """
+    seg = np.asarray(tree.seg, dtype=np.uint32)
+    inside = (islands[None, :] >> seg[:, None]) & 1 == 1  # bus x island
+    surplus = np.zeros(inside.shape)
+    short = np.zeros(inside.shape)
+    served = np.zeros(len(islands))
+    for v in range(len(tree.parent) - 1, -1, -1):  # children before parents
+        supply = np.where(inside[v], tree.supply[v] + surplus[v], 0.0)
+        demand = np.where(inside[v], tree.load[v] + short[v], 0.0)
+        served += np.minimum(supply, demand)
+        if v:
+            # the line to the parent conducts when both ends are in the island
+            p = tree.parent[v]
+            up = inside[p] * tree.cap[v]
+            surplus[p] += np.minimum(np.maximum(supply - demand, 0.0), up)
+            short[p] += np.minimum(np.maximum(demand - supply, 0.0), up)
+    return served
 
 
 def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
@@ -399,7 +605,7 @@ def rop_ens_mwh(plan: RestorationPlan, instance: RopInstance) -> float:
 
 
 def check_plan(plan: RestorationPlan, instance: RopInstance) -> list[str]:
-    """Invariant check used by tests and the CLI; empty list means clean."""
+    """Invariant check used by the tests and the benchmark; empty list means clean."""
     errs = []
     T = instance.time.n_periods
     keys = set(instance.damage.component_keys())

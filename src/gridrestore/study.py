@@ -1,7 +1,7 @@
 """The two-stage restoration study: ordering plans, then AC replays.
 
 For every placement and assumed DER mode, ``run_study`` solves one
-restoration-ordering MILP. It then replays every plan through the
+restoration-ordering problem. It then replays every plan through the
 per-period AC OPF under every actual DER mode, and reports reconnection
 times and group ENS for each plan. The ``sweep`` command and the
 acceptance suite both run the study through this function.

@@ -84,6 +84,40 @@ def random_radial(rng: np.random.RandomState, n_buses=None, max_damaged=3) -> Ne
     )
 
 
+def random_der_feeder(rng: np.random.RandomState, n_buses=None, max_damaged=3) -> Network:
+    """Random tree feeder whose thermal limits bind, with zero-floor DER units.
+
+    Line limits (0.3-2 MW) sit at or below the loads they carry, so capacity
+    limits what an island can serve. About a third of the load buses host a
+    customer DER with ``p_min`` 0, as community-microgrid units do.
+    """
+    n = int(n_buses if n_buses is not None else rng.randint(4, 11))
+    buses = tuple(Bus(i, is_reference=(i == 1)) for i in range(1, n + 1))
+    n_damaged = int(rng.randint(1, min(max_damaged, n - 1) + 1))
+    damaged_ids = {int(i) for i in rng.choice(np.arange(1, n), size=n_damaged, replace=False)}
+    lines = tuple(
+        simple_line(
+            child - 1, int(rng.randint(1, child)), child,
+            damaged=(child - 1) in damaged_ids, thermal=float(rng.uniform(0.3, 2.0)),
+        )
+        for child in range(2, n + 1)
+    )
+    generators = [substation(p=50.0, q=25.0)]
+    demands = []
+    for b in range(2, n + 1):
+        p = float(rng.uniform(0.2, 2.0))
+        demands.append(Demand(len(demands) + 1, b, p, p * PF_Q))
+        if rng.rand() < 0.35:
+            cap = float(rng.uniform(0.1, 1.5))
+            generators.append(
+                Generator(len(generators) + 1, b, 0.0, cap, -0.5 * cap, 0.5 * cap,
+                          kind="customer_der")
+            )
+    return Network(
+        buses=buses, lines=lines, generators=tuple(generators), demands=tuple(demands)
+    )
+
+
 def dc_shed_optimum(network: Network, energized_damaged: set[int]) -> float:
     """Max served MW for one period; absent lines simply do not exist."""
     b = ProblemBuilder(maximize=True)

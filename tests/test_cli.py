@@ -247,3 +247,19 @@ def test_env_variable_overrides(toy_dir, monkeypatch):
     code = main(["plan", "--mode", "base"])
     assert code == 0
     assert (out / "plan.json").exists()
+
+
+def test_sweep_reads_scenario_variable(toy_dir, monkeypatch):
+    monkeypatch.setenv("GRIDRESTORE_SCENARIO", str(toy_dir / "scen.json"))
+    out = toy_dir / "sweep_env"
+    args = ["--case", str(toy_dir / "case.json"), "--damage", str(toy_dir / "damage.json")]
+    assert main(["sweep", *args, "--out", str(out)]) == 0
+    rows = (out / "ens_summary.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["toy"] * 3
+    # an explicit flag replaces the variable rather than adding to it
+    monkeypatch.setenv("GRIDRESTORE_SCENARIO", str(toy_dir / "missing.json"))
+    out = toy_dir / "sweep_flag"
+    flags = ["--scenario", str(toy_dir / "scen.json"), "--out", str(out)]
+    assert main(["sweep", *args, *flags]) == 0
+    rows = (out / "ens_summary.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["toy"] * 3

@@ -1,0 +1,238 @@
+"""The exact subset DP that orders budget-1 line repairs.
+
+The closed-form island value is checked against the builtin-simplex
+load-shed LP of ``helpers.dc_shed_optimum``, the DP optimum against the
+MILP optimum of HiGHS and of the builtin branch-and-bound, and the
+routing between the DP and the MILP path.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from gridrestore import rop
+from gridrestore.errors import SolverError
+from gridrestore.milp import solve_milp, solve_milp_builtin
+from gridrestore.model import (
+    Bus,
+    Demand,
+    Generator,
+    Network,
+    TimeGrid,
+    apply_damage,
+    time_grid_for,
+)
+from gridrestore.rop import _extract_plan, build_rop, check_plan, plan_order, solve_rop
+from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
+
+from helpers import (
+    PF_Q,
+    chain3,
+    dc_shed_optimum,
+    permutation_oracle,
+    random_der_feeder,
+    random_radial,
+    simple_line,
+    substation,
+)
+
+NO_DER = DerPlacement("none", ())
+
+
+def as_case(network, mode=DerMode.BASE, placement=NO_DER):
+    return apply_der_mode(network, placement, mode)
+
+
+def energized(network, subset: int) -> set[int]:
+    damaged = [l.id for l in network.lines if l.damaged]
+    return {lid for k, lid in enumerate(damaged) if subset >> k & 1}
+
+
+@pytest.fixture()
+def solve_milp_calls(monkeypatch):
+    """The problems ``solve_rop`` hands to HiGHS, in call order."""
+    calls = []
+
+    def spy(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve_milp(problem, *args, **kwargs)
+
+    monkeypatch.setattr(rop, "solve_milp", spy)
+    return calls
+
+
+def test_island_values_match_lp_where_capacity_binds():
+    rng = np.random.RandomState(31)
+    limited = total = 0
+    for _ in range(20):
+        net = random_der_feeder(rng, max_damaged=4)
+        loose = replace(
+            net, lines=tuple(replace(l, thermal_limit=1e3) for l in net.lines)
+        )
+        served = rop._served_power(net)
+        for subset in range(len(served)):
+            on = energized(net, subset)
+            oracle = dc_shed_optimum(net, on)
+            assert served[subset] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+            limited += oracle < dc_shed_optimum(loose, on) - 1e-6
+            total += 1
+    assert limited >= total // 2  # thermal limits bind on most subsets
+
+
+@pytest.mark.parametrize("mode", list(DerMode), ids=lambda m: m.value)
+def test_island_values_match_lp_on_bundled_storm(storm_network, clustered_placement, mode):
+    net = apply_der_mode(storm_network, clustered_placement, mode).network
+    served = rop._served_power(net)
+    rng = np.random.RandomState(5)
+    samples = [0, len(served) - 1, *rng.randint(1, len(served) - 1, size=4)]
+    for subset in samples:
+        oracle = dc_shed_optimum(net, energized(net, int(subset)))
+        assert served[subset] == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+
+def test_dp_optimum_equals_highs_milp_on_storm_case(storm_network, storm_grid, clustered_placement):
+    inst = build_rop(as_case(storm_network, placement=clustered_placement), storm_grid)
+    plan = solve_rop(inst)
+    milp = solve_milp(inst.problem, rel_gap=1e-6)
+    assert milp.status == "optimal"
+    milp_mwh = milp.objective * inst.case.network.base_mva
+    assert plan.objective_mwh >= milp_mwh - 1e-9
+    assert plan.objective_mwh == pytest.approx(milp_mwh, rel=1e-6)
+
+
+def test_dp_optimum_equals_builtin_milp_on_small_feeders():
+    rng = np.random.RandomState(11)
+    feeders = [random_radial(rng, n_buses=5, max_damaged=3) for _ in range(3)]
+    feeders += [random_der_feeder(rng, n_buses=5, max_damaged=3) for _ in range(3)]
+    for net in feeders:
+        inst = build_rop(as_case(net), time_grid_for(net))
+        reference = solve_milp_builtin(inst.problem)
+        assert reference.status == "optimal"
+        expected = _extract_plan(inst, reference).objective_mwh
+        assert solve_rop(inst).objective_mwh == pytest.approx(expected, rel=1e-6, abs=1e-9)
+
+
+def test_eligible_instance_takes_dp_path(solve_milp_calls):
+    net = chain3(damage=(1, 2))
+    inst = build_rop(as_case(net), TimeGrid(4))  # one spare period at the end
+    plan = solve_rop(inst)
+    assert len(solve_milp_calls) == 1 and solve_milp_calls[0] is not inst.problem
+    assert plan.energization == {"line:1": 1, "line:2": 2}
+    assert plan.objective_mwh == pytest.approx(1.0 + 3.0 + 3.0)
+    assert plan.optimal and plan.gap == 0.0
+    assert check_plan(plan, inst) == []
+
+
+def test_budget_two_takes_milp_path(solve_milp_calls):
+    inst = build_rop(as_case(chain3(damage=(1, 2))), TimeGrid(2), budget_per_period=2)
+    plan = solve_rop(inst)
+    assert solve_milp_calls == [inst.problem]
+    assert plan.energization == {"line:1": 1, "line:2": 1}
+    assert plan.objective_mwh == pytest.approx(3.0)
+
+
+def test_damaged_bus_takes_milp_path(solve_milp_calls):
+    net = chain3(damage=(1, 2))
+    net = replace(
+        net, buses=(net.buses[0], replace(net.buses[1], damaged=True), net.buses[2])
+    )
+    inst = build_rop(as_case(net), TimeGrid(4))
+    plan = solve_rop(inst)
+    assert solve_milp_calls == [inst.problem]
+    assert plan.objective_mwh == pytest.approx(4.0, abs=1e-7)
+
+
+def test_must_run_generator_takes_milp_path(solve_milp_calls):
+    # a unit at bus 2 that cannot go below 0.2 MW: zero output is infeasible
+    net = chain3(damage=(1, 2))
+    net = replace(
+        net, generators=net.generators + (Generator(2, 2, 0.2, 0.5, -0.2, 0.2),)
+    )
+    inst = build_rop(as_case(net), TimeGrid(3))
+    plan = solve_rop(inst)
+    assert solve_milp_calls == [inst.problem]
+    # t0: the unit serves 0.5 MW alone; line 1 then joins the substation
+    assert plan.energization == {"line:1": 1, "line:2": 2}
+    assert plan.objective_mwh == pytest.approx(0.5 + 1.0 + 3.0, abs=1e-7)
+
+
+def star_feeder(n_spurs: int) -> Network:
+    """Substation bus 1 with ``n_spurs`` damaged spurs of 0.1 MW each."""
+    return Network(
+        buses=tuple(Bus(i, is_reference=(i == 1)) for i in range(1, n_spurs + 2)),
+        lines=tuple(simple_line(i, 1, i + 1, damaged=True) for i in range(1, n_spurs + 1)),
+        generators=(substation(p=50.0),),
+        demands=tuple(Demand(i, i + 1, 0.1, 0.1 * PF_Q) for i in range(1, n_spurs + 1)),
+    )
+
+
+def test_damaged_line_cap_routes_to_milp(monkeypatch, solve_milp_calls):
+    for k in (rop.DP_MAX_LINES, rop.DP_MAX_LINES + 1):
+        net = star_feeder(k)
+        assert rop._dp_eligible(build_rop(as_case(net), time_grid_for(net))) == (
+            k <= rop.DP_MAX_LINES
+        )
+    # the same feeder past a lowered cap is solved by HiGHS to the same optimum
+    net = apply_damage(random_der_feeder(np.random.RandomState(3), n_buses=7), (1, 3, 5))
+    inst = build_rop(as_case(net), time_grid_for(net))
+    dp_plan = solve_rop(inst)
+    monkeypatch.setattr(rop, "DP_MAX_LINES", 2)
+    milp_plan = solve_rop(inst)
+    assert solve_milp_calls[0] is not inst.problem and solve_milp_calls[1] is inst.problem
+    assert milp_plan.objective_mwh == pytest.approx(dp_plan.objective_mwh, rel=1e-6)
+    assert dp_plan.objective_mwh == pytest.approx(permutation_oracle(net), rel=1e-9)
+
+
+def twin_branches(second_load: float) -> Network:
+    """Two damaged spurs off the substation: line 1 feeds 1 MW, line 2 ``second_load``."""
+    return Network(
+        buses=(Bus(1, is_reference=True), Bus(2), Bus(3)),
+        lines=(simple_line(1, 1, 2, damaged=True), simple_line(2, 1, 3, damaged=True)),
+        generators=(substation(),),
+        demands=(Demand(1, 2, 1.0, PF_Q), Demand(2, 3, second_load, second_load * PF_Q)),
+    )
+
+
+def test_tie_goes_to_lower_line_index():
+    net = twin_branches(1.0)
+    plan = solve_rop(build_rop(as_case(net), time_grid_for(net)))
+    assert plan_order(plan) == ["line:1", "line:2"]
+    assert plan.energization == {"line:1": 1, "line:2": 2}
+    # a real difference, far above the tie tolerance, is not a tie
+    net = twin_branches(1.0 + 1e-9)
+    plan = solve_rop(build_rop(as_case(net), time_grid_for(net)))
+    assert plan.energization == {"line:2": 1, "line:1": 2}
+
+
+def test_dp_value_disagreeing_with_dispatch_lp_raises(monkeypatch):
+    inst = build_rop(as_case(chain3(damage=(1, 2))), TimeGrid(3))
+    best_order = rop._best_order
+
+    def mutated(network, n_periods):
+        order, value = best_order(network, n_periods)
+        return order, value * (1 + 1e-5)
+
+    monkeypatch.setattr(rop, "_best_order", mutated)
+    with pytest.raises(SolverError, match="disagrees with the subset DP"):
+        solve_rop(inst)
+
+
+def test_calls_share_no_state():
+    rng = np.random.RandomState(8)
+    net = random_der_feeder(rng, n_buses=8, max_damaged=3)
+    # same feeder shape and damage, different loads and unit sizes
+    other = replace(
+        net,
+        demands=tuple(replace(d, p=d.p * (1.5 if d.id % 2 else 0.5)) for d in net.demands),
+        generators=tuple(replace(g, p_max=g.p_max * 2) for g in net.generators),
+    )
+    inst, other_inst = (build_rop(as_case(n), time_grid_for(n)) for n in (net, other))
+    first = solve_rop(inst)
+    other_plan = solve_rop(other_inst)
+    again = solve_rop(inst)
+    assert other_plan.objective_mwh == pytest.approx(permutation_oracle(other), rel=1e-9)
+    assert first.objective_mwh == pytest.approx(permutation_oracle(net), rel=1e-9)
+    assert again.energization == first.energization
+    assert again.objective_mwh == first.objective_mwh
+    np.testing.assert_array_equal(again.served_fraction, first.served_fraction)
