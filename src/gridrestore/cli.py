@@ -3,14 +3,17 @@
 Subcommands: ``plan`` (solve the restoration ordering), ``simulate``
 (replay a plan through the per-period AC OPF), ``sweep`` (the full
 two-placement, three-assumed by three-actual study) and ``report``
-(summarize a sweep directory). Every flag can also be supplied through an
-environment variable named ``GRIDRESTORE_<FLAG>`` (for example
-``GRIDRESTORE_CASE``); explicit flags win, and a malformed numeric
-variable is an error only for the commands that read it. Outputs are
-deterministic: repeated runs produce byte-identical files except for the
-``meta`` block in JSON outputs, which carries the timestamp. The AC
-replay runs on one BLAS thread whatever ``OPENBLAS_NUM_THREADS`` or the
-core count is, so neither changes its values.
+(summarize a sweep directory). Each subcommand takes only the flags it
+reads; ``plan`` and ``simulate`` also accept ``--jobs``, which has no
+effect there, so that one flag set can drive every command. Every flag
+can also be supplied through an environment variable named
+``GRIDRESTORE_<FLAG>`` (for example ``GRIDRESTORE_CASE``); explicit flags
+win, and a malformed numeric variable is an error only for the commands
+that read it. Outputs are deterministic: repeated runs produce
+byte-identical files except for the ``meta`` block in JSON outputs,
+which carries the timestamp. The AC replay runs on one BLAS thread
+whatever ``OPENBLAS_NUM_THREADS`` or the core count is, so neither
+changes its values.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ from .scenarios import DerMode, DerPlacement, apply_der_mode, load_scenario
 from .study import run_study
 
 ENV_PREFIX = "GRIDRESTORE_"
+# numeric flags: type and help text; each subcommand takes the ones it reads
+NUMBER_FLAGS = {
+    "horizon": (int, "periods (default: 1 + damaged count)"),
+    "gap": (float, "MILP relative gap (instances the subset DP does not solve)"),
+    "tol": (float, "AC residual tolerance"),
+    "jobs": (int, "parallel workers for sweep cells"),
+}
 
 
 @dataclass
@@ -122,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario_multiple=False):
+    def common(sp, numbers, scenario_multiple=False):
+        """The input and output flags, then the numeric flags in ``numbers``."""
         sp.add_argument("--case", default=_env_default("case"), help="case JSON (default: bundled feeder)")
         # the environment default is read in _config_from_args, so that an
         # explicit --scenario replaces it instead of appending to it
@@ -135,21 +146,25 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--scenario", help="scenario JSON (default: bundled uniform)")
         sp.add_argument("--damage", default=_env_default("damage"), help="damage JSON (default: bundled storm set)")
-        sp.add_argument("--horizon", type=int, help="periods (default: 1 + damaged count)")
         sp.add_argument("--out", default=_env_default("out", "out"), help="output directory")
-        sp.add_argument("--gap", type=float, help="MILP relative gap (instances the subset DP does not solve)")
-        sp.add_argument("--tol", type=float, help="AC residual tolerance")
-        sp.add_argument("--jobs", type=int, help="parallel workers for sweep cells")
+        for name in numbers:
+            cast, text = NUMBER_FLAGS[name]
+            sp.add_argument(f"--{name}", type=cast, help=text)
+
+    def unused_jobs(sp):
+        sp.add_argument("--jobs", dest="unused_jobs", help="no effect: this command runs in one process")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
-    common(sp)
+    common(sp, ("horizon", "gap"))
+    unused_jobs(sp)
     sp.add_argument("--mode", default="base", help="assumed DER mode: base|home|community")
     sp = sub.add_parser("simulate", help="replay a plan through per-period AC OPF")
-    common(sp)
+    common(sp, ("tol",))
+    unused_jobs(sp)
     sp.add_argument("--plan", required=True, help="plan.json produced by `plan`")
     sp.add_argument("--actual-mode", default="base", help="actual DER mode during implementation")
     sp = sub.add_parser("sweep", help="full two-placement, 3x3 assumed/actual study")
-    common(sp, scenario_multiple=True)
+    common(sp, tuple(NUMBER_FLAGS), scenario_multiple=True)
     sp = sub.add_parser("report", help="print a summary of a sweep output directory")
     sp.add_argument("--out", default=_env_default("out", "out"), help="sweep output directory")
     return p
@@ -160,15 +175,17 @@ def _config_from_args(args) -> RunConfig:
     raw = args.scenario or _env_default("scenario")
     if raw:
         scenarios = tuple(raw) if isinstance(raw, list) else (raw,)
+    numbers = {
+        name: _number(args, name, cast, getattr(RunConfig, name))
+        for name, (cast, _) in NUMBER_FLAGS.items()
+        if hasattr(args, name)
+    }
     return RunConfig(
         case_path=args.case,
         scenario_paths=scenarios,
         damage_path=args.damage,
-        horizon=_number(args, "horizon", int, RunConfig.horizon),
         out_dir=args.out,
-        gap=_number(args, "gap", float, RunConfig.gap),
-        tol=_number(args, "tol", float, RunConfig.tol),
-        jobs=_number(args, "jobs", int, RunConfig.jobs),
+        **numbers,
     )
 
 

@@ -2,25 +2,29 @@
 
 Damaged components get one binary energization column per period;
 undamaged components enter the flow model as constants, which keeps the
-MILP at 18 x 19 binaries for the bundled storm case. De-energized lines
-are decoupled from the angle variables through a big-M slack sized by
-:func:`compute_big_m`, which is exact on radial networks.
+MILP at 18 x 19 binaries for the bundled storm case. The network must be
+radial, so every energized island is a tree and any line flow inside the
+thermal bounds is realized by some bus angles: the model has flow columns
+but no angle columns, and a gated line is switched off by its thermal
+bound alone. At most one component comes back per period, on both
+solution paths.
 
 :func:`solve_rop` finds the exact optimum of an eligible instance by a
-subset dynamic program instead of the MILP search: one repair per
-period, only lines damaged, at most ``DP_MAX_LINES`` of them, and every
-generator able to sit at zero output on a radial feeder. With f(S) the
-best served DC power when the damaged-line set S is energized, the
-optimal order maximizes V(S) = f(S) + max_e V(S + e) from the empty set
-(the Held-Karp recursion), and f has a closed form on a tree. HiGHS then
-solves the MILP with every energization column fixed to that order, for
-the dispatch and the check against the raw matrix, and its objective
-must equal the DP value. Every other instance is solved by HiGHS.
+subset dynamic program instead of the MILP search: only lines damaged,
+at most ``DP_MAX_LINES`` of them, and every generator able to sit at
+zero output. With f(S) the best served DC power when the damaged-line
+set S is energized, the optimal order maximizes V(S) = f(S) +
+max_e V(S + e) from the empty set (the Held-Karp recursion), and f has a
+closed form on a tree. HiGHS then solves the MILP with every
+energization column fixed to that order, for the dispatch and the check
+against the raw matrix, and its objective must equal the DP value. Every
+other instance is solved by HiGHS.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,10 +38,8 @@ from .errors import (
     UnboundedError,
 )
 from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import Network, TimeGrid, read_json, reachable_buses
+from .model import Network, TimeGrid, _radiality_violations, read_json
 from .scenarios import EffectiveCase
-
-KIND_ORDER = {"bus": 0, "line": 1, "gen": 2, "demand": 3}
 
 # The subset DP keeps 2^K values and one 2^K segment mask per pending
 # segment; above this many damaged lines the instance goes to HiGHS.
@@ -154,14 +156,11 @@ class RopInstance:
     case: EffectiveCase
     damage: DamageSets
     time: TimeGrid
-    big_m_theta: float
     problem: MilpProblem
-    budget_per_period: int
     x_col: dict[tuple[int, int], int] = field(default_factory=dict)
     z_col: dict[tuple[str, int], int] = field(default_factory=dict)
     pg_col: dict[tuple[int, int], int] = field(default_factory=dict)
     pl_col: dict[tuple[int, int], int] = field(default_factory=dict)
-    theta_col: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def total_demand_energy_mwh(self) -> float:
         net = self.case.network
@@ -173,37 +172,30 @@ class RopInstance:
         )
 
 
-def compute_big_m(case: EffectiveCase) -> float:
-    """Angle-decoupling constant: no tree path can spread angles further."""
-    return float(
-        sum(max(abs(l.angle_min), l.angle_max) for l in case.network.lines)
-    )
+def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
+    """Assemble the multi-period DC restoration MILP.
 
-
-def build_rop(
-    case: EffectiveCase, time: TimeGrid, budget_per_period: int = 1
-) -> RopInstance:
-    """Assemble the multi-period DC restoration MILP."""
+    Raises ``CaseValidationError`` for a meshed or disconnected network,
+    and for a line whose thermal limit admits a larger angle spread than
+    its angle bounds: the model has no angle columns, so the thermal
+    limit must imply them.
+    """
     net = case.network
+    violations = _radiality_violations(net)
+    for l in net.lines:
+        if l.thermal_limit > abs(l.b) * (max(abs(l.angle_min), l.angle_max) + 1e-12):
+            violations.append(
+                f"line {l.id}: thermal limit admits a larger angle spread than its "
+                "angle bounds, which the angle-free model cannot enforce"
+            )
+    if violations:
+        raise CaseValidationError(violations)
     damage = DamageSets.from_network(net)
-    if budget_per_period < 1:
-        raise ValueError("budget_per_period must be at least 1")
-    periods_needed = 1 + -(-damage.total // budget_per_period)
-    if damage.total and time.n_periods < periods_needed:
+    if damage.total and time.n_periods < damage.total + 1:
         raise InfeasibleError(
             f"horizon of {time.n_periods} periods cannot energize "
-            f"{damage.total} components at {budget_per_period} per period"
+            f"{damage.total} components at one per period"
         )
-
-    big_m = compute_big_m(case)
-    for l in net.lines:
-        if abs(l.b) > 0 and l.thermal_limit / abs(l.b) > max(
-            abs(l.angle_min), l.angle_max
-        ) + 1e-12:
-            raise CaseValidationError([
-                f"line {l.id}: thermal limit admits a larger angle spread than "
-                "its angle bounds, so the decoupling constant would be invalid"
-            ])
 
     damaged_buses = set(damage.buses)
     damaged_lines = set(damage.lines)
@@ -217,12 +209,9 @@ def build_rop(
         case=case,
         damage=damage,
         time=time,
-        big_m_theta=big_m,
         problem=None,  # set after build
-        budget_per_period=budget_per_period,
     )
 
-    ref = net.reference_bus.id
     z_keys = damage.component_keys()
     for t in range(T):
         for d in net.demands:
@@ -234,11 +223,6 @@ def build_rop(
             inst.pg_col[(g.id, t)] = b.add_column(lo, hi)
         for l in net.lines:
             inst.pl_col[(l.id, t)] = b.add_column(-l.thermal_limit, l.thermal_limit)
-        for bus in net.buses:
-            fixed = bus.id == ref
-            inst.theta_col[(bus.id, t)] = b.add_column(
-                0.0 if fixed else -np.inf, 0.0 if fixed else np.inf
-            )
         for key in z_keys:
             # the final period is fixed: everything must be back in service
             lo = 1.0 if t == T - 1 else 0.0
@@ -267,36 +251,12 @@ def build_rop(
                 coeffs[col] = coeffs.get(col, 0.0) + (-1.0 if l.from_bus == bus.id else 1.0)
             b.add_row(coeffs, lower=0.0, upper=0.0)
 
-        # line flow vs angle difference, decoupled through gated slack
+        # a gated line carries no flow until every gate closes
         for l in net.lines:
-            g_list = gates(l)
-            slack = abs(l.b) * big_m
-            base = {
-                inst.pl_col[(l.id, t)]: 1.0,
-                inst.theta_col[(l.from_bus, t)]: l.b,
-                inst.theta_col[(l.to_bus, t)]: -l.b,
-            }
-            if not g_list:
-                b.add_row(base, lower=0.0, upper=0.0)
-            else:
-                hi = dict(base)
-                lo = dict(base)
-                for kind, ident in g_list:
-                    zc = inst.z_col[(component_key(kind, ident), t)]
-                    hi[zc] = hi.get(zc, 0.0) + slack
-                    lo[zc] = lo.get(zc, 0.0) - slack
-                n_g = len(g_list)
-                b.add_row(hi, upper=slack * n_g)
-                b.add_row(lo, lower=-slack * n_g)
-                # thermal forcing per gate: no flow until every gate closes
-                for kind, ident in g_list:
-                    zc = inst.z_col[(component_key(kind, ident), t)]
-                    b.add_row(
-                        {inst.pl_col[(l.id, t)]: 1.0, zc: -l.thermal_limit}, upper=0.0
-                    )
-                    b.add_row(
-                        {inst.pl_col[(l.id, t)]: 1.0, zc: l.thermal_limit}, lower=0.0
-                    )
+            for kind, ident in gates(l):
+                zc = inst.z_col[(component_key(kind, ident), t)]
+                b.add_row({inst.pl_col[(l.id, t)]: 1.0, zc: -l.thermal_limit}, upper=0.0)
+                b.add_row({inst.pl_col[(l.id, t)]: 1.0, zc: l.thermal_limit}, lower=0.0)
 
         # generator limits gated by own and bus energization
         for g in net.generators:
@@ -321,12 +281,12 @@ def build_rop(
                 zc = inst.z_col[(component_key(kind, ident), t)]
                 b.add_row({inst.x_col[(d.id, t)]: 1.0, zc: -1.0}, upper=0.0)
 
-        # cumulative re-energization budget
+        # at most one new energization per period, none in period 0
         if z_keys:
-            b.add_row(
-                {inst.z_col[(k, t)]: 1.0 for k in z_keys},
-                upper=float(budget_per_period * t),
-            )
+            row = {inst.z_col[(k, t)]: 1.0 for k in z_keys}
+            if t:
+                row.update({inst.z_col[(k, t - 1)]: -1.0 for k in z_keys})
+            b.add_row(row, upper=float(t > 0))
 
     # once energized, stay energized
     for key in z_keys:
@@ -378,12 +338,9 @@ def _dp_eligible(instance: RopInstance) -> bool:
     net = instance.case.network
     damage = instance.damage
     return (
-        instance.budget_per_period == 1
-        and not (damage.buses or damage.generators or damage.demands)
+        not (damage.buses or damage.generators or damage.demands)
         and len(damage.lines) <= DP_MAX_LINES
         and all(g.p_min <= 0.0 <= g.p_max for g in net.generators)
-        and len(net.lines) == len(net.buses) - 1
-        and len(reachable_buses(net, ignore_damage=True)) == len(net.buses)
     )
 
 
@@ -565,8 +522,7 @@ def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
                 energization[key] = t
                 break
     schedule = tuple(
-        tuple(sorted((k for k, ft in energization.items() if ft == t), key=_key_sort))
-        for t in range(T)
+        tuple(k for k, ft in energization.items() if ft == t) for t in range(T)
     )
     demands = instance.case.network.demands
     x = np.empty((len(demands), T))
@@ -586,19 +542,6 @@ def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
     )
 
 
-def _key_sort(key: str):
-    kind, ident = split_key(key)
-    return (KIND_ORDER.get(kind, 9), ident)
-
-
-def plan_order(plan: RestorationPlan) -> list[str]:
-    """Components in energization order, ties broken by kind then id."""
-    return sorted(
-        plan.energization,
-        key=lambda k: (plan.energization[k], *_key_sort(k)),
-    )
-
-
 def rop_ens_mwh(plan: RestorationPlan, instance: RopInstance) -> float:
     """Energy not served implied by the DC objective."""
     return instance.total_demand_energy_mwh() - plan.objective_mwh
@@ -614,12 +557,12 @@ def check_plan(plan: RestorationPlan, instance: RopInstance) -> list[str]:
     for k, t in plan.energization.items():
         if not (0 <= t < T):
             errs.append(f"{k}: energization period {t} outside horizon")
-    counts = np.zeros(T, dtype=int)
-    for t in plan.energization.values():
-        counts[t:] += 1
-    for t in range(T):
-        if counts[t] > instance.budget_per_period * t:
-            errs.append(f"period {t}: cumulative energizations exceed budget")
+    new = Counter(plan.energization.values())
+    if new[0]:
+        errs.append("period 0: energizes a component")
+    for t, n in sorted(new.items()):
+        if n > 1:
+            errs.append(f"period {t}: energizes {n} components, at most one allowed")
     if keys and any(plan.energization[k] > T - 1 for k in keys):
         errs.append("some component never energized by the final period")
     if plan.served_fraction is not None:

@@ -2,9 +2,10 @@
 independent DC load-shed oracle used to cross-check the scheduling MILP.
 
 The oracle deliberately avoids the production model builder: de-energized
-lines are dropped from its LP entirely (no big-M machinery) and it is
-solved with the built-in simplex, so the two routes share neither problem
-assembly nor solver kernel.
+lines are dropped from its LP entirely, flows follow bus angles (the
+production model has no angle columns), and it is solved with the
+built-in simplex, so the two routes share neither problem assembly nor
+solver kernel.
 """
 
 from __future__ import annotations

@@ -107,6 +107,13 @@ def _thermal_limit_beyond_angle_bound(d, env):
     return ["plan"]
 
 
+def _line_without_susceptance(d, env):
+    case = json.loads((d / "case.json").read_text())
+    case["lines"][2]["b"] = 0.0  # no DC flow at any angle, yet a positive thermal limit
+    (d / "case.json").write_text(json.dumps(case))
+    return ["plan"]
+
+
 def _horizon_variable_not_int(d, env):
     env.setenv("GRIDRESTORE_HORIZON", "abc")
     return ["plan"]
@@ -138,6 +145,7 @@ def _jobs_variable_not_int(d, env):
         _plan_with_string_schedule,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,
+        _line_without_susceptance,
         _horizon_variable_not_int,
         _gap_variable_not_float,
         _tol_variable_not_float,
@@ -155,15 +163,31 @@ def test_malformed_number_variable_fails_only_its_readers(toy_dir, capsys, monke
     monkeypatch.setenv("GRIDRESTORE_HORIZON", "abc")
     assert main(["plan", *_args(toy_dir, toy_dir / "out_plan")]) == 1
     assert "GRIDRESTORE_HORIZON='abc'" in capsys.readouterr().err
+    # plan reads neither the replay tolerance nor the worker count
+    monkeypatch.delenv("GRIDRESTORE_HORIZON")
+    for name in ("TOL", "JOBS"):
+        monkeypatch.setenv(f"GRIDRESTORE_{name}", "abc")
+    assert main(["plan", *_args(toy_dir, toy_dir / "out_plan")]) == 0
     out = toy_dir / "sweep_out"
     out.mkdir()
     (out / "ens_summary.csv").write_text(
         "placement,mode,rop_ens_mwh,rip_ens_mwh\ntoy,base,2.0,2.0\n"
     )
-    for name in ("GAP", "TOL", "JOBS"):
+    for name in ("HORIZON", "GAP", "TOL", "JOBS"):
         monkeypatch.setenv(f"GRIDRESTORE_{name}", "abc")
     assert main(["report", "--out", str(out)]) == 0
     assert "toy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--gap"])
+def test_simulate_rejects_planning_flags(toy_dir, capsys, flag):
+    plan = toy_dir / "plan.json"
+    plan.write_text(json.dumps({"schedule": [[], ["line:2"]], "energization": {"line:2": 1},
+                                "objective_mwh": 2.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *_args(toy_dir, toy_dir / "out_sim"), "--plan", str(plan), flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 def test_simulate_roundtrip(toy_dir):

@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
-from gridrestore.errors import InfeasibleError
-from gridrestore.milp import solve_milp_builtin
-from gridrestore.model import Bus, Network, TimeGrid, time_grid_for
+from gridrestore.errors import CaseValidationError, InfeasibleError
+from gridrestore.milp import solve_milp, solve_milp_builtin
+from gridrestore.model import Bus, Demand, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
     _extract_plan,
     build_rop,
     check_plan,
-    compute_big_m,
-    plan_order,
     rop_ens_mwh,
     solve_rop,
 )
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
-from helpers import chain3, permutation_oracle, random_radial, simple_line, substation
+from helpers import (
+    PF_Q,
+    chain3,
+    permutation_oracle,
+    random_der_feeder,
+    random_radial,
+    simple_line,
+    substation,
+)
 
 NO_DER = DerPlacement("none", ())
 
@@ -25,44 +31,15 @@ def as_case(network, mode=DerMode.BASE, placement=NO_DER):
     return apply_der_mode(network, placement, mode)
 
 
-def test_big_m_sum_over_lines():
-    buses = tuple(Bus(i, is_reference=(i == 1)) for i in range(1, 56))
-    lines = tuple(simple_line(i, i, i + 1) for i in range(1, 55))
-    net = Network(buses=buses, lines=lines, generators=(substation(),), demands=())
-    case = as_case(net)
-    # independent oracle: direct summation over the 54 identical bounds
-    expected = sum(max(abs(l.angle_min), l.angle_max) for l in lines)
-    assert expected == pytest.approx(54 * 0.52)
-    assert compute_big_m(case) == pytest.approx(28.08)
-
-
-def test_big_m_single_and_empty():
-    one = Network(
-        buses=(Bus(1, is_reference=True), Bus(2)),
-        lines=(simple_line(1, 1, 2),),
-        generators=(substation(),),
-        demands=(),
-    )
-    assert compute_big_m(as_case(one)) == pytest.approx(0.52)
-    none = Network(
-        buses=(Bus(1, is_reference=True),),
-        lines=(),
-        generators=(substation(),),
-        demands=(),
-    )
-    assert compute_big_m(as_case(none)) == 0.0
-
-
 def test_build_rop_bundled_dimensions(storm_network, storm_grid):
     case = as_case(storm_network)
     inst = build_rop(case, storm_grid)
     T = storm_grid.n_periods
     assert T == 19
     assert len(inst.problem.integer_columns) == 18 * 19
-    n_continuous = T * (52 + 1 + 55 + 56)  # x, substation, flows, angles
-    assert inst.problem.lp.n_cols == n_continuous + 18 * 19
+    n_continuous = T * (52 + 1 + 55)  # x, substation, flows
+    assert inst.problem.lp.n_cols == n_continuous + 18 * 19 == 2394
     assert len(inst.x_col) == 52 * T
-    assert len(inst.theta_col) == 56 * T
     assert all((key, t) in inst.z_col for key in inst.damage.component_keys() for t in range(T))
     # the column maps name every column exactly once
     assert sorted(_column_names(inst)) == list(range(inst.problem.lp.n_cols))
@@ -77,8 +54,6 @@ def _column_names(inst):
         names[j] = f"pg[g{g},t{t}]"
     for (l, t), j in inst.pl_col.items():
         names[j] = f"pl[l{l},t{t}]"
-    for (b, t), j in inst.theta_col.items():
-        names[j] = f"th[b{b},t{t}]"
     for (key, t), j in inst.z_col.items():
         names[j] = f"z[{key},t{t}]"
     return names
@@ -87,12 +62,10 @@ def _column_names(inst):
 def hand_rop_matrix_rows():
     """Expected constraint rows for the 3-bus chain, both lines damaged, T=3.
 
-    Row encoding: (sorted (name, coeff) tuple, lower, upper). Variable
-    names are those of ``_column_names``. Big-M slack is |b| * M with
-    M = 2 * 0.52 and |b| = 50 for the helper toy lines.
+    Row encoding: ((name, coeff, name, coeff, ...), lower, upper). Variable
+    names are those of ``_column_names``; both lines have thermal limit 8.
     """
     INF = np.inf
-    slack = 50.0 * 1.04
     rows = []
     for t in range(3):
         # nodal balance: bus1 gen feeds line 1; flows chain through
@@ -105,18 +78,14 @@ def hand_rop_matrix_rows():
             )
         )
         rows.append(((f"pl[l2,t{t}]", 1.0, f"x[d2,t{t}]", -2.0), 0.0, 0.0))
-        for line, frm, to in ((1, 1, 2), (2, 2, 3)):
-            base = (
-                (f"pl[l{line},t{t}]", 1.0),
-                (f"th[b{frm},t{t}]", -50.0),
-                (f"th[b{to},t{t}]", 50.0),
-            )
+        for line in (1, 2):
             zc = f"z[line:{line},t{t}]"
-            rows.append((_flat(base + ((zc, slack),)), -INF, slack))
-            rows.append((_flat(base + ((zc, -slack),)), -slack, INF))
             rows.append(((f"pl[l{line},t{t}]", 1.0, zc, -8.0), -INF, 0.0))
             rows.append(((f"pl[l{line},t{t}]", 1.0, zc, 8.0), 0.0, INF))
-        rows.append(((f"z[line:1,t{t}]", 1.0, f"z[line:2,t{t}]", 1.0), -INF, float(t)))
+        # one new energization per period, none at t0
+        now = (f"z[line:1,t{t}]", 1.0, f"z[line:2,t{t}]", 1.0)
+        before = (f"z[line:1,t{t-1}]", -1.0, f"z[line:2,t{t-1}]", -1.0) if t else ()
+        rows.append((now + before, -INF, float(t > 0)))
     for line in (1, 2):
         for t in (0, 1):
             rows.append(
@@ -127,13 +96,6 @@ def hand_rop_matrix_rows():
                 )
             )
     return rows
-
-
-def _flat(pairs):
-    out = []
-    for item in pairs:
-        out.extend(item)
-    return tuple(out)
 
 
 def _normalize(pairs):
@@ -168,7 +130,6 @@ def test_chain_plan_matches_hand_enumeration():
     reference = _extract_plan(inst, solve_milp_builtin(inst.problem))
     for solved in (plan, reference):
         assert solved.objective_mwh == pytest.approx(4.0, abs=1e-7)
-        assert plan_order(solved) == ["line:1", "line:2"]
         assert solved.energization == {"line:1": 1, "line:2": 2}
         assert check_plan(solved, inst) == []
     assert permutation_oracle(net) == pytest.approx(4.0, abs=1e-9)
@@ -190,43 +151,33 @@ def test_infeasible_horizon_rejected():
         build_rop(as_case(net), TimeGrid(2))
 
 
-def test_plan_order_tiebreak():
+def test_check_plan_rejects_two_repairs_in_one_period():
+    inst = build_rop(as_case(chain3(damage=(1, 2))), TimeGrid(3))
     plan = RestorationPlan(
-        schedule=((), ("line:5",), ("line:2",)),
-        energization={"line:5": 1, "line:2": 2},
-        objective_mwh=0.0,
+        schedule=((), (), ("line:1", "line:2")),
+        energization={"line:1": 2, "line:2": 2},
+        objective_mwh=3.0,
     )
-    assert plan_order(plan) == ["line:5", "line:2"]
-    tied = RestorationPlan(
-        schedule=((), ("line:2", "line:7")),
-        energization={"line:7": 1, "line:2": 1},
-        objective_mwh=0.0,
+    assert check_plan(plan, inst) == [
+        "period 2: energizes 2 components, at most one allowed"
+    ]
+    early = RestorationPlan(
+        schedule=(("line:1",), ("line:2",), ()),
+        energization={"line:1": 0, "line:2": 1},
+        objective_mwh=9.0,
     )
-    assert plan_order(tied) == ["line:2", "line:7"]
+    assert check_plan(early, inst) == ["period 0: energizes a component"]
 
 
-def test_budget_two_per_period():
-    net = chain3(damage=(1, 2))
-    inst = build_rop(as_case(net), TimeGrid(2), budget_per_period=2)
-    plan = solve_rop(inst)
-    assert plan.energization == {"line:1": 1, "line:2": 1}
-    assert check_plan(plan, inst) == []
-
-
-def test_decoupling_slack_admits_any_tree_angle():
-    """With z = 0 the flow rows must be loose for any achievable spread."""
-    net = chain3(damage=(1, 2))
-    inst = build_rop(as_case(net), TimeGrid(3))
-    lp = inst.problem.lp
-    A = lp.matrix().tocsr()
-    m_val = inst.big_m_theta
-    spread = sum(l.thermal_limit / abs(l.b) for l in net.lines)
-    assert spread <= m_val + 1e-12
-    point = np.zeros(lp.n_cols)
-    point[inst.theta_col[(3, 0)]] = spread  # worst spread, flows zero, z zero
-    ax = A @ point
-    assert np.all(ax >= lp.row_lower - 1e-9)
-    assert np.all(ax <= lp.row_upper + 1e-9)
+def test_build_rop_rejects_meshed_network():
+    loop = Network(
+        buses=(Bus(1, is_reference=True), Bus(2), Bus(3)),
+        lines=(simple_line(1, 1, 2), simple_line(2, 2, 3), simple_line(3, 3, 1)),
+        generators=(substation(),),
+        demands=(Demand(1, 2, 1.0, PF_Q), Demand(2, 3, 1.0, PF_Q)),
+    )
+    with pytest.raises(CaseValidationError, match="radiality"):
+        build_rop(as_case(loop), TimeGrid(1))
 
 
 def test_damaged_bus_precedence():
@@ -257,12 +208,8 @@ def test_monotone_budget_invariants_random():
         assert check_plan(plan, inst) == []
         assert plan.served_fraction.min() >= -1e-9
         assert plan.served_fraction.max() <= 1 + 1e-9
-        counts = [0] * inst.time.n_periods
-        for t in plan.energization.values():
-            for tt in range(t, inst.time.n_periods):
-                counts[tt] += 1
-        for t, c in enumerate(counts):
-            assert c <= t
+        # one repair in each period after the first
+        assert sorted(plan.energization.values()) == list(range(1, inst.time.n_periods))
 
 
 def test_oracle_equivalence_sample():
@@ -275,6 +222,18 @@ def test_oracle_equivalence_sample():
         assert plan.objective_mwh == pytest.approx(
             oracle, rel=1e-6, abs=1e-6
         ), f"milp {plan.objective_mwh} vs oracle {oracle}"
+
+
+def test_angle_free_milp_matches_angle_oracle():
+    """The full HiGHS MILP, no subset DP, against the oracle's angle model."""
+    rng = np.random.RandomState(17)
+    for _ in range(8):
+        net = random_der_feeder(rng, max_damaged=3)
+        inst = build_rop(as_case(net), time_grid_for(net))
+        sol = solve_milp(inst.problem, rel_gap=1e-9)
+        assert sol.status == "optimal"
+        milp_mwh = _extract_plan(inst, sol).objective_mwh
+        assert milp_mwh == pytest.approx(permutation_oracle(net), rel=1e-6, abs=1e-6)
 
 
 def test_builtin_backend_solves_small_rop():

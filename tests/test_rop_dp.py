@@ -1,4 +1,4 @@
-"""The exact subset DP that orders budget-1 line repairs.
+"""The exact subset DP that orders line repairs, one per period.
 
 The closed-form island value is checked against the builtin-simplex
 load-shed LP of ``helpers.dc_shed_optimum``, the DP optimum against the
@@ -23,7 +23,7 @@ from gridrestore.model import (
     apply_damage,
     time_grid_for,
 )
-from gridrestore.rop import _extract_plan, build_rop, check_plan, plan_order, solve_rop
+from gridrestore.rop import _extract_plan, build_rop, check_plan, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
 from helpers import (
@@ -124,14 +124,6 @@ def test_eligible_instance_takes_dp_path(solve_milp_calls):
     assert check_plan(plan, inst) == []
 
 
-def test_budget_two_takes_milp_path(solve_milp_calls):
-    inst = build_rop(as_case(chain3(damage=(1, 2))), TimeGrid(2), budget_per_period=2)
-    plan = solve_rop(inst)
-    assert solve_milp_calls == [inst.problem]
-    assert plan.energization == {"line:1": 1, "line:2": 1}
-    assert plan.objective_mwh == pytest.approx(3.0)
-
-
 def test_damaged_bus_takes_milp_path(solve_milp_calls):
     net = chain3(damage=(1, 2))
     net = replace(
@@ -197,7 +189,6 @@ def twin_branches(second_load: float) -> Network:
 def test_tie_goes_to_lower_line_index():
     net = twin_branches(1.0)
     plan = solve_rop(build_rop(as_case(net), time_grid_for(net)))
-    assert plan_order(plan) == ["line:1", "line:2"]
     assert plan.energization == {"line:1": 1, "line:2": 2}
     # a real difference, far above the tie tolerance, is not a tie
     net = twin_branches(1.0 + 1e-9)
