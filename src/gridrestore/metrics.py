@@ -2,7 +2,9 @@
 
 Group splits (customers with vs. without DERs) follow the placement that
 defined the case, so the base scenario reports the same two groups even
-though its DERs supply nothing.
+though its DERs supply nothing. Reconnection times walk the radial
+feeder tree once, under the gating rule the ordering model and the
+replay share (``rop.gates``).
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridRestoreError
-from .model import reachable_buses
-from .rop import RestorationPlan, split_key
+from .errors import CaseValidationError, GridRestoreError
+from .model import _radiality_violations
+from .rop import RestorationPlan, gates
 from .scenarios import EffectiveCase
 
 
@@ -73,18 +75,32 @@ def energy_not_served(
 def reconnection_times(
     plan: RestorationPlan, case: EffectiveCase, step_hours: float = 1.0
 ) -> ReconnectionReport:
-    """First period each demand has an all-energized path to the substation."""
+    """First period each demand works and has a working path to the substation.
+
+    One pass down the feeder tree: the reference bus is reached when it
+    works, any other bus in the later of its parent's period and the
+    period its line to the parent works. Raises ``CaseValidationError``
+    for a meshed or disconnected network.
+    """
     net = case.network
-    t_d: dict[int, int] = {}
-    for t in range(plan.n_periods):
-        energized = plan.energized_at(t)
-        lines = {split_key(k)[1] for k in energized if k.startswith("line:")}
-        buses = {split_key(k)[1] for k in energized if k.startswith("bus:")}
-        reached = reachable_buses(net, energized_lines=lines, energized_buses=buses)
-        for d in net.demands:
-            if d.id not in t_d and d.bus in reached:
-                t_d[d.id] = t
-    missing = [d.id for d in net.demands if d.id not in t_d]
+    violations = _radiality_violations(net)
+    if violations:
+        raise CaseValidationError(violations)
+    waits = gates(net)
+    never = plan.n_periods
+
+    def works(element) -> int:
+        return max((plan.energization.get(k, never) for k in waits[element]), default=0)
+
+    tree = net.tree
+    reached: dict[int, int] = {}
+    for bid, parent, line in zip(tree.order, tree.parent, tree.up):
+        if line is None:
+            reached[bid] = works(("bus", bid))
+        else:
+            reached[bid] = max(reached[tree.order[parent]], works(("line", line.id)))
+    t_d = {d.id: max(reached[d.bus], works(("demand", d.id))) for d in net.demands}
+    missing = [i for i, t in t_d.items() if t >= never]
     if missing:
         raise GridRestoreError(
             f"demands never reconnected to the substation: {missing}"

@@ -107,6 +107,22 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
+class FeederTree:
+    """The feeder rooted at its reference bus, damage ignored.
+
+    ``order`` lists the buses breadth-first from the reference bus. For
+    the bus at position k, ``parent[k]`` is the position of its parent
+    (-1 at the root) and ``up[k]`` the line to the parent (None at the
+    root). Buses the walk cannot reach are missing from ``order``; on a
+    meshed network the first line to reach a bus is its ``up`` line.
+    """
+
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
+    up: tuple[Line | None, ...]
+
+
+@dataclass(frozen=True)
 class Network:
     """Immutable feeder description. Safe to share across workers."""
 
@@ -154,6 +170,20 @@ class Network:
             acc[d.bus].append(d)
         return {i: tuple(v) for i, v in acc.items()}
 
+    @cached_property
+    def tree(self) -> FeederTree:
+        order, parent, up = [self.reference_bus.id], [-1], [None]
+        seen = set(order)
+        for pos, bid in enumerate(order):
+            for line in self.lines_at.get(bid, ()):
+                other = line.to_bus if line.from_bus == bid else line.from_bus
+                if other not in seen:
+                    seen.add(other)
+                    order.append(other)
+                    parent.append(pos)
+                    up.append(line)
+        return FeederTree(tuple(order), tuple(parent), tuple(up))
+
     @property
     def reference_bus(self) -> Bus:
         for b in self.buses:
@@ -163,9 +193,6 @@ class Network:
 
     def total_demand_p(self) -> float:
         return sum(d.p for d in self.demands)
-
-    def damaged_lines(self) -> tuple[Line, ...]:
-        return tuple(l for l in self.lines if l.damaged)
 
     def damaged_component_count(self) -> int:
         return (
@@ -251,54 +278,10 @@ def _radiality_violations(network: Network) -> list[str]:
         for l in network.lines
     ):
         return v  # reachability is meaningless until references resolve
-    reached = reachable_buses(network, ignore_damage=True)
-    missing = sorted(set(network.bus_by_id) - reached)
+    missing = sorted(set(network.bus_by_id) - set(network.tree.order))
     if missing:
         v.append(f"radiality: buses unreachable from reference bus: {missing}")
     return v
-
-
-def reachable_buses(
-    network: Network,
-    energized_lines: set[int] | None = None,
-    energized_buses: set[int] | None = None,
-    ignore_damage: bool = False,
-) -> set[int]:
-    """Breadth-first reachability from the reference bus.
-
-    A line conducts when it is in ``energized_lines`` (or undamaged, or
-    ``ignore_damage``) and both endpoint buses are traversable under the
-    same rule.
-    """
-    ref = network.reference_bus.id
-
-    def bus_ok(bid: int) -> bool:
-        bus = network.bus_by_id[bid]
-        if ignore_damage or not bus.damaged:
-            return True
-        return energized_buses is not None and bid in energized_buses
-
-    def line_ok(line: Line) -> bool:
-        if ignore_damage or not line.damaged:
-            return True
-        return energized_lines is not None and line.id in energized_lines
-
-    if not bus_ok(ref):
-        return set()
-    seen = {ref}
-    frontier = [ref]
-    while frontier:
-        nxt = []
-        for bid in frontier:
-            for line in network.lines_at.get(bid, ()):
-                if not line_ok(line):
-                    continue
-                other = line.to_bus if line.from_bus == bid else line.from_bus
-                if other not in seen and bus_ok(other):
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return seen
 
 
 def apply_damage(network: Network, damaged_line_ids) -> Network:

@@ -5,16 +5,19 @@ energization statuses from the plan are constants, de-energized lines
 and their flows are removed from the problem entirely (so zero flow
 holds exactly, not numerically), and buses in islands without an
 energized source are fixed at V = 0 with full shed before any solver
-runs. Live islands are solved independently with one angle reference
-each; the lower voltage bound is soft, charged to the objective. Each
-island is one SLSQP solve from a flat start, polished once more with
-SLSQP only when its residuals stay above tolerance.
+runs. An element works when it and its damaged buses are back
+(``rop.gates``); the islands come from one walk down ``Network.tree``,
+so the network must be radial. Live islands are solved independently
+with one angle reference each; the lower voltage bound is soft, charged
+to the objective at ``PENALTY_WEIGHT``. Each island is one SLSQP solve
+from a flat start, polished once more with SLSQP only when its residuals
+stay above tolerance.
 
 ``simulate_plan`` solves each distinct island once per replay: with one
 repair per period most islands recur unchanged, and the solve depends
-only on the island, the case, the penalty and the tolerance, all fixed
-within one replay. The state, the residuals and the convergence check
-still run in every period. The replay also pins every loaded OpenBLAS to
+only on the island, the case and the tolerance, all fixed within one
+replay. The state, the residuals and the convergence check still run in
+every period. The replay also pins every loaded OpenBLAS to
 one thread: SLSQP's dense products are too small to gain from more, and
 a fixed count keeps the last digits of the results independent of the
 host's core count and of ``OPENBLAS_NUM_THREADS``.
@@ -33,12 +36,13 @@ from pathlib import Path
 import numpy as np
 import scipy.optimize as sopt
 
-from .errors import GridRestoreError
-from .model import Network
-from .rop import DamageSets, RestorationPlan, component_key
+from .errors import CaseValidationError, GridRestoreError
+from .model import Network, _radiality_violations
+from .rop import DamageSets, RestorationPlan, gates
 from .scenarios import EffectiveCase
 
-DEFAULT_PENALTY_WEIGHT = 1.0
+# Objective weight of the soft voltage floor's slack, per unit of voltage.
+PENALTY_WEIGHT = 1.0
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 
@@ -54,12 +58,15 @@ class Island:
 
 @dataclass
 class AcOpfProblem:
-    """One period of the implementation problem, statuses fixed."""
+    """One period of the implementation problem, statuses fixed.
+
+    ``energized`` holds the keys of the damaged components back in service.
+    A meshed or disconnected network raises ``CaseValidationError``.
+    """
 
     case: EffectiveCase
-    z_bar: dict[str, int]
+    energized: set[str]
     period: int
-    penalty_weight: float = DEFAULT_PENALTY_WEIGHT
 
     energized_bus_ids: frozenset[int] = field(init=False)
     energized_line_ids: frozenset[int] = field(init=False)
@@ -69,76 +76,66 @@ class AcOpfProblem:
 
     def __post_init__(self):
         net = self.case.network
-        self.energized_bus_ids = frozenset(
-            b.id
-            for b in net.buses
-            if not b.damaged or self.z_bar.get(component_key("bus", b.id), 0)
-        )
-        self.energized_line_ids = frozenset(
-            l.id
-            for l in net.lines
-            if (not l.damaged or self.z_bar.get(component_key("line", l.id), 0))
-            and l.from_bus in self.energized_bus_ids
-            and l.to_bus in self.energized_bus_ids
-        )
-        self.energized_gen_ids = frozenset(
-            g.id
-            for g in net.generators
-            if (not g.damaged or self.z_bar.get(component_key("gen", g.id), 0))
-            and g.bus in self.energized_bus_ids
-        )
-        self.energized_demand_ids = frozenset(
-            d.id
-            for d in net.demands
-            if (not d.damaged or self.z_bar.get(component_key("demand", d.id), 0))
-            and d.bus in self.energized_bus_ids
-        )
+        violations = _radiality_violations(net)
+        if violations:
+            raise CaseValidationError(violations)
+        waits = gates(net)
+
+        def working(kind, elements) -> frozenset[int]:
+            return frozenset(
+                e.id for e in elements if self.energized.issuperset(waits[(kind, e.id)])
+            )
+
+        self.energized_bus_ids = working("bus", net.buses)
+        self.energized_line_ids = working("line", net.lines)
+        self.energized_gen_ids = working("gen", net.generators)
+        self.energized_demand_ids = working("demand", net.demands)
         self.islands = _split_islands(net, self)
 
 
 def _split_islands(net: Network, p: AcOpfProblem) -> tuple[Island, ...]:
-    adj: dict[int, list[tuple[int, int]]] = {b: [] for b in p.energized_bus_ids}
-    for l in net.lines:
-        if l.id in p.energized_line_ids:
-            adj[l.from_bus].append((l.to_bus, l.id))
-            adj[l.to_bus].append((l.from_bus, l.id))
-    seen: set[int] = set()
-    islands = []
-    ref_bus = net.reference_bus.id
-    for start in sorted(p.energized_bus_ids):
-        if start in seen:
+    """Energized buses grouped into islands by one walk down the feeder tree.
+
+    An energized bus joins its parent's island when the line between
+    them is energized, and otherwise starts an island of its own.
+    Islands come in the order of their smallest bus.
+    """
+    tree = net.tree
+    island_of: dict[int, int] = {}
+    buses: list[list[int]] = []
+    lines: list[list[int]] = []
+    for bid, parent, line in zip(tree.order, tree.parent, tree.up):
+        if bid not in p.energized_bus_ids:
             continue
-        stack, members, lines = [start], {start}, set()
-        while stack:
-            u = stack.pop()
-            for v, lid in adj[u]:
-                lines.add(lid)
-                if v not in members:
-                    members.add(v)
-                    stack.append(v)
-        seen |= members
+        if line is not None and line.id in p.energized_line_ids:
+            k = island_of[tree.order[parent]]
+            lines[k].append(line.id)
+        else:
+            k = len(buses)
+            buses.append([])
+            lines.append([])
+        island_of[bid] = k
+        buses[k].append(bid)
+    ref_bus = tree.order[0]
+    islands = []
+    for k, (members, island_lines) in enumerate(zip(buses, lines)):
         gens = tuple(
-            g.id
-            for g in net.generators
-            if g.id in p.energized_gen_ids and g.bus in members
+            g.id for g in net.generators if g.id in p.energized_gen_ids and island_of[g.bus] == k
         )
         demands = tuple(
-            d.id
-            for d in net.demands
-            if d.id in p.energized_demand_ids and d.bus in members
+            d.id for d in net.demands if d.id in p.energized_demand_ids and island_of[d.bus] == k
         )
-        reference = ref_bus if ref_bus in members else min(members)
         islands.append(
             Island(
                 buses=tuple(sorted(members)),
-                lines=tuple(sorted(lines)),
+                lines=tuple(sorted(island_lines)),
                 generators=gens,
                 demands=demands,
                 live=bool(gens),
-                reference=reference,
+                reference=ref_bus if members[0] == ref_bus else min(members),
             )
         )
-    return tuple(islands)
+    return tuple(sorted(islands, key=lambda island: island.buses[0]))
 
 
 @dataclass
@@ -303,10 +300,9 @@ class _LineBlock:
 class _IslandNlp:
     """Load-shedding AC OPF over one live island."""
 
-    def __init__(self, net: Network, island: Island, penalty: float):
+    def __init__(self, net: Network, island: Island):
         self.net = net
         self.island = island
-        self.penalty = penalty
         self.buses = [net.bus_by_id[b] for b in island.buses]
         self.bus_index = {b: k for k, b in enumerate(island.buses)}
         self.lines = [net.line_by_id[l] for l in island.lines]
@@ -358,7 +354,7 @@ class _IslandNlp:
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_var)
         c[self.ix] = -self.pd  # minimize the negative of served power
-        c[self.ivt] = self.penalty
+        c[self.ivt] = PENALTY_WEIGHT
         return c
 
     def start_point(self) -> np.ndarray:
@@ -515,13 +511,12 @@ class _IslandNlp:
         return cons
 
 
-def build_rip_step(
-    case: EffectiveCase,
-    plan: RestorationPlan,
-    t: int,
-    penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
-) -> AcOpfProblem:
-    """Fix the plan's statuses at period t over the actual case."""
+def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfProblem:
+    """Fix the plan's statuses at period t over the actual case.
+
+    Raises ``CaseValidationError`` for a meshed or disconnected network,
+    whose islands no walk down the feeder tree finds.
+    """
     damaged_keys = set(DamageSets.from_network(case.network).component_keys())
     if damaged_keys != set(plan.energization):
         raise GridRestoreError(
@@ -529,9 +524,7 @@ def build_rip_step(
         )
     if not (0 <= t < plan.n_periods):
         raise GridRestoreError(f"period {t} outside plan horizon {plan.n_periods}")
-    energized = plan.energized_at(t)
-    z_bar = {k: (1 if k in energized else 0) for k in plan.energization}
-    return AcOpfProblem(case=case, z_bar=z_bar, period=t, penalty_weight=penalty_weight)
+    return AcOpfProblem(case=case, energized=plan.energized_at(t), period=t)
 
 
 def solve_ac_opf(
@@ -543,7 +536,7 @@ def solve_ac_opf(
     """Solve every live island; dead islands are fixed structurally.
 
     ``_solved`` maps islands to solutions of an earlier period of the same
-    replay (same case, penalty and tolerance); it is read and extended.
+    replay (same case and tolerance); it is read and extended.
     """
     solved = {} if _solved is None else _solved
     net = problem.case.network
@@ -575,7 +568,7 @@ def solve_ac_opf(
     for island in problem.islands:
         if not island.live:
             continue
-        nlp = _IslandNlp(net, island, problem.penalty_weight)
+        nlp = _IslandNlp(net, island)
         u = solved.get(island)
         if u is None:
             u = solved[island] = nlp.solve(tol)
@@ -596,9 +589,7 @@ def solve_ac_opf(
                 qfr[int(lid)] = float(f_q[idx])
                 qto[int(lid)] = float(f_qto[idx])
 
-    objective = sum(served[d.id] * d.p for d in net.demands) - problem.penalty_weight * sum(
-        vt.values()
-    )
+    objective = sum(served[d.id] * d.p for d in net.demands) - PENALTY_WEIGHT * sum(vt.values())
     state = AcState(
         v=v,
         theta=theta,
@@ -767,7 +758,6 @@ def simulate_plan(
     actual_case: EffectiveCase,
     plan: RestorationPlan,
     tol: float = DEFAULT_RESIDUAL_TOL,
-    penalty_weight: float = DEFAULT_PENALTY_WEIGHT,
     step_hours: float = 1.0,
 ) -> RipResult:
     """Solve every period of the horizon and aggregate.
@@ -780,7 +770,7 @@ def simulate_plan(
     with _one_blas_thread():
         states = [
             solve_ac_opf(
-                build_rip_step(actual_case, plan, t, penalty_weight=penalty_weight),
+                build_rip_step(actual_case, plan, t),
                 tol=tol,
                 _solved=solved,
             )

@@ -7,7 +7,9 @@ radial, so every energized island is a tree and any line flow inside the
 thermal bounds is realized by some bus angles: the model has flow columns
 but no angle columns, and a gated line is switched off by its thermal
 bound alone. At most one component comes back per period, on both
-solution paths.
+solution paths. A line, unit or demand is gated by the damaged
+components it waits for, itself and its damaged buses (:func:`gates`);
+the AC replay and the reconnection times read the same map.
 
 :func:`solve_rop` finds the exact optimum of an eligible instance by a
 subset dynamic program instead of the MILP search: only lines damaged,
@@ -56,9 +58,24 @@ def component_key(kind: str, ident: int) -> str:
     return f"{kind}:{ident}"
 
 
-def split_key(key: str) -> tuple[str, int]:
-    kind, _, ident = key.partition(":")
-    return kind, int(ident)
+def gates(network: Network) -> dict[tuple[str, int], tuple[str, ...]]:
+    """The keys of the damaged components each element waits for, by ``(kind, id)``.
+
+    An element works when it and its damaged buses are back: its own key
+    if it is damaged, then its damaged buses, a line's from bus first.
+    Every bus, line, generator (``gen``) and demand has an entry.
+    """
+    bus_down = {b.id for b in network.buses if b.damaged}
+
+    def waits(kind, element, *buses):
+        keys = [component_key(kind, element.id)] if element.damaged else []
+        return tuple(keys + [component_key("bus", i) for i in buses if i in bus_down])
+
+    out = {("bus", b.id): waits("bus", b) for b in network.buses}
+    out.update({("line", l.id): waits("line", l, l.from_bus, l.to_bus) for l in network.lines})
+    out.update({("gen", g.id): waits("gen", g, g.bus) for g in network.generators})
+    out.update({("demand", d.id): waits("demand", d, d.bus) for d in network.demands})
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,6 @@ class RestorationPlan:
     schedule: tuple[tuple[str, ...], ...]
     energization: dict[str, int]
     objective_mwh: float
-    demand_ids: tuple[int, ...] = ()
     served_fraction: np.ndarray | None = None  # demands x periods
     optimal: bool = True
     gap: float = 0.0
@@ -124,7 +140,8 @@ class RestorationPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RestorationPlan":
-        """Parse a saved plan; missing or ill-typed keys raise CaseFormatError."""
+        """Parse a saved plan; missing or ill-typed keys raise CaseFormatError,
+        and so does a schedule that is not the energization grouped by period."""
         try:
             schedule, energization = raw["schedule"], raw["energization"]
             if not isinstance(schedule, list) or not all(
@@ -134,7 +151,7 @@ class RestorationPlan:
                 raise TypeError("'schedule' must be a list of lists of component keys")
             if not isinstance(energization, dict):
                 raise TypeError("'energization' must map component keys to periods")
-            return cls(
+            plan = cls(
                 schedule=tuple(tuple(p) for p in schedule),
                 energization={str(k): int(v) for k, v in energization.items()},
                 objective_mwh=float(raw["objective_mwh"]),
@@ -145,6 +162,14 @@ class RestorationPlan:
             raise CaseFormatError(f"plan is missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CaseFormatError(f"plan has an ill-typed value: {exc}") from exc
+        for key, t in plan.energization.items():
+            if not 0 <= t < plan.n_periods:
+                raise CaseFormatError(f"plan energizes {key} in period {t}, outside its schedule")
+        for t, listed in enumerate(plan.schedule):
+            due = sorted(k for k, first in plan.energization.items() if first == t)
+            if sorted(listed) != due:
+                raise CaseFormatError(f"plan schedule period {t} lists {sorted(listed)}, not {due}")
+        return plan
 
     @classmethod
     def load(cls, path) -> "RestorationPlan":
@@ -197,11 +222,6 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
             f"{damage.total} components at one per period"
         )
 
-    damaged_buses = set(damage.buses)
-    damaged_lines = set(damage.lines)
-    damaged_gens = set(damage.generators)
-    damaged_demands = set(damage.demands)
-
     T = time.n_periods
     dt = time.step_hours
     b = ProblemBuilder(maximize=True)
@@ -212,12 +232,13 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
         problem=None,  # set after build
     )
 
+    waits = gates(net)
     z_keys = damage.component_keys()
     for t in range(T):
         for d in net.demands:
             inst.x_col[(d.id, t)] = b.add_column(0.0, 1.0, obj=d.p * dt)
         for g in net.generators:
-            gated = g.damaged or g.bus in damaged_buses
+            gated = bool(waits[("gen", g.id)])
             lo = min(g.p_min, 0.0) if gated else g.p_min
             hi = max(g.p_max, 0.0) if gated else g.p_max
             inst.pg_col[(g.id, t)] = b.add_column(lo, hi)
@@ -227,16 +248,6 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
             # the final period is fixed: everything must be back in service
             lo = 1.0 if t == T - 1 else 0.0
             inst.z_col[(key, t)] = b.add_column(lo, 1.0, integer=True)
-
-    def gates(line) -> list[tuple[str, int]]:
-        out = []
-        if line.id in damaged_lines:
-            out.append(("line", line.id))
-        if line.from_bus in damaged_buses:
-            out.append(("bus", line.from_bus))
-        if line.to_bus in damaged_buses:
-            out.append(("bus", line.to_bus))
-        return out
 
     for t in range(T):
         # nodal balance
@@ -253,32 +264,22 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
 
         # a gated line carries no flow until every gate closes
         for l in net.lines:
-            for kind, ident in gates(l):
-                zc = inst.z_col[(component_key(kind, ident), t)]
+            for key in waits[("line", l.id)]:
+                zc = inst.z_col[(key, t)]
                 b.add_row({inst.pl_col[(l.id, t)]: 1.0, zc: -l.thermal_limit}, upper=0.0)
                 b.add_row({inst.pl_col[(l.id, t)]: 1.0, zc: l.thermal_limit}, lower=0.0)
 
         # generator limits gated by own and bus energization
         for g in net.generators:
-            g_gates = []
-            if g.damaged:
-                g_gates.append(("gen", g.id))
-            if g.bus in damaged_buses:
-                g_gates.append(("bus", g.bus))
-            for kind, ident in g_gates:
-                zc = inst.z_col[(component_key(kind, ident), t)]
+            for key in waits[("gen", g.id)]:
+                zc = inst.z_col[(key, t)]
                 b.add_row({inst.pg_col[(g.id, t)]: 1.0, zc: -g.p_max}, upper=0.0)
                 b.add_row({inst.pg_col[(g.id, t)]: 1.0, zc: -g.p_min}, lower=0.0)
 
         # demand service gated by own and bus energization
         for d in net.demands:
-            d_gates = []
-            if d.id in damaged_demands:
-                d_gates.append(("demand", d.id))
-            if d.bus in damaged_buses:
-                d_gates.append(("bus", d.bus))
-            for kind, ident in d_gates:
-                zc = inst.z_col[(component_key(kind, ident), t)]
+            for key in waits[("demand", d.id)]:
+                zc = inst.z_col[(key, t)]
                 b.add_row({inst.x_col[(d.id, t)]: 1.0, zc: -1.0}, upper=0.0)
 
         # at most one new energization per period, none in period 0
@@ -296,17 +297,17 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
             )
 
     # components attached to a damaged bus wait for the bus
-    for bus_id in damaged_buses:
+    for bus_id in set(damage.buses):
         bus_key = component_key("bus", bus_id)
         attached = []
         for l in net.lines_at.get(bus_id, ()):
-            if l.id in damaged_lines:
+            if l.damaged:
                 attached.append(component_key("line", l.id))
         for g in net.generators_at.get(bus_id, ()):
-            if g.id in damaged_gens:
+            if g.damaged:
                 attached.append(component_key("gen", g.id))
         for d in net.demands_at.get(bus_id, ()):
-            if d.id in damaged_demands:
+            if d.damaged:
                 attached.append(component_key("demand", d.id))
         for key in attached:
             for t in range(T):
@@ -443,44 +444,35 @@ def _served_power(network: Network) -> np.ndarray:
 
 
 class _FeederTree:
-    """A radial feeder rooted at its reference bus, buses in breadth-first order.
+    """Per-bus arrays of the DP over ``network.tree``, in its bus order.
 
-    The undamaged lines contract the feeder into K + 1 segments, also
-    numbered breadth-first, so segment 0 holds the reference bus and
-    every damaged line opens a new segment below its parent segment.
-    Per bus: ``parent`` (position, -1 at the root), ``seg``, ``cap`` (the
-    thermal limit of the line to the parent), ``supply`` (summed
-    ``p_max``) and ``load``. Per segment: ``seg_parent`` and ``seg_top``,
-    the index of the damaged line above it (-1 at the root).
+    The undamaged lines contract the feeder into K + 1 segments, numbered
+    breadth-first, so segment 0 holds the reference bus and every damaged
+    line opens a new segment below its parent segment. Per bus:
+    ``parent`` (``network.tree.parent``), ``seg``, ``cap`` (the thermal
+    limit of the line to the parent), ``supply`` (summed ``p_max``) and
+    ``load``. Per segment: ``seg_parent`` and ``seg_top``, the index of
+    the damaged line above it (-1 at the root).
     """
 
     def __init__(self, network: Network):
+        tree = network.tree
         damaged = {l.id: k for k, l in enumerate(l for l in network.lines if l.damaged)}
-        order = [network.reference_bus.id]
-        self.parent, self.seg, cap = [-1], [0], [np.inf]
+        self.parent, self.seg = tree.parent, [0]
         self.seg_parent, self.seg_top = [-1], [-1]
-        seen = set(order)
-        for pos, bid in enumerate(order):
-            for line in network.lines_at.get(bid, ()):
-                other = line.to_bus if line.from_bus == bid else line.from_bus
-                if other in seen:
-                    continue
-                seen.add(other)
-                order.append(other)
-                self.parent.append(pos)
-                cap.append(line.thermal_limit)
-                if line.id in damaged:
-                    self.seg.append(len(self.seg_top))
-                    self.seg_parent.append(self.seg[pos])
-                    self.seg_top.append(damaged[line.id])
-                else:
-                    self.seg.append(self.seg[pos])
-        self.cap = np.asarray(cap)
+        for line, pos in zip(tree.up[1:], tree.parent[1:]):
+            if line.id in damaged:
+                self.seg.append(len(self.seg_top))
+                self.seg_parent.append(self.seg[pos])
+                self.seg_top.append(damaged[line.id])
+            else:
+                self.seg.append(self.seg[pos])
+        self.cap = np.array([np.inf] + [line.thermal_limit for line in tree.up[1:]])
         self.supply = np.array(
-            [sum(g.p_max for g in network.generators_at.get(b, ())) for b in order]
+            [sum(g.p_max for g in network.generators_at.get(b, ())) for b in tree.order]
         )
         self.load = np.array(
-            [sum(d.p for d in network.demands_at.get(b, ())) for b in order]
+            [sum(d.p for d in network.demands_at.get(b, ())) for b in tree.order]
         )
 
 
@@ -535,7 +527,6 @@ def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
         schedule=schedule,
         energization=energization,
         objective_mwh=float(sol.objective) * base,
-        demand_ids=tuple(d.id for d in demands),
         served_fraction=x,
         optimal=sol.status == "optimal",
         gap=float(sol.gap or 0.0),

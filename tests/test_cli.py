@@ -96,6 +96,19 @@ def _plan_with_string_schedule(d, env):
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
+def _plan_energizes_outside_schedule(d, env):
+    plan = {"schedule": [[], ["line:2"]], "energization": {"line:2": 2}, "objective_mwh": 0.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _plan_schedule_disagrees_with_energization(d, env):
+    plan = {"schedule": [[], ["line:2"], []], "energization": {"line:2": 2},
+            "objective_mwh": 0.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
 def _zero_horizon(d, env):
     return ["plan", "--horizon", "0"]
 
@@ -143,6 +156,8 @@ def _jobs_variable_not_int(d, env):
         _damage_not_json,
         _plan_without_schedule,
         _plan_with_string_schedule,
+        _plan_energizes_outside_schedule,
+        _plan_schedule_disagrees_with_energization,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,
         _line_without_susceptance,

@@ -108,6 +108,30 @@ def test_reconnection_group_averages():
     assert rep.hours(2) == 4.0
 
 
+def _ordered_plan(*keys):
+    return RestorationPlan(
+        schedule=((),) + tuple((k,) for k in keys),
+        energization={k: t + 1 for t, k in enumerate(keys)},
+        objective_mwh=0.0,
+    )
+
+
+def test_reconnection_waits_for_damaged_bus_and_demand():
+    net = chain3(damage=(1, 2))
+    net = replace(net, buses=(net.buses[0], replace(net.buses[1], damaged=True), net.buses[2]))
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    # demand 1 sits on bus 2; bus 3 hangs below bus 2 on line 2
+    plan = _ordered_plan("line:1", "line:2", "bus:2")
+    assert reconnection_times(plan, case).period_by_demand == {1: 3, 2: 3}
+    plan = _ordered_plan("bus:2", "line:1", "line:2")
+    assert reconnection_times(plan, case).period_by_demand == {1: 2, 2: 3}
+    # a damaged demand also waits for its own repair
+    net = replace(net, demands=(net.demands[0], replace(net.demands[1], damaged=True)))
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    plan = _ordered_plan("bus:2", "line:1", "line:2", "demand:2")
+    assert reconnection_times(plan, case).period_by_demand == {1: 2, 2: 4}
+
+
 def test_reconnection_reports_never_connected():
     case = chain_case()
     bad_plan = RestorationPlan(

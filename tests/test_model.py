@@ -15,7 +15,6 @@ from gridrestore.model import (
     load_case,
     network_from_dict,
     network_to_dict,
-    reachable_buses,
     save_case,
     time_grid_for,
     validate,
@@ -160,11 +159,18 @@ def test_round_trip_on_random_networks(tmp_path):
         assert again == net
 
 
-def test_reachability_respects_damage(storm_network):
-    all_on = reachable_buses(storm_network, ignore_damage=True)
-    assert all_on == set(b.id for b in storm_network.buses)
-    initial = reachable_buses(storm_network, energized_lines=set())
-    assert initial == {1, 2, 4, 5, 6}
+def test_feeder_tree_spans_every_bus(storm_network):
+    rng = np.random.RandomState(5)
+    for net in [storm_network] + [random_radial(rng) for _ in range(5)]:
+        tree = net.tree
+        assert tree.order[0] == net.reference_bus.id
+        assert sorted(tree.order) == sorted(b.id for b in net.buses)
+        assert tree.parent[0] == -1 and tree.up[0] is None
+        for k in range(1, len(tree.order)):
+            assert tree.parent[k] < k  # parents come first
+            ends = {tree.up[k].from_bus, tree.up[k].to_bus}
+            assert ends == {tree.order[k], tree.order[tree.parent[k]]}
+        assert sorted(l.id for l in tree.up[1:]) == sorted(l.id for l in net.lines)
 
 
 def test_time_grid_sizing(storm_network):

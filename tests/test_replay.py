@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gridrestore import replay
-from gridrestore.errors import GridRestoreError
-from gridrestore.model import Bus, Demand, Generator, Network, TimeGrid
+from gridrestore.errors import CaseValidationError, GridRestoreError
+from gridrestore.metrics import reconnection_times
+from gridrestore.model import Bus, Demand, Generator, Line, Network, TimeGrid
 from gridrestore.replay import (
     _IslandNlp,
     build_rip_step,
@@ -13,10 +14,10 @@ from gridrestore.replay import (
     simulate_plan,
     solve_ac_opf,
 )
-from gridrestore.rop import RestorationPlan, build_rop, rop_ens_mwh, solve_rop
+from gridrestore.rop import DamageSets, RestorationPlan, build_rop, rop_ens_mwh, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
-from helpers import PF_Q, chain3, simple_line, substation, two_bus
+from helpers import PF_Q, chain3, random_der_feeder, simple_line, substation, two_bus
 
 NO_DER = DerPlacement("none", ())
 
@@ -186,20 +187,96 @@ def test_damaged_demand_and_generator_gating():
     assert late.served[1] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_penalty_weight_only_scales_dead_island_cost():
-    # shed decisions should not depend on the violation weight at these scales
+def test_dead_island_penalty_counts_dead_bus_periods():
     net = chain3(damage=(1, 2))
     case = apply_der_mode(net, NO_DER, DerMode.BASE)
-    plan = fixed_plan([1, 2])
-    baseline = None
-    for weight in (0.5, 1.0, 2.0):
-        result = simulate_plan(case, plan, penalty_weight=weight)
-        if baseline is None:
-            baseline = result.ens_mwh
-        assert result.ens_mwh == pytest.approx(baseline, abs=1e-7)
-        # two dead buses in period 0, one in period 1, none in period 2
-        dead_penalty = sum(sum(s.v_violation.values()) for s in result.states)
-        assert dead_penalty == pytest.approx(0.9 * 3, abs=1e-5)
+    result = simulate_plan(case, fixed_plan([1, 2]))
+    # two dead buses in period 0, one in period 1, none in period 2
+    dead_penalty = sum(sum(s.v_violation.values()) for s in result.states)
+    assert dead_penalty == pytest.approx(0.9 * 3, abs=1e-5)
+
+
+KEY_KIND = {Bus: "bus", Line: "line", Generator: "gen", Demand: "demand"}
+
+
+def _union_find_islands(net, energized):
+    """Connected components of the working buses and lines, by union-find."""
+    def works(element, *buses):
+        key = f"{KEY_KIND[type(element)]}:{element.id}"
+        return (not element.damaged or key in energized) and all(bus_works[b] for b in buses)
+
+    bus_works = {b.id: works(b) for b in net.buses}
+    root = {b: b for b, on in bus_works.items() if on}
+
+    def find(b):
+        while root[b] != b:
+            b = root[b]
+        return b
+
+    on_lines = [l for l in net.lines if works(l, l.from_bus, l.to_bus)]
+    for l in on_lines:
+        root[find(l.from_bus)] = find(l.to_bus)
+    members = {}
+    for b in sorted(root):
+        members.setdefault(find(b), []).append(b)
+    ref = net.reference_bus.id
+    islands = []
+    for buses in sorted(members.values()):
+        gens = tuple(g.id for g in net.generators if g.bus in buses and works(g, g.bus))
+        islands.append(replay.Island(
+            buses=tuple(buses),
+            lines=tuple(sorted(l.id for l in on_lines if l.from_bus in buses)),
+            generators=gens,
+            demands=tuple(d.id for d in net.demands if d.bus in buses and works(d, d.bus)),
+            live=bool(gens),
+            reference=ref if ref in buses else buses[0],
+        ))
+    return tuple(islands)
+
+
+def test_islands_are_the_connected_components_of_working_elements():
+    rng = np.random.RandomState(21)
+    for _ in range(20):
+        net = random_der_feeder(rng)
+        net = replace(
+            net,
+            buses=tuple(replace(b, damaged=rng.rand() < 0.25) for b in net.buses),
+            # either end of a line may face the substation
+            lines=tuple(
+                replace(l, from_bus=l.to_bus, to_bus=l.from_bus) if rng.rand() < 0.5 else l
+                for l in net.lines
+            ),
+            generators=tuple(
+                replace(g, kind=g.kind if g.kind == "substation" else "utility_der",
+                        damaged=rng.rand() < 0.3)
+                for g in net.generators
+            ),
+            demands=tuple(replace(d, damaged=rng.rand() < 0.25) for d in net.demands),
+        )
+        keys = DamageSets.from_network(net).component_keys()
+        on = tuple(k for k in keys if rng.rand() < 0.5)
+        off = tuple(k for k in keys if k not in on)
+        plan = RestorationPlan(
+            schedule=(on, off),
+            energization={k: int(k in off) for k in keys},
+            objective_mwh=0.0,
+        )
+        problem = build_rip_step(apply_der_mode(net, NO_DER, DerMode.BASE), plan, 0)
+        assert problem.islands == _union_find_islands(net, set(on))
+
+
+def test_replay_and_reconnection_reject_meshed_network():
+    loop = Network(
+        buses=(Bus(1, is_reference=True), Bus(2), Bus(3)),
+        lines=(simple_line(1, 1, 2), simple_line(2, 2, 3), simple_line(3, 3, 1)),
+        generators=(substation(),),
+        demands=(Demand(1, 2, 1.0, PF_Q), Demand(2, 3, 1.0, PF_Q)),
+    )
+    case = apply_der_mode(loop, NO_DER, DerMode.BASE)
+    with pytest.raises(CaseValidationError, match="radiality"):
+        build_rip_step(case, fixed_plan([]), 0)
+    with pytest.raises(CaseValidationError, match="radiality"):
+        reconnection_times(fixed_plan([]), case)
 
 
 def test_matched_base_equality_on_random_feeders():
@@ -260,7 +337,7 @@ def _chain_island_nlp():
     case = apply_der_mode(chain3(damage=()), NO_DER, DerMode.BASE)
     problem = build_rip_step(case, fixed_plan([]), 0)
     (island,) = problem.islands
-    return _IslandNlp(case.network, island, problem.penalty_weight)
+    return _IslandNlp(case.network, island)
 
 
 def _scripted_minimize(monkeypatch, results):
@@ -446,7 +523,7 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     damaged = sorted(l.id for l in storm_network.lines if l.damaged)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
     # without lines only the unit and demand terms remain
-    nlp = _IslandNlp(case.network, replace(island, lines=()), 1.0)
+    nlp = _IslandNlp(case.network, replace(island, lines=()))
     assert len(set(nlp.gen_rows)) < nlp.ng  # some bus hosts several units
     rng = np.random.default_rng(7)
     for _ in range(5):
