@@ -11,9 +11,9 @@ can also be supplied through an environment variable named
 win, and a malformed numeric variable is an error only for the commands
 that read it. Outputs are deterministic: repeated runs produce
 byte-identical files except for the ``meta`` block in JSON outputs,
-which carries the timestamp. The AC replay runs on one BLAS thread
-whatever ``OPENBLAS_NUM_THREADS`` or the core count is, so neither
-changes its values.
+which carries the timestamp. The AC replay solves its islands on every
+usable core, each on one BLAS thread whatever ``OPENBLAS_NUM_THREADS``
+is, so neither the core count nor that variable changes its values.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{name}", type=cast, help=text)
 
     def unused_jobs(sp):
-        sp.add_argument("--jobs", dest="unused_jobs", help="no effect: this command runs in one process")
+        sp.add_argument("--jobs", dest="unused_jobs", help="no effect: only sweep reads a worker count")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
     common(sp, ("horizon", "gap"))

@@ -16,11 +16,16 @@ stay above tolerance.
 ``simulate_plan`` solves each distinct island once per replay: with one
 repair per period most islands recur unchanged, and the solve depends
 only on the island, the case and the tolerance, all fixed within one
-replay. The state, the residuals and the convergence check still run in
-every period. The replay also pins every loaded OpenBLAS to
-one thread: SLSQP's dense products are too small to gain from more, and
-a fixed count keeps the last digits of the results independent of the
-host's core count and of ``OPENBLAS_NUM_THREADS``.
+replay. It builds every period first, then solves the distinct live
+islands on every CPU the process may use, one forked worker per CPU
+(in-process when that is one CPU, the platform cannot fork or other
+threads run). The
+state, the residuals and the convergence check still run in every
+period, in the calling process. The replay also pins every loaded
+OpenBLAS to one thread, in the workers too: SLSQP's dense products are
+too small to gain from more, and a fixed count keeps the last digits of
+the results independent of the host's core count, of the worker count
+and of ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ import csv
 import ctypes
 import json
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -535,7 +543,7 @@ def solve_ac_opf(
 ) -> AcState:
     """Solve every live island; dead islands are fixed structurally.
 
-    ``_solved`` maps islands to solutions of an earlier period of the same
+    ``_solved`` maps islands to solutions already found in the same
     replay (same case and tolerance); it is read and extended.
     """
     solved = {} if _solved is None else _solved
@@ -754,6 +762,48 @@ def _one_blas_thread():
             set_threads(n)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (network, islands, tol) of the replay a forked pool worker serves
+_worker_job: tuple = ()
+
+
+def _start_worker(net: Network, islands: list[Island], tol: float) -> None:
+    global _worker_job
+    _worker_job = (net, islands, tol)
+
+
+def _solve_nth_island(k: int) -> np.ndarray:
+    net, islands, tol = _worker_job
+    return _IslandNlp(net, islands[k]).solve(tol)
+
+
+def _solve_islands(net: Network, islands: list[Island], tol: float) -> dict[Island, np.ndarray]:
+    """Each island's solution, one forked worker per usable CPU.
+
+    Workers take one island at a time in the given order; a worker's
+    exception is raised here. The islands are solved in this process
+    when one worker suffices, when the platform cannot fork, or when
+    other threads run here, since a fork copies any lock they hold.
+    """
+    workers = min(_usable_cpus(), len(islands))
+    if (
+        workers <= 1
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return {island: _IslandNlp(net, island).solve(tol) for island in islands}
+    fork = multiprocessing.get_context("fork")
+    with fork.Pool(workers, _start_worker, (net, islands, tol)) as pool:
+        solutions = pool.map(_solve_nth_island, range(len(islands)), chunksize=1)
+    return dict(zip(islands, solutions))
+
+
 def simulate_plan(
     actual_case: EffectiveCase,
     plan: RestorationPlan,
@@ -762,20 +812,18 @@ def simulate_plan(
 ) -> RipResult:
     """Solve every period of the horizon and aggregate.
 
-    Periods are independent; an island that recurs is solved once per
-    call, and the call runs on one BLAS thread (see the module docstring).
+    Periods are independent. The call solves each distinct live island
+    once, on every usable CPU and one BLAS thread per process, and the
+    outputs do not depend on the CPU count (see the module docstring).
     """
     net = actual_case.network
-    solved: dict[Island, np.ndarray] = {}
     with _one_blas_thread():
-        states = [
-            solve_ac_opf(
-                build_rip_step(actual_case, plan, t),
-                tol=tol,
-                _solved=solved,
-            )
-            for t in range(plan.n_periods)
-        ]
+        problems = [build_rip_step(actual_case, plan, t) for t in range(plan.n_periods)]
+        islands = [island for p in problems for island in p.islands if island.live]
+        # first appearance first: on the bundled cases this finishes sooner
+        # than largest first, as period 0's stalling 2-bus islands start early
+        solved = _solve_islands(net, list(dict.fromkeys(islands)), tol)
+        states = [solve_ac_opf(problem, tol=tol, _solved=solved) for problem in problems]
     demand_ids = tuple(d.id for d in net.demands)
     x = np.array(
         [[s.served[did] for s in states] for did in demand_ids], dtype=float

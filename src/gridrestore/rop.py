@@ -297,7 +297,7 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
             )
 
     # components attached to a damaged bus wait for the bus
-    for bus_id in set(damage.buses):
+    for bus_id in damage.buses:
         bus_key = component_key("bus", bus_id)
         attached = []
         for l in net.lines_at.get(bus_id, ()):

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from gridrestore import datasets
@@ -27,3 +29,11 @@ def uniform_placement():
 @pytest.fixture(scope="session")
 def clustered_placement():
     return datasets.bundled_placement("clustered")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_worker_processes():
+    """Fail the run if any test leaves a worker process behind."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"worker processes outlived the tests: {leaked}"

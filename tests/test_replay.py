@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from gridrestore import replay
 from gridrestore.errors import CaseValidationError, GridRestoreError
 from gridrestore.metrics import reconnection_times
-from gridrestore.model import Bus, Demand, Generator, Line, Network, TimeGrid
+from gridrestore.model import Bus, Demand, Generator, Line, Network, TimeGrid, time_grid_for
 from gridrestore.replay import (
     _IslandNlp,
     build_rip_step,
@@ -424,42 +427,124 @@ def _spur_feeder_case():
     return case, plan, live
 
 
-def _record_island_solves(monkeypatch):
+def _record_island_solves(monkeypatch, path):
+    """Log each island solve to ``path``, from this process or a forked worker.
+
+    Returns a function that takes the solves logged since its last call,
+    as ``(pid, repr(island))`` pairs.
+    """
     solve = _IslandNlp.solve
-    solved = []
 
     def recording(self, tol):
-        solved.append(self.island)
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {self.island!r}\n")
         return solve(self, tol)
 
     monkeypatch.setattr(_IslandNlp, "solve", recording)
-    return solved
+
+    def take():
+        lines = path.read_text().splitlines() if path.exists() else []
+        path.write_text("")
+        return [(int(pid), island) for pid, island in (line.split(" ", 1) for line in lines)]
+
+    return take
 
 
-def test_replay_solves_each_distinct_island_once(monkeypatch):
+def _assert_solved(solves, islands, cpus):
+    """Each island solved as listed: in order in this process with one
+    CPU, in any order and only in pool workers with more."""
+    pids = {pid for pid, _ in solves}
+    logged = [island for _, island in solves]
+    expected = [repr(island) for island in islands]
+    if cpus == 1:
+        assert pids <= {os.getpid()} and logged == expected
+    else:
+        assert os.getpid() not in pids and sorted(logged) == sorted(expected)
+
+
+def test_replay_solves_each_distinct_island_once(monkeypatch, tmp_path):
     case, plan, live = _spur_feeder_case()
-    solved = _record_island_solves(monkeypatch)
-    opf = replay.solve_ac_opf
+    take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
     # reference: every period solved on its own, with no islands shared
-    monkeypatch.setattr(replay, "solve_ac_opf", lambda problem, tol, **_: opf(problem, tol))
-    reference = simulate_plan(case, plan)
-    assert solved == live
-    solved.clear()
-    monkeypatch.setattr(replay, "solve_ac_opf", opf)
-    result = simulate_plan(case, plan)
-    assert solved == list(dict.fromkeys(live))
-    assert result.to_dict() == reference.to_dict()
-    np.testing.assert_array_equal(result.served_fraction, reference.served_fraction)
-    assert result.converged
+    with replay._one_blas_thread():
+        reference = [solve_ac_opf(build_rip_step(case, plan, t)) for t in range(plan.n_periods)]
+    _assert_solved(take_solves(), live, cpus=1)
+    for cpus in (1, 2):  # in-process, then on the pool
+        monkeypatch.setattr(replay, "_usable_cpus", lambda: cpus)
+        result = simulate_plan(case, plan)
+        _assert_solved(take_solves(), dict.fromkeys(live), cpus)
+        assert [s.to_dict() for s in result.states] == [s.to_dict() for s in reference]
+        assert result.converged
 
 
-def test_island_solutions_do_not_outlive_a_replay(monkeypatch):
+def test_island_solutions_do_not_outlive_a_replay(monkeypatch, tmp_path):
     case, plan, live = _spur_feeder_case()
-    solved = _record_island_solves(monkeypatch)
-    first = simulate_plan(case, plan)
-    second = simulate_plan(case, plan)
-    assert solved == 2 * list(dict.fromkeys(live))
-    assert first.to_dict() == second.to_dict()
+    take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
+    for cpus in (1, 2):  # in-process, then on the pool
+        monkeypatch.setattr(replay, "_usable_cpus", lambda: cpus)
+        first = simulate_plan(case, plan)
+        second = simulate_plan(case, plan)
+        _assert_solved(take_solves(), 2 * list(dict.fromkeys(live)), cpus)
+        assert first.to_dict() == second.to_dict()
+
+
+def test_pooled_replay_matches_in_process_replay(
+    monkeypatch, tmp_path, storm_network, clustered_placement
+):
+    # the community cell has every island size and two 2-bus islands
+    # whose solves stall at SLSQP's iteration limits
+    assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
+    plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
+    case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
+    islands = dict.fromkeys(
+        island
+        for t in range(plan.n_periods)
+        for island in build_rip_step(case, plan, t).islands
+        if island.live
+    )
+    take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
+    results = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(replay, "_usable_cpus", lambda: cpus)
+        results[cpus] = simulate_plan(case, plan)
+        _assert_solved(take_solves(), islands, cpus)
+    pooled, in_process = results[2], results[1]
+    assert pooled.to_dict() == in_process.to_dict()
+    np.testing.assert_array_equal(pooled.served_fraction, in_process.served_fraction)
+
+
+def test_replay_beside_another_thread_solves_in_process(monkeypatch, tmp_path):
+    case, plan, live = _spur_feeder_case()
+    take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
+    monkeypatch.setattr(replay, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        simulate_plan(case, plan)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    _assert_solved(take_solves(), dict.fromkeys(live), cpus=1)
+
+
+def test_island_solve_error_reaches_the_caller(monkeypatch):
+    case, plan, live = _spur_feeder_case()
+    failing = live[-1]
+    solve = _IslandNlp.solve
+
+    def fail_one(self, tol):
+        if self.island == failing:
+            raise FloatingPointError(f"island {self.island.buses} failed")
+        return solve(self, tol)
+
+    monkeypatch.setattr(replay, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_IslandNlp, "solve", fail_one)
+    with pytest.raises(FloatingPointError) as raised:
+        simulate_plan(case, plan)
+    assert str(raised.value) == f"island {failing.buses} failed"
+    assert multiprocessing.active_children() == []
 
 
 def test_replay_runs_on_one_blas_thread(monkeypatch):
@@ -483,9 +568,18 @@ def test_replay_runs_on_one_blas_thread(monkeypatch):
         inside.append(counts())
         raise RuntimeError("period failed")
 
+    solve = _IslandNlp.solve
+
+    def solve_on_one_thread(self, tol):
+        # runs in the pool's forked workers
+        assert counts() == [1] * len(controls)
+        return solve(self, tol)
+
     try:
         for _, set_threads in controls:
             set_threads(2)
+        monkeypatch.setattr(replay, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_IslandNlp, "solve", solve_on_one_thread)
         monkeypatch.setattr(replay, "solve_ac_opf", probe)
         simulate_plan(case, fixed_plan([1, 2]))
         assert counts() == [2] * len(controls)

@@ -199,6 +199,41 @@ def test_damaged_bus_precedence():
     assert plan.objective_mwh == pytest.approx(4.0, abs=1e-7)
 
 
+def test_attached_rows_follow_damaged_bus_order():
+    # {2, 9} iterates 9 first as a Python set; network order is 2, then 9
+    n = 10
+    net = Network(
+        buses=tuple(Bus(i, is_reference=(i == 1), damaged=i in (2, 9)) for i in range(1, n + 1)),
+        lines=tuple(simple_line(i, i, i + 1, damaged=i in (1, 2, 8, 9)) for i in range(1, n)),
+        generators=(substation(),),
+        demands=tuple(
+            Demand(i, i, 0.1, 0.1 * PF_Q, damaged=i == 9) for i in range(2, n + 1)
+        ),
+    )
+    inst = build_rop(as_case(net), TimeGrid(9))
+    assert inst.damage.buses == (2, 9)
+    key_of = {j: key for (key, _), j in inst.z_col.items()}
+    lp = inst.problem.lp
+    entries = {}
+    for r, c, v in zip(lp.a_rows, lp.a_cols, lp.a_vals):
+        entries.setdefault(int(r), []).append((key_of.get(int(c)), float(v)))
+    waits = []  # (bus, attached) of each "attached waits for its bus" row
+    for r in sorted(entries):
+        (a, va), *rest = sorted(entries[r], key=lambda e: -e[1])
+        if len(rest) != 1 or None in (a, rest[0][0]) or a == rest[0][0]:
+            continue  # not a row between two components' z columns
+        assert (va, rest[0][1]) == (1.0, -1.0)
+        waits.append((rest[0][0], a))
+    buses = [bus for bus, _ in waits]
+    assert all(bus.startswith("bus:") for bus in buses)
+    assert list(dict.fromkeys(buses)) == ["bus:2", "bus:9"]
+    assert sorted(buses) == buses  # each bus's rows are contiguous
+    assert set(waits) == {
+        ("bus:2", "line:1"), ("bus:2", "line:2"),
+        ("bus:9", "line:8"), ("bus:9", "line:9"), ("bus:9", "demand:9"),
+    }
+
+
 def test_monotone_budget_invariants_random():
     rng = np.random.RandomState(99)
     for _ in range(8):
