@@ -7,7 +7,6 @@ interface: two-sided row bounds, column bounds and an integrality mask.
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize as sopt
 
 from ..errors import SolverError
 from .problem import (
@@ -23,6 +22,11 @@ NODE_LIMIT = 1_000_000
 
 
 def solve_milp_highs(problem: MilpProblem, rel_gap: float = 1e-6) -> Solution:
+    # imported on the first solve: scipy.optimize is about half of the
+    # package's import time, and the replay, `simulate` and `report`
+    # never solve a MILP
+    import scipy.optimize as sopt
+
     problem.validate()
     lp = problem.lp
     c = -lp.c if lp.maximize else lp.c

@@ -9,9 +9,11 @@ runs. An element works when it and its damaged buses are back
 (``rop.gates``); the islands come from one walk down ``Network.tree``,
 so the network must be radial. Live islands are solved independently
 with one angle reference each; the lower voltage bound is soft, charged
-to the objective at ``PENALTY_WEIGHT``. Each island is one SLSQP solve
-from a flat start, polished once more with SLSQP only when its residuals
-stay above tolerance.
+to the objective at ``PENALTY_WEIGHT``. Each island is one sparse
+primal-dual interior-point solve from a flat start, with the exact
+Hessian of the polar line flows (``_IslandIpm``); a solve that fails
+returns its least-violating iterate, and the residual check then marks
+its periods as not converged.
 
 ``simulate_plan`` solves each distinct island once per replay: with one
 repair per period most islands recur unchanged, and the solve depends
@@ -22,9 +24,9 @@ islands on every CPU the process may use, one forked worker per CPU
 threads run). The
 state, the residuals and the convergence check still run in every
 period, in the calling process. The replay also pins every loaded
-OpenBLAS to one thread, in the workers too: SLSQP's dense products are
-too small to gain from more, and a fixed count keeps the last digits of
-the results independent of the host's core count, of the worker count
+OpenBLAS to one thread, in the workers too: an island's sparse factors
+are too small to gain from more, and a fixed count keeps the last digits
+of the results independent of the host's core count, of the worker count
 and of ``OPENBLAS_NUM_THREADS``.
 """
 
@@ -40,9 +42,11 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize as sopt
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import CaseValidationError, GridRestoreError
 from .model import Network, _radiality_violations
@@ -221,7 +225,7 @@ class RipResult:
 
 
 class _LineBlock:
-    """Vectorized flows and first derivatives for a set of lines."""
+    """Vectorized flows and their first and second derivatives for a set of lines."""
 
     def __init__(self, lines, bus_index: dict[int, int]):
         self.ids = np.array([l.id for l in lines], dtype=np.int64)
@@ -304,6 +308,35 @@ class _LineBlock:
         )
         return out
 
+    def flow_hessians(self, v: np.ndarray, th: np.ndarray):
+        """Second derivatives of the four directed quantities.
+
+        One symmetric 4x4 block per line over (vi, vj, thi, thj). Every
+        quantity has the form a_i vi^2 + a_j vj^2 + vi vj (c cos d + s sin d).
+        """
+        vi, vj = v[self.i], v[self.j]
+        d = th[self.i] - th[self.j]
+        cos_d, sin_d = np.cos(d), np.sin(d)
+        zero = np.zeros_like(self.ap)
+        # rows: pfr, qfr, pto, qto; the to side sees the angle -d
+        a_i = np.array([self.ap, self.aq, zero, zero])
+        a_j = np.array([zero, zero, self.a2p, self.a2q])
+        c = np.array([self.cp, self.cq, self.c2p, self.c2q])
+        s = np.array([self.sp, self.sq, -self.s2p, -self.s2q])
+        k = c * cos_d + s * sin_d
+        k_d = -c * sin_d + s * cos_d
+        h = np.empty((4, len(vi), 4, 4))
+        h[:, :, 0, 0] = 2 * a_i
+        h[:, :, 1, 1] = 2 * a_j
+        h[:, :, 0, 1] = h[:, :, 1, 0] = k
+        h[:, :, 0, 2] = h[:, :, 2, 0] = vj * k_d
+        h[:, :, 0, 3] = h[:, :, 3, 0] = -vj * k_d
+        h[:, :, 1, 2] = h[:, :, 2, 1] = vi * k_d
+        h[:, :, 1, 3] = h[:, :, 3, 1] = -vi * k_d
+        h[:, :, 2, 2] = h[:, :, 3, 3] = -vi * vj * k
+        h[:, :, 2, 3] = h[:, :, 3, 2] = vi * vj * k
+        return dict(zip(("pfr", "qfr", "pto", "qto"), h))
+
 
 class _IslandNlp:
     """Load-shedding AC OPF over one live island."""
@@ -334,15 +367,9 @@ class _IslandNlp:
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
 
-        # balance rows of the units and demands, and their constant
-        # entries of balance_jac
+        # balance rows of the units and demands
         self.gen_rows = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
         self.demand_rows = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
-        self.balance_jac0 = np.zeros((2 * nb, self.n_var))
-        self.balance_jac0[self.gen_rows, self.ipg] = 1.0
-        self.balance_jac0[nb + self.gen_rows, self.iqg] = 1.0
-        self.balance_jac0[self.demand_rows, self.ix] = -self.pd
-        self.balance_jac0[nb + self.demand_rows, self.ix] = -self.qd
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(self.n_var)
@@ -398,51 +425,12 @@ class _IslandNlp:
             np.subtract.at(out, self.nb + self.block.j, qto)
         return out
 
-    def balance_jac(self, u: np.ndarray) -> np.ndarray:
-        v, th = u[self.iv], u[self.ith]
-        J = self.balance_jac0.copy()
-        if self.block is not None:
-            parts = self.block.flow_partials(v, th)
-            bi, bj = self.block.i, self.block.j
-            for name, row_base, at in (
-                ("pfr", 0, bi),
-                ("pto", 0, bj),
-                ("qfr", self.nb, bi),
-                ("qto", self.nb, bj),
-            ):
-                dvi, dvj, dthi, dthj = parts[name]
-                rows = row_base + at
-                np.subtract.at(J, (rows, self.iv[bi]), dvi)
-                np.subtract.at(J, (rows, self.iv[bj]), dvj)
-                np.subtract.at(J, (rows, self.ith[bi]), dthi)
-                np.subtract.at(J, (rows, self.ith[bj]), dthj)
-        return J
-
     # -- thermal inequalities (squared apparent power) -------------------
     def thermal(self, u: np.ndarray) -> np.ndarray:
         pfr, pto, qfr, qto = self.block.flows(u[self.iv], u[self.ith])
         return np.concatenate(
             [pfr**2 + qfr**2 - self.block.t_lim**2, pto**2 + qto**2 - self.block.t_lim**2]
         )
-
-    def thermal_jac(self, u: np.ndarray) -> np.ndarray:
-        v, th = u[self.iv], u[self.ith]
-        pfr, pto, qfr, qto = self.block.flows(v, th)
-        parts = self.block.flow_partials(v, th)
-        nl = self.nl
-        J = np.zeros((2 * nl, self.n_var))
-        bi, bj = self.block.i, self.block.j
-        rows_fr = np.arange(nl)
-        rows_to = nl + rows_fr
-        for rows, p, q, pn, qn in (
-            (rows_fr, pfr, qfr, "pfr", "qfr"),
-            (rows_to, pto, qto, "pto", "qto"),
-        ):
-            dp = parts[pn]
-            dq = parts[qn]
-            for off, cols in ((0, self.iv[bi]), (1, self.iv[bj]), (2, self.ith[bi]), (3, self.ith[bj])):
-                np.add.at(J, (rows, cols), 2 * p * dp[off] + 2 * q * dq[off])
-        return J
 
     def violation(self, u: np.ndarray) -> float:
         viol = float(np.max(np.abs(self.balance(u)), initial=0.0))
@@ -459,64 +447,284 @@ class _IslandNlp:
         return max(viol, float(np.max(soft, initial=0.0)))
 
     def solve(self, tol: float) -> np.ndarray:
-        """SLSQP from a flat start; one SLSQP polish if residuals stall."""
-        c = self.objective_vector()
-        lo, hi = self.bounds()
-        bounds = list(zip(lo, hi))
-        constraints = self._slsqp_constraints()
+        """Interior-point solution, clipped to the bounds (see ``_IslandIpm``)."""
+        return _IslandIpm(self).run(tol)
 
-        def run(u0, maxiter, ftol):
-            res = sopt.minimize(
-                lambda z: float(c @ z),
-                u0,
-                jac=lambda z: c,
-                bounds=bounds,
-                constraints=constraints,
-                method="SLSQP",
-                options={"maxiter": maxiter, "ftol": ftol},
-            )
-            u = np.clip(res.x, lo, hi)
-            return u, self.violation(u)
 
-        u, viol = run(self.start_point(), 400, 1e-12)
-        if viol <= tol:
-            return u
-        polished, polished_viol = run(u, 800, 1e-14)
-        return polished if polished_viol < viol else u
+# Barrier schedule and step rule of Ipopt (Waechter and Biegler 2006):
+# the first barrier parameter, the subproblem tolerance _KAPPA_EPS * mu,
+# the update mu <- min(_KAPPA_MU * mu, mu^1.5), the least share of the
+# distance to the boundary a step covers, and the multiplier scale s_max.
+_MU_INIT = 0.1
+_KAPPA_EPS = 10.0
+_KAPPA_MU = 0.2
+_TAU_MIN = 0.99
+_S_MAX = 100.0
+# An island solve stops when every KKT residual is below _ACCURACY * tol,
+# and gives up when a primal step is shorter than _ALPHA_MIN.
+_ACCURACY = 1e-2
+_ALPHA_MIN = 1e-10
+# Iterations per island solve; an island not converged by then returns
+# its least-violating iterate, and its periods read as non-converged.
+IPM_MAX_ITER = 100
+# Shift of the KKT matrix's constraint block, applied only when the
+# unshifted matrix is singular (dependent balance rows).
+_DELTA_C = 1e-8
 
-    def _slsqp_constraints(self) -> list[dict]:
-        """Balance, thermal, soft voltage floor, then angle differences."""
-        cons = [
-            {"type": "eq", "fun": self.balance, "jac": self.balance_jac},
-        ]
-        if self.nl:
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda z: -self.thermal(z),
-                    "jac": lambda z: -self.thermal_jac(z),
-                }
-            )
-        # v + v_t >= v_min
-        a_soft = np.zeros((self.nb, self.n_var))
-        a_soft[np.arange(self.nb), self.iv] = 1.0
-        a_soft[np.arange(self.nb), self.ivt] = 1.0
-        cons.append(
-            {"type": "ineq", "fun": lambda z: a_soft @ z - self.v_min, "jac": lambda z: a_soft}
+
+class _Point(NamedTuple):
+    """One iterate and what the step needs of it: the balance rows g, the
+    inequality rows h, the values of their Jacobians (in the COO order of
+    ``_IslandIpm``), and the flows and their partials, each stacked in the
+    order pfr, pto, qfr, qto."""
+
+    u: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    g_vals: np.ndarray
+    h_vals: np.ndarray
+    f: np.ndarray | None  # (4, nl)
+    df: np.ndarray | None  # (4, nl, 4), over (v_i, v_j, th_i, th_j)
+
+
+class _IslandIpm:
+    """Primal-dual interior point for one island's AC OPF.
+
+    It follows the MATPOWER Interior Point Solver (Wang, Murillo-Sanchez,
+    Zimmerman and Thomas, IEEE Trans. Power Syst. 22(3), 2007) on
+    ``min c.u  s.t.  g(u) = 0,  h(u) <= 0``. The rows g are the balance
+    rows; h stacks the thermal rows, the soft voltage floor, the angle rows
+    and the bounds, each with a slack ``z > 0`` and a multiplier
+    ``mu > 0``. The barrier parameter follows Ipopt's monotone schedule.
+    The Hessian is exact. Fixed variables (the reference angle,
+    zero-width bounds) are held out of the step.
+
+    The KKT matrix ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` keeps one
+    sparsity pattern per island: its CSC slots are built once, and each
+    iteration fills the values with one ``np.bincount`` and factors them
+    with one ``splu``. A singular matrix is factored again with
+    ``-_DELTA_C`` on the constraint block's diagonal, as in Ipopt's
+    regularization (Waechter and Biegler, Math. Programming 106, 2006).
+    """
+
+    def __init__(self, nlp: _IslandNlp):
+        self.nlp = nlp
+        nb, nl = nlp.nb, nlp.nl
+        self.c = nlp.objective_vector()
+        self.lo, self.hi = nlp.bounds()
+        self.free = free = np.flatnonzero(self.lo < self.hi)
+        self.nf = nf = len(free)
+        self.m = m = 2 * nb
+        pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
+        pos[free] = np.arange(nf)
+        empty = np.zeros(0, dtype=np.int64)
+        self.bi, self.bj = (nlp.block.i, nlp.block.j) if nl else (empty, empty)
+        bi, bj = self.bi, self.bj
+        # each line's variables, in the order of its 4x4 blocks
+        quad = np.column_stack([nlp.iv[bi], nlp.iv[bj], nlp.ith[bi], nlp.ith[bj]])
+
+        # the balance row of each flow, in the order pfr, pto, qfr, qto
+        self.flow_rows = np.concatenate([bi, bj, nb + bi, nb + bj])
+        # Jg in COO form: the unit and demand entries, then each flow's
+        # four partials at its balance row
+        self.g_rows = np.concatenate([
+            nlp.gen_rows, nb + nlp.gen_rows, nlp.demand_rows, nb + nlp.demand_rows,
+            np.repeat(self.flow_rows, 4),
+        ])
+        self.g_cols = np.concatenate([nlp.ipg, nlp.iqg, nlp.ix, nlp.ix, np.tile(quad, (4, 1)).ravel()])
+        self.g_vals0 = np.concatenate([np.ones(2 * nlp.ng), -nlp.pd, -nlp.qd])
+
+        # Jh in COO form. Rows: thermal at the from and to ends, the soft
+        # floor, the angle difference above and below, the upper and
+        # lower bounds of the free variables. Only the thermal entries vary.
+        self.n_ineq = 4 * nl + nb + 2 * nf
+        r_soft = 2 * nl + np.arange(nb)
+        r_above = 2 * nl + nb + np.arange(nl)
+        r_upper = 4 * nl + nb + np.arange(nf)
+        self.h_rows = np.concatenate([
+            np.repeat(np.arange(2 * nl), 4), r_soft, r_soft, r_above, r_above,
+            r_above + nl, r_above + nl, r_upper, r_upper + nf,
+        ])
+        self.h_cols = np.concatenate([
+            np.tile(quad, (2, 1)).ravel(), nlp.iv, nlp.ivt,
+            quad[:, 2], quad[:, 3], quad[:, 2], quad[:, 3], free, free,
+        ])
+        one_l, one_f = np.ones(nl), np.ones(nf)
+        self.h_vals0 = np.concatenate([-np.ones(2 * nb), one_l, -one_l, -one_l, one_l, one_f, -one_f])
+
+        # KKT entries in the order kkt_values() lists them: the line
+        # blocks, the soft floor's (v, v_t) blocks, the free diagonal,
+        # Jg and its transpose, the constraint block's diagonal
+        n = nf + m
+        block = pos[quad]
+        soft_rows = pos[np.array([nlp.iv, nlp.iv, nlp.ivt, nlp.ivt])].ravel()
+        soft_cols = pos[np.array([nlp.iv, nlp.ivt, nlp.iv, nlp.ivt])].ravel()
+        g_at = nf + self.g_rows, pos[self.g_cols]
+        rows = np.concatenate([
+            np.repeat(block, 4, axis=1).ravel(), soft_rows, np.arange(nf),
+            g_at[0], g_at[1], nf + np.arange(m),
+        ])
+        cols = np.concatenate([
+            np.tile(block, (1, 4)).ravel(), soft_cols, np.arange(nf),
+            g_at[1], g_at[0], nf + np.arange(m),
+        ])
+        # entries on held variables go to slot 0, which the matrix drops
+        key = np.where((rows < 0) | (cols < 0), -1, cols * n + rows)
+        keys = np.unique(np.r_[-1, key])
+        self.slot = np.searchsorted(keys, key)
+        self.n_slots = len(keys)
+        keys = keys[1:]
+        indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self.kkt = sparse.csc_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+
+    def evaluate(self, u: np.ndarray) -> _Point:
+        """g, h and the values of their Jacobians at ``u``."""
+        nlp = self.nlp
+        v, th = u[nlp.iv], u[nlp.ith]
+        soft = nlp.v_min - v - u[nlp.ivt]
+        upper = u[self.free] - self.hi[self.free]
+        lower = self.lo[self.free] - u[self.free]
+        if not nlp.nl:
+            h = np.concatenate([soft, upper, lower])
+            return _Point(u, nlp.balance(u), h, self.g_vals0, self.h_vals0, None, None)
+        block = nlp.block
+        f = np.array(block.flows(v, th))
+        parts = block.flow_partials(v, th)
+        df = np.array([parts[k] for k in ("pfr", "pto", "qfr", "qto")]).transpose(0, 2, 1)
+        t2 = block.t_lim**2
+        d = th[self.bi] - th[self.bj]
+        h = np.concatenate([
+            f[0] ** 2 + f[2] ** 2 - t2, f[1] ** 2 + f[3] ** 2 - t2, soft,
+            d - block.a_max, block.a_min - d, upper, lower,
+        ])
+        # d(p^2 + q^2) = 2 p dp + 2 q dq, at the from end, then the to end
+        jt = 2 * (f[:2, :, None] * df[:2] + f[2:, :, None] * df[2:])
+        g_vals = np.concatenate([self.g_vals0, -df.ravel()])
+        h_vals = np.concatenate([jt.ravel(), self.h_vals0])
+        return _Point(u, nlp.balance(u), h, g_vals, h_vals, f, df)
+
+    def lagrangian_gradient(self, pt: _Point, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """c + Jg' lam + Jh' w, over all variables."""
+        n_var = self.nlp.n_var
+        return (
+            self.c
+            + np.bincount(self.g_cols, pt.g_vals * lam[self.g_rows], minlength=n_var)
+            + np.bincount(self.h_cols, pt.h_vals * w[self.h_rows], minlength=n_var)
         )
-        if self.nl:
-            # a_min <= th_i - th_j <= a_max
-            a_ang = np.zeros((self.nl, self.n_var))
-            a_ang[np.arange(self.nl), self.ith[self.block.i]] = 1.0
-            a_ang[np.arange(self.nl), self.ith[self.block.j]] = -1.0
-            a_min, a_max = self.block.a_min, self.block.a_max
-            cons.append(
-                {"type": "ineq", "fun": lambda z: a_ang @ z - a_min, "jac": lambda z: a_ang}
-            )
-            cons.append(
-                {"type": "ineq", "fun": lambda z: a_max - a_ang @ z, "jac": lambda z: -a_ang}
-            )
-        return cons
+
+    def kkt_values(self, pt: _Point, lam, mu, d, delta_c=0.0) -> np.ndarray:
+        """The KKT entries' values, in the order of ``self.slot``.
+
+        ``d`` is mu/z, the weight of each inequality row in Jh' d Jh.
+        """
+        nlp = self.nlp
+        nb, nl, nf = nlp.nb, nlp.nl, self.nf
+        parts = []
+        if nl:
+            hess = nlp.block.flow_hessians(pt.u[nlp.iv], pt.u[nlp.ith])
+            # the thermal multiplier at each flow's end
+            mu_t = np.tile(mu[: 2 * nl].reshape(2, nl), (2, 1))
+            # each flow's weight in Lxx: minus its balance multiplier, plus
+            # 2 mu p (or 2 mu q) from its end's thermal row
+            w = 2 * mu_t * pt.f - lam[self.flow_rows].reshape(4, nl)
+            blk = np.einsum("fl,flab->lab", w, np.array([hess[k] for k in ("pfr", "pto", "qfr", "qto")]))
+            # the thermal rows' Gauss-Newton terms, 2 mu (dp dp' + dq dq')
+            blk += 2 * np.einsum("fl,fla,flb->lab", mu_t, pt.df, pt.df)
+            jt = pt.h_vals[: 8 * nl].reshape(2, nl, 4)
+            blk += np.einsum("tl,tla,tlb->lab", d[: 2 * nl].reshape(2, nl), jt, jt)
+            angle = d[2 * nl + nb : 3 * nl + nb] + d[3 * nl + nb : 4 * nl + nb]
+            blk[:, 2, 2] += angle
+            blk[:, 3, 3] += angle
+            blk[:, 2, 3] -= angle
+            blk[:, 3, 2] -= angle
+            parts.append(blk.ravel())
+        bounds = 4 * nl + nb
+        parts += [
+            np.tile(d[2 * nl : 2 * nl + nb], 4),
+            d[bounds : bounds + nf] + d[bounds + nf :],
+            pt.g_vals,
+            pt.g_vals,
+            np.full(self.m, -delta_c),
+        ]
+        return np.concatenate(parts)
+
+    def kkt_matrix(self, vals: np.ndarray) -> sparse.csc_matrix:
+        """The KKT matrix holding ``vals``; the one matrix is refilled in place."""
+        self.kkt.data[:] = np.bincount(self.slot, vals, minlength=self.n_slots)[1:]
+        return self.kkt
+
+    def run(self, tol: float) -> np.ndarray:
+        """The first iterate whose KKT residuals are all below
+        ``_ACCURACY * tol``, clipped to the bounds.
+
+        A solve that stalls, overflows or meets a singular matrix returns
+        its least-violating finite iterate instead, never an exception:
+        the residual check of ``solve_ac_opf`` then marks the period.
+        """
+        with np.errstate(all="ignore"):
+            return self._iterate(tol)
+
+    def _iterate(self, tol: float) -> np.ndarray:
+        nlp, lo, hi, free, nf = self.nlp, self.lo, self.hi, self.free, self.nf
+        n_ineq = self.n_ineq
+        stop = _ACCURACY * tol
+        mu_min = stop / (10 * n_ineq)
+        pt = self.evaluate(np.clip(nlp.start_point(), lo, hi))
+        z = np.maximum(-pt.h, 1.0)
+        mu = np.ones(n_ineq)
+        lam = np.zeros(self.m)
+        barrier = _MU_INIT
+        iterates = []
+        for _ in range(IPM_MAX_ITER):
+            iterates.append(pt.u)
+            # KKT residuals, the dual ones scaled as in Ipopt
+            scale = max(_S_MAX, (np.abs(lam).sum() + mu.sum()) / (self.m + n_ineq)) / _S_MAX
+            dual = np.max(np.abs(self.lagrangian_gradient(pt, lam, mu)[free])) / scale
+            primal = max(np.max(np.abs(pt.g)), np.max(np.abs(pt.h + z)))
+            comp = z * mu
+            if max(primal, dual, comp.sum() / scale) <= stop:
+                return np.clip(pt.u, lo, hi)
+            # lower the barrier parameter once its subproblem is solved
+            while barrier > mu_min and max(
+                primal, dual, np.max(np.abs(comp - barrier)) / scale
+            ) <= _KAPPA_EPS * barrier:
+                barrier = max(mu_min, min(_KAPPA_MU * barrier, barrier**1.5))
+
+            d = mu / z
+            rhs = np.concatenate([
+                -self.lagrangian_gradient(pt, lam, mu + d * pt.h + barrier / z)[free],
+                -pt.g,
+            ])
+            step = None
+            for delta_c in (0.0, _DELTA_C):
+                kkt = self.kkt_matrix(self.kkt_values(pt, lam, mu, d, delta_c))
+                try:
+                    step = splu(kkt, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+                    break
+                except RuntimeError:  # exactly singular
+                    continue
+            if step is None or not np.all(np.isfinite(step)):
+                break
+            dx = np.zeros(nlp.n_var)
+            dx[free] = step[:nf]
+            dz = -pt.h - z - np.bincount(self.h_rows, pt.h_vals * dx[self.h_cols], minlength=n_ineq)
+            dmu = (barrier - mu * dz) / z - mu
+            # fraction to the boundary, for the primal and the dual step apart
+            tau = max(_TAU_MIN, 1.0 - barrier)
+            alpha_p = min(1.0, tau * np.min(z / -dz, where=dz < 0, initial=math.inf))
+            alpha_d = min(1.0, tau * np.min(mu / -dmu, where=dmu < 0, initial=math.inf))
+            if alpha_p < _ALPHA_MIN:
+                break
+            z = z + alpha_p * dz
+            lam = lam + alpha_d * step[nf:]
+            mu = mu + alpha_d * dmu
+            pt = self.evaluate(pt.u + alpha_p * dx)
+            if not (np.all(np.isfinite(pt.g)) and np.all(np.isfinite(pt.h))):
+                break
+        else:
+            iterates.append(pt.u)
+        clipped = [np.clip(u, lo, hi) for u in iterates]
+        return min(clipped, key=nlp.violation)
 
 
 def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfProblem:

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from gridrestore.errors import CaseValidationError, GridRestoreError
 from gridrestore.metrics import reconnection_times
 from gridrestore.model import Bus, Demand, Generator, Line, Network, TimeGrid, time_grid_for
 from gridrestore.replay import (
+    _IslandIpm,
     _IslandNlp,
     build_rip_step,
     residuals,
@@ -20,6 +22,7 @@ from gridrestore.replay import (
 from gridrestore.rop import DamageSets, RestorationPlan, build_rop, rop_ens_mwh, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
+import slsqp_reference
 from helpers import PF_Q, chain3, random_der_feeder, simple_line, substation, two_bus
 
 NO_DER = DerPlacement("none", ())
@@ -318,6 +321,23 @@ def test_island_with_zero_capacity_generator():
     assert state.converged
 
 
+def test_island_with_an_empty_balance_row_converges():
+    # no unit at bus 2 can move its reactive power and the demand draws
+    # none, so the island's reactive balance row is empty: every KKT
+    # matrix of the island is singular until its constraint block is shifted
+    net = Network(
+        buses=(Bus(1, is_reference=True), Bus(2)),
+        lines=(simple_line(1, 1, 2, damaged=True, thermal=8.0),),
+        generators=(substation(), Generator(2, 2, -0.01, 0.05, 0.0, 0.0, kind="utility_der")),
+        demands=(Demand(1, 2, 0.1, 0.0),),
+    )
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
+    assert state.converged
+    assert state.served[1] == pytest.approx(0.5, abs=1e-7)
+    assert state.p_gen[2] == pytest.approx(0.05, abs=1e-7)
+
+
 def test_rip_result_serialization(tmp_path):
     net = chain3(damage=(1, 2))
     case = apply_der_mode(net, NO_DER, DerMode.BASE)
@@ -344,11 +364,12 @@ def _chain_island_nlp():
 
 
 def _scripted_minimize(monkeypatch, results):
-    """Replace the NLP solver; each call pops the next scripted ``x``.
+    """Replace the reference's NLP solver; each call pops the next scripted ``x``.
 
     ``None`` in the script runs the real solver for that call.
     """
-    real = replay.sopt.minimize
+    sopt = slsqp_reference.sopt
+    real = sopt.minimize
     calls = []
 
     def fake(fun, x0, **kwargs):
@@ -356,9 +377,9 @@ def _scripted_minimize(monkeypatch, results):
         x = results.pop(0)
         if x is None:
             return real(fun, x0, **kwargs)
-        return replay.sopt.OptimizeResult(x=np.array(x, copy=True), success=False)
+        return sopt.OptimizeResult(x=np.array(x, copy=True), success=False)
 
-    monkeypatch.setattr(replay.sopt, "minimize", fake)
+    monkeypatch.setattr(sopt, "minimize", fake)
     return calls
 
 
@@ -375,7 +396,7 @@ def _violating_point(nlp, tol):
 def test_island_solve_stops_after_one_slsqp_within_tol(monkeypatch):
     nlp = _chain_island_nlp()
     calls = _scripted_minimize(monkeypatch, [None])
-    u = nlp.solve(1e-6)
+    u = slsqp_reference.solve(nlp, 1e-6)
     assert [c["method"] for c in calls] == ["SLSQP"]
     assert nlp.violation(u) <= 1e-6
 
@@ -384,7 +405,7 @@ def test_island_solve_polishes_once_from_clipped_point(monkeypatch):
     nlp = _chain_island_nlp()
     bad, clipped = _violating_point(nlp, 1e-6)
     calls = _scripted_minimize(monkeypatch, [bad, None])
-    u = nlp.solve(1e-6)
+    u = slsqp_reference.solve(nlp, 1e-6)
     assert [c["method"] for c in calls] == ["SLSQP", "SLSQP"]
     np.testing.assert_array_equal(calls[1]["x0"], clipped)
     assert nlp.violation(u) <= 1e-6
@@ -397,7 +418,7 @@ def test_island_solve_keeps_first_point_when_polish_is_worse(monkeypatch):
     worse[nlp.ipg] = nlp.bounds()[1][nlp.ipg]  # every unit at full output
     assert nlp.violation(worse) > nlp.violation(clipped)
     calls = _scripted_minimize(monkeypatch, [bad, worse])
-    u = nlp.solve(1e-6)
+    u = slsqp_reference.solve(nlp, 1e-6)
     assert len(calls) == 2
     np.testing.assert_array_equal(u, clipped)
 
@@ -491,8 +512,8 @@ def test_island_solutions_do_not_outlive_a_replay(monkeypatch, tmp_path):
 def test_pooled_replay_matches_in_process_replay(
     monkeypatch, tmp_path, storm_network, clustered_placement
 ):
-    # the community cell has every island size and two 2-bus islands
-    # whose solves stall at SLSQP's iteration limits
+    # the community cell has every island size, and two supply-short
+    # 2-bus islands whose optimum is a tie broken only by losses
     assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
     plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
     case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
@@ -594,7 +615,7 @@ def test_replay_runs_on_one_blas_thread(monkeypatch):
 
 
 def _loop_balance(nlp, u):
-    """The unit and demand terms of balance and balance_jac, one at a time."""
+    """The unit and demand terms of balance and its Jacobian, one at a time."""
     out = np.zeros(2 * nlp.nb)
     J = np.zeros((2 * nlp.nb, nlp.n_var))
     for k, g in enumerate(nlp.gens):
@@ -618,10 +639,159 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
     # without lines only the unit and demand terms remain
     nlp = _IslandNlp(case.network, replace(island, lines=()))
+    ipm = _IslandIpm(nlp)
     assert len(set(nlp.gen_rows)) < nlp.ng  # some bus hosts several units
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = rng.uniform(*nlp.bounds())
         out, J = _loop_balance(nlp, u)
         np.testing.assert_array_equal(nlp.balance(u), out)
-        np.testing.assert_array_equal(nlp.balance_jac(u), J)
+        np.testing.assert_array_equal(_dense(ipm.g_rows, ipm.g_cols, ipm.evaluate(u).g_vals, J.shape), J)
+
+
+def _dense(rows, cols, vals, shape):
+    """A Jacobian given in COO form, as a dense array."""
+    out = np.zeros(shape)
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
+def _central_differences(fun, u, columns, eps=1e-6):
+    """The columns of d fun / d u listed in ``columns``."""
+    out = []
+    for k in columns:
+        up, down = u.copy(), u.copy()
+        up[k] += eps
+        down[k] -= eps
+        out.append((fun(up) - fun(down)) / (2 * eps))
+    return np.array(out).T
+
+
+def _shunted_feeder(seed):
+    """A random DER feeder whose lines carry shunts and off-nominal taps."""
+    rng = np.random.RandomState(seed)
+    net = random_der_feeder(rng, n_buses=10)
+    lines = tuple(
+        replace(
+            l, g_fr=rng.uniform(0, 0.1), b_fr=rng.uniform(-0.1, 0.1),
+            g_to=rng.uniform(0, 0.1), b_to=rng.uniform(-0.1, 0.1),
+            t_m=rng.uniform(0.95, 1.05), t_r=rng.uniform(0.95, 1.05), t_i=rng.uniform(-0.05, 0.05),
+        )
+        for l in net.lines
+    )
+    return replace(net, lines=lines)
+
+
+def test_flow_hessians_match_central_differences_of_partials():
+    net = _shunted_feeder(5)
+    nb = len(net.buses)
+    block = replay._LineBlock(net.lines, {b.id: k for k, b in enumerate(net.buses)})
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        v, th = rng.uniform(0.9, 1.1, nb), rng.uniform(-0.3, 0.3, nb)
+        hess = block.flow_hessians(v, th)
+        # each bus variable is position 0 or 2 of the lines leaving it,
+        # and 1 or 3 of the lines entering it
+        fd = {name: np.full_like(h, np.nan) for name, h in hess.items()}
+        for k in range(nb):
+            for var, (at_i, at_j) in ((v, (0, 1)), (th, (2, 3))):
+                saved = var[k]
+                var[k] = saved + 1e-6
+                up = block.flow_partials(v, th)
+                var[k] = saved - 1e-6
+                down = block.flow_partials(v, th)
+                var[k] = saved
+                for name in fd:
+                    diff = (np.array(up[name]) - np.array(down[name])).T / 2e-6
+                    for pos, ends in ((at_i, block.i), (at_j, block.j)):
+                        fd[name][ends == k, pos] = diff[ends == k]
+        for name, h in hess.items():
+            np.testing.assert_array_equal(h, np.swapaxes(h, 1, 2))
+            np.testing.assert_allclose(h, fd[name], rtol=0, atol=1e-7 * np.abs(h).max())
+
+
+def test_kkt_blocks_match_finite_differences():
+    net = _shunted_feeder(8)
+    case = apply_der_mode(net, DerPlacement("der", (3, 5, 7)), DerMode.COMMUNITY_MICROGRID)
+    damaged = sorted(l.id for l in net.lines if l.damaged)
+    (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
+    nlp = _IslandNlp(case.network, island)
+    ipm = _IslandIpm(nlp)
+    free, nf, m = ipm.free, ipm.nf, ipm.m
+    assert nlp.nl and nlp.ng > 1 and nf < nlp.n_var  # the reference angle is held
+    rng = np.random.default_rng(8)
+    lo, hi = nlp.bounds()
+    for _ in range(3):
+        u = np.clip(rng.uniform(lo, hi), lo, hi)
+        u[nlp.iv] = rng.uniform(0.9, 1.1, nlp.nb)
+        pt = ipm.evaluate(u)
+        every = np.arange(nlp.n_var)
+        jg = _dense(ipm.g_rows, ipm.g_cols, pt.g_vals, (m, nlp.n_var))
+        np.testing.assert_allclose(
+            jg, _central_differences(nlp.balance, u, every), rtol=0, atol=1e-7 * np.abs(jg).max()
+        )
+        jh = _dense(ipm.h_rows, ipm.h_cols, pt.h_vals, (ipm.n_ineq, nlp.n_var))
+        thermal_fd = _central_differences(nlp.thermal, u, every)
+        np.testing.assert_allclose(
+            jh[: 2 * nlp.nl], thermal_fd, rtol=0, atol=1e-7 * np.abs(thermal_fd).max()
+        )
+        np.testing.assert_allclose(
+            jh[:, free],
+            _central_differences(lambda w: ipm.evaluate(w).h, u, free),
+            rtol=0, atol=1e-7 * np.abs(jh).max(),
+        )
+        lam = rng.normal(size=m)
+        mu = rng.uniform(0.1, 2.0, ipm.n_ineq)
+        d = rng.uniform(0.0, 10.0, ipm.n_ineq)
+        lxx = _central_differences(
+            lambda w: ipm.lagrangian_gradient(ipm.evaluate(w), lam, mu)[free], u, free
+        )
+        kkt = ipm.kkt_matrix(ipm.kkt_values(pt, lam, mu, d, delta_c=1e-8)).toarray()
+        hessian = lxx + jh[:, free].T @ (d[:, None] * jh[:, free])
+        np.testing.assert_allclose(
+            kkt[:nf, :nf], hessian, rtol=0, atol=1e-7 * np.abs(hessian).max()
+        )
+        np.testing.assert_array_equal(kkt[nf:, :nf], jg[:, free])
+        np.testing.assert_array_equal(kkt[:nf, nf:], jg[:, free].T)
+        np.testing.assert_array_equal(kkt[nf:, nf:], -1e-8 * np.eye(m))
+
+
+def test_interior_point_matches_slsqp_reference_on_every_island(
+    storm_network, clustered_placement
+):
+    # the bundled clustered/base plan replayed under community microgrids
+    assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
+    plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
+    case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
+    tol = replay.DEFAULT_RESIDUAL_TOL
+    problems = [build_rip_step(case, plan, t) for t in range(plan.n_periods)]
+    islands = dict.fromkeys(i for p in problems for i in p.islands if i.live)
+    assert len(islands) == 25
+    assert {(36, 40), (41, 42)} <= {i.buses for i in islands}
+    solved = {}
+    for island in islands:
+        nlp = _IslandNlp(case.network, island)
+        c = nlp.objective_vector()
+        solved[island] = u = nlp.solve(tol)
+        assert c @ u <= c @ slsqp_reference.solve(nlp, tol) + tol, island.buses
+    for problem in problems:
+        state = solve_ac_opf(problem, tol, _solved=solved)
+        assert state.converged
+        assert max(residuals(state, problem).values()) <= tol
+
+
+def test_infeasible_island_is_a_non_converged_period():
+    # a must-run 0.5 unit alone with a 0.1 demand: no dispatch balances
+    net = Network(
+        buses=(Bus(1, is_reference=True), Bus(2)),
+        lines=(simple_line(1, 1, 2, damaged=True, thermal=8.0),),
+        generators=(substation(), Generator(2, 2, 0.5, 1.0, 0.0, 0.0, kind="utility_der")),
+        demands=(Demand(1, 2, 0.1, 0.1 * PF_Q),),
+    )
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
+    assert not state.converged
+    assert state.max_residual == pytest.approx(0.4)
+    assert state.message == "constraint residual 4.000e-01 above tolerance 1.0e-06"
