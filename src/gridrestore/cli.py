@@ -4,16 +4,16 @@ Subcommands: ``plan`` (solve the restoration ordering), ``simulate``
 (replay a plan through the per-period AC OPF), ``sweep`` (the full
 two-placement, three-assumed by three-actual study) and ``report``
 (summarize a sweep directory). Each subcommand takes only the flags it
-reads; ``plan`` and ``simulate`` also accept ``--jobs``, which has no
-effect there, so that one flag set can drive every command. Every flag
-can also be supplied through an environment variable named
-``GRIDRESTORE_<FLAG>`` (for example ``GRIDRESTORE_CASE``); explicit flags
-win, and a malformed numeric variable is an error only for the commands
-that read it. Outputs are deterministic: repeated runs produce
+reads; ``plan``, ``simulate`` and ``sweep`` also accept ``--jobs``, which
+has no effect, so that scripts written for the former worker count keep
+running. Every flag can also be supplied through an environment variable
+named ``GRIDRESTORE_<FLAG>`` (for example ``GRIDRESTORE_CASE``); explicit
+flags win, and a malformed numeric variable is an error only for the
+commands that read it. Outputs are deterministic: repeated runs produce
 byte-identical files except for the ``meta`` block in JSON outputs,
 which carries the timestamp. The AC replay solves its islands on every
-usable core, each on one BLAS thread whatever ``OPENBLAS_NUM_THREADS``
-is, so neither the core count nor that variable changes its values.
+usable core, and neither the core count nor ``OPENBLAS_NUM_THREADS``
+changes its values.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ NUMBER_FLAGS = {
     "horizon": (int, "periods (default: 1 + damaged count)"),
     "gap": (float, "MILP relative gap (instances the subset DP does not solve)"),
     "tol": (float, "AC residual tolerance"),
-    "jobs": (int, "parallel workers for sweep cells"),
 }
 
 
@@ -54,7 +53,6 @@ class RunConfig:
     out_dir: str = "out"
     gap: float = 1e-6
     tol: float = 1e-6
-    jobs: int = 1
 
     def load_network(self) -> Network:
         net = (
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{name}", type=cast, help=text)
 
     def unused_jobs(sp):
-        sp.add_argument("--jobs", dest="unused_jobs", help="no effect: only sweep reads a worker count")
+        sp.add_argument("--jobs", dest="unused_jobs", help="no effect: the replay uses every usable core")
 
     sp = sub.add_parser("plan", help="solve the restoration ordering problem")
     common(sp, ("horizon", "gap"))
@@ -165,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--actual-mode", default="base", help="actual DER mode during implementation")
     sp = sub.add_parser("sweep", help="full two-placement, 3x3 assumed/actual study")
     common(sp, tuple(NUMBER_FLAGS), scenario_multiple=True)
+    unused_jobs(sp)
     sp = sub.add_parser("report", help="print a summary of a sweep output directory")
     sp.add_argument("--out", default=_env_default("out", "out"), help="sweep output directory")
     return p
@@ -258,7 +257,6 @@ def cmd_sweep(config: RunConfig) -> int:
         config.time_grid(network),
         rel_gap=config.gap,
         tol=config.tol,
-        jobs=config.jobs,
     )
 
     for (name, mode), plan in study.plans.items():

@@ -15,31 +15,29 @@ Hessian of the polar line flows (``_IslandIpm``); a solve that fails
 returns its least-violating iterate, and the residual check then marks
 its periods as not converged.
 
-``simulate_plan`` solves each distinct island once per replay: with one
-repair per period most islands recur unchanged, and the solve depends
-only on the island, the case and the tolerance, all fixed within one
-replay. It builds every period first, then solves the distinct live
-islands on every CPU the process may use, one forked worker per CPU
-(in-process when that is one CPU, the platform cannot fork or other
-threads run). The
-state, the residuals and the convergence check still run in every
-period, in the calling process. The replay also pins every loaded
-OpenBLAS to one thread, in the workers too: an island's sparse factors
-are too small to gain from more, and a fixed count keeps the last digits
-of the results independent of the host's core count, of the worker count
-and of ``OPENBLAS_NUM_THREADS``.
+``simulate_plans`` replays several plans over one actual case and
+solves each distinct island once per call: with one repair per period
+most islands recur unchanged, and plans over the same case share many
+of them. A solve depends only on the island, the case's network and the
+tolerance, so sharing it changes no value. The call builds every period
+of every plan first, then solves the distinct live islands on every CPU
+the process may use, one forked worker per CPU (in-process when that is
+one CPU, the platform cannot fork or other threads run). The state, the
+residuals and the convergence check still run in every period, in the
+calling process. ``simulate_plan`` is the call for one plan. The
+results depend neither on the worker count nor on the BLAS thread
+count; the tests check both.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import json
 import math
 import multiprocessing
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -920,56 +918,6 @@ def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
     }
 
 
-# Thread-count entry points of OpenBLAS builds: the numpy wheel's
-# (64-bit integers), the scipy wheel's, and a plain system build.
-_OPENBLAS_THREAD_API = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """``(get, set)`` thread-count functions of each OpenBLAS this process loaded."""
-    paths = set()
-    try:
-        with open("/proc/self/maps") as maps:
-            for line in maps:
-                fields = line.split(maxsplit=5) if "openblas" in line else ()
-                if len(fields) == 6 and "openblas" in Path(fields[5].strip()).name:
-                    paths.add(fields[5].strip())
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_API:
-            get, set_threads = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_threads is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                controls.append((get, set_threads))
-                break
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then restore."""
-    controls = _openblas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), n in zip(controls, previous):
-            set_threads(n)
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -1012,26 +960,47 @@ def _solve_islands(net: Network, islands: list[Island], tol: float) -> dict[Isla
     return dict(zip(islands, solutions))
 
 
+def simulate_plans(
+    actual_case: EffectiveCase,
+    plans: Sequence[RestorationPlan],
+    tol: float = DEFAULT_RESIDUAL_TOL,
+    step_hours: float = 1.0,
+) -> tuple[RipResult, ...]:
+    """Replay each plan over one actual case, one result per plan.
+
+    Every period of every plan is built first, so a plan that does not
+    fit the case is refused before any solve. The distinct live islands
+    of all plans are then solved once, on every usable CPU (see the
+    module docstring), and each period is assembled from them.
+    """
+    net = actual_case.network
+    problems = [
+        [build_rip_step(actual_case, plan, t) for t in range(plan.n_periods)]
+        for plan in plans
+    ]
+    islands = [
+        island for steps in problems for p in steps for island in p.islands if island.live
+    ]
+    # in order of first appearance: plan by plan, period by period
+    solved = _solve_islands(net, list(dict.fromkeys(islands)), tol)
+    return tuple(
+        _aggregate(net, [solve_ac_opf(p, tol=tol, _solved=solved) for p in steps], step_hours)
+        for steps in problems
+    )
+
+
 def simulate_plan(
     actual_case: EffectiveCase,
     plan: RestorationPlan,
     tol: float = DEFAULT_RESIDUAL_TOL,
     step_hours: float = 1.0,
 ) -> RipResult:
-    """Solve every period of the horizon and aggregate.
+    """Replay one plan over the actual case: ``simulate_plans`` of one plan."""
+    return simulate_plans(actual_case, [plan], tol, step_hours)[0]
 
-    Periods are independent. The call solves each distinct live island
-    once, on every usable CPU and one BLAS thread per process, and the
-    outputs do not depend on the CPU count (see the module docstring).
-    """
-    net = actual_case.network
-    with _one_blas_thread():
-        problems = [build_rip_step(actual_case, plan, t) for t in range(plan.n_periods)]
-        islands = [island for p in problems for island in p.islands if island.live]
-        # first appearance first: on the bundled cases this finishes sooner
-        # than largest first, as period 0's stalling 2-bus islands start early
-        solved = _solve_islands(net, list(dict.fromkeys(islands)), tol)
-        states = [solve_ac_opf(problem, tol=tol, _solved=solved) for problem in problems]
+
+def _aggregate(net: Network, states: list[AcState], step_hours: float) -> RipResult:
+    """The served fractions and energies of one replay's period states."""
     demand_ids = tuple(d.id for d in net.demands)
     x = np.array(
         [[s.served[did] for s in states] for did in demand_ids], dtype=float

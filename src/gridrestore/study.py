@@ -6,16 +6,17 @@ per-period AC OPF under every actual DER mode, and reports reconnection
 times and group ENS for each plan. The ``sweep`` command and the
 acceptance suite both run the study through this function.
 
+The replays of one actual case are one ``replay.simulate_plans`` call,
+so the plans of every assumed mode share that case's island solves.
+
 Stages are called through their module attributes (``rop.build_rop``,
-``replay.simulate_plan`` ...) so that an instrumented run that wraps
+``replay.simulate_plans`` ...) so that an instrumented run that wraps
 those attributes sees every call.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import metrics, replay, rop, scenarios
@@ -46,12 +47,6 @@ class StudyResult:
     rop_seconds: float  # wall time of the ROP builds and solves
 
 
-def _replay_cell(payload) -> replay.RipResult:
-    """One replay cell; module level so worker processes can unpickle it."""
-    case, plan, step_hours, tol = payload
-    return replay.simulate_plan(case, plan, tol=tol, step_hours=step_hours)
-
-
 def run_study(
     network: Network,
     placements: list[DerPlacement],
@@ -59,12 +54,12 @@ def run_study(
     *,
     rel_gap: float = 1e-6,
     tol: float = replay.DEFAULT_RESIDUAL_TOL,
-    jobs: int = 1,
 ) -> StudyResult:
     """Solve one plan per (placement, mode) and replay it under every mode.
 
-    ``jobs > 1`` runs the replay cells in that many worker processes;
-    the results are the same as a serial run.
+    Each (placement, actual mode) case replays the plans of all assumed
+    modes in one ``replay.simulate_plans`` call, which solves each
+    distinct island of the case once.
     """
     names = [placement.name for placement in placements]
     if len(set(names)) != len(names):
@@ -82,22 +77,20 @@ def run_study(
         rop_ens[key] = rop.rop_ens_mwh(plan, instance)
     rop_seconds = time.perf_counter() - t0
 
-    cells = [
-        (placement.name, assumed, actual)
-        for placement in placements
-        for assumed in ALL_MODES
-        for actual in ALL_MODES
-    ]
-    payloads = [
-        (cases[(name, actual)], plans[(name, assumed)], grid.step_hours, tol)
-        for name, assumed, actual in cells
-    ]
-    if jobs > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            results = list(pool.map(_replay_cell, payloads))
-    else:
-        results = [_replay_cell(payload) for payload in payloads]
+    replays = {}
+    for name in names:
+        by_actual = {
+            actual: replay.simulate_plans(
+                cases[(name, actual)],
+                [plans[(name, assumed)] for assumed in ALL_MODES],
+                tol=tol,
+                step_hours=grid.step_hours,
+            )
+            for actual in ALL_MODES
+        }
+        for k, assumed in enumerate(ALL_MODES):
+            for actual in ALL_MODES:
+                replays[(name, assumed, actual)] = by_actual[actual][k]
 
     reconnection, group_ens = {}, {}
     for key, case in cases.items():
@@ -115,6 +108,6 @@ def run_study(
         rop_ens=rop_ens,
         reconnection=reconnection,
         group_ens=group_ens,
-        replays=dict(zip(cells, results)),
+        replays=replays,
         rop_seconds=rop_seconds,
     )

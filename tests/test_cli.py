@@ -144,11 +144,6 @@ def _tol_variable_not_float(d, env):
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
-def _jobs_variable_not_int(d, env):
-    env.setenv("GRIDRESTORE_JOBS", "2.5")
-    return ["sweep"]
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -164,7 +159,6 @@ def _jobs_variable_not_int(d, env):
         _horizon_variable_not_int,
         _gap_variable_not_float,
         _tol_variable_not_float,
-        _jobs_variable_not_int,
     ],
 )
 def test_bad_input_exits_one(toy_dir, capsys, monkeypatch, corrupt):
@@ -178,17 +172,16 @@ def test_malformed_number_variable_fails_only_its_readers(toy_dir, capsys, monke
     monkeypatch.setenv("GRIDRESTORE_HORIZON", "abc")
     assert main(["plan", *_args(toy_dir, toy_dir / "out_plan")]) == 1
     assert "GRIDRESTORE_HORIZON='abc'" in capsys.readouterr().err
-    # plan reads neither the replay tolerance nor the worker count
+    # plan does not read the replay tolerance
     monkeypatch.delenv("GRIDRESTORE_HORIZON")
-    for name in ("TOL", "JOBS"):
-        monkeypatch.setenv(f"GRIDRESTORE_{name}", "abc")
+    monkeypatch.setenv("GRIDRESTORE_TOL", "abc")
     assert main(["plan", *_args(toy_dir, toy_dir / "out_plan")]) == 0
     out = toy_dir / "sweep_out"
     out.mkdir()
     (out / "ens_summary.csv").write_text(
         "placement,mode,rop_ens_mwh,rip_ens_mwh\ntoy,base,2.0,2.0\n"
     )
-    for name in ("HORIZON", "GAP", "TOL", "JOBS"):
+    for name in ("HORIZON", "GAP", "TOL"):
         monkeypatch.setenv(f"GRIDRESTORE_{name}", "abc")
     assert main(["report", "--out", str(out)]) == 0
     assert "toy" in capsys.readouterr().out
@@ -258,12 +251,16 @@ def test_sweep_outputs_and_determinism(toy_dir):
     assert len(sens) == 1 + 9
 
 
-def test_sweep_parallel_matches_serial(toy_dir):
-    serial = toy_dir / "serial"
-    parallel = toy_dir / "parallel"
-    assert main(["sweep", *_args(toy_dir, serial)]) == 0
-    assert main(["sweep", *_args(toy_dir, parallel), "--jobs", "2"]) == 0
-    _assert_same_sweep_outputs(serial, parallel)
+def test_jobs_flag_has_no_effect(toy_dir):
+    out = toy_dir / "out_jobs"
+    assert main(["plan", *_args(toy_dir, out), "--jobs", "1"]) == 0
+    simulate = ["simulate", *_args(toy_dir, out), "--plan", str(out / "plan.json")]
+    assert main([*simulate, "--jobs", "1"]) == 0
+    assert main(["sweep", *_args(toy_dir, toy_dir / "sweep")]) == 0
+    for jobs in ("1", "2"):
+        out = toy_dir / f"sweep_jobs{jobs}"
+        assert main(["sweep", *_args(toy_dir, out), "--jobs", jobs]) == 0
+        _assert_same_sweep_outputs(toy_dir / "sweep", out)
 
 
 def test_report_summarizes_sweep(toy_dir, capsys):

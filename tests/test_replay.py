@@ -1,8 +1,12 @@
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,8 +491,7 @@ def test_replay_solves_each_distinct_island_once(monkeypatch, tmp_path):
     case, plan, live = _spur_feeder_case()
     take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
     # reference: every period solved on its own, with no islands shared
-    with replay._one_blas_thread():
-        reference = [solve_ac_opf(build_rip_step(case, plan, t)) for t in range(plan.n_periods)]
+    reference = [solve_ac_opf(build_rip_step(case, plan, t)) for t in range(plan.n_periods)]
     _assert_solved(take_solves(), live, cpus=1)
     for cpus in (1, 2):  # in-process, then on the pool
         monkeypatch.setattr(replay, "_usable_cpus", lambda: cpus)
@@ -568,50 +571,67 @@ def test_island_solve_error_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_replay_runs_on_one_blas_thread(monkeypatch):
-    controls = replay._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded in this process")
-    previous = [get() for get, _ in controls]
+def test_plans_over_one_case_share_their_islands(monkeypatch, tmp_path):
+    case, plan, _ = _spur_feeder_case()
+    reverse = RestorationPlan(  # 2-3 before 3-4: the islands {1, 2, 3} and {1, 2, 3, 4}
+        schedule=((), ("line:3",), ("line:2",)),
+        energization={"line:3": 1, "line:2": 2},
+        objective_mwh=0.0,
+    )
+    plans = [plan, reverse, plan]
+    islands = dict.fromkeys(
+        island
+        for p in plans
+        for t in range(p.n_periods)
+        for island in build_rip_step(case, p, t).islands
+        if island.live
+    )
+    assert len(islands) == 3
+    separate = [simulate_plan(case, p).to_dict() for p in plans]
+    take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
+    for cpus in (1, 2):  # in-process, then on the pool
+        monkeypatch.setattr(replay, "_usable_cpus", lambda: cpus)
+        results = replay.simulate_plans(case, plans)
+        _assert_solved(take_solves(), islands, cpus)
+        assert [r.to_dict() for r in results] == separate
+        # a plan that does not fit the case is refused before any island is solved
+        with pytest.raises(GridRestoreError, match="damage set"):
+            replay.simulate_plans(case, [plan, fixed_plan([2])])
+        assert take_solves() == []
 
-    def counts():
-        return [get() for get, _ in controls]
 
-    case = apply_der_mode(chain3(damage=(1, 2)), NO_DER, DerMode.BASE)
-    opf = replay.solve_ac_opf
-    inside = []
+_REPLAY_SCRIPT = """
+import json, sys
+from gridrestore import datasets
+from gridrestore.replay import simulate_plan
+from gridrestore.rop import RestorationPlan
+from gridrestore.scenarios import DerMode, apply_der_mode
 
-    def probe(problem, *args, **kwargs):
-        inside.append(counts())
-        return opf(problem, *args, **kwargs)
+placement = datasets.bundled_placement("clustered")
+mode = DerMode.COMMUNITY_MICROGRID
+case = apply_der_mode(datasets.bundled_damaged_case(), placement, mode)
+result = simulate_plan(case, RestorationPlan.load(sys.argv[1]))
+print(json.dumps(result.to_dict(), sort_keys=True))
+"""
 
-    def failing(problem, *args, **kwargs):
-        inside.append(counts())
-        raise RuntimeError("period failed")
 
-    solve = _IslandNlp.solve
-
-    def solve_on_one_thread(self, tol):
-        # runs in the pool's forked workers
-        assert counts() == [1] * len(controls)
-        return solve(self, tol)
-
-    try:
-        for _, set_threads in controls:
-            set_threads(2)
-        monkeypatch.setattr(replay, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(_IslandNlp, "solve", solve_on_one_thread)
-        monkeypatch.setattr(replay, "solve_ac_opf", probe)
-        simulate_plan(case, fixed_plan([1, 2]))
-        assert counts() == [2] * len(controls)
-        monkeypatch.setattr(replay, "solve_ac_opf", failing)
-        with pytest.raises(RuntimeError):
-            simulate_plan(case, fixed_plan([1, 2]))
-        assert counts() == [2] * len(controls)
-        assert inside == [[1] * len(controls)] * 4
-    finally:
-        for (_, set_threads), n in zip(controls, previous):
-            set_threads(n)
+def test_replay_does_not_depend_on_the_blas_thread_count(
+    tmp_path, storm_network, clustered_placement
+):
+    # the clustered base plan replayed with the DERs up: every island size
+    assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
+    solve_rop(build_rop(assumed, time_grid_for(storm_network))).save(tmp_path / "plan.json")
+    src = str(Path(replay.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):  # read by OpenBLAS when numpy loads it
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _REPLAY_SCRIPT, str(tmp_path / "plan.json")],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["converged"] is True
 
 
 def _loop_balance(nlp, u):
