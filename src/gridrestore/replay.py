@@ -38,7 +38,7 @@ import multiprocessing
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,11 +72,14 @@ class AcOpfProblem:
 
     ``energized`` holds the keys of the damaged components back in service.
     A meshed or disconnected network raises ``CaseValidationError``.
+    ``_waits`` is ``rop.gates`` of the checked network when the caller
+    has it already (see ``_NetworkFacts``).
     """
 
     case: EffectiveCase
     energized: set[str]
     period: int
+    _waits: InitVar[dict | None] = None
 
     energized_bus_ids: frozenset[int] = field(init=False)
     energized_line_ids: frozenset[int] = field(init=False)
@@ -84,12 +87,9 @@ class AcOpfProblem:
     energized_demand_ids: frozenset[int] = field(init=False)
     islands: tuple[Island, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _waits):
         net = self.case.network
-        violations = _radiality_violations(net)
-        if violations:
-            raise CaseValidationError(violations)
-        waits = gates(net)
+        waits = _NetworkFacts.of(net).waits if _waits is None else _waits
 
         def working(kind, elements) -> frozenset[int]:
             return frozenset(
@@ -101,6 +101,22 @@ class AcOpfProblem:
         self.energized_gen_ids = working("gen", net.generators)
         self.energized_demand_ids = working("demand", net.demands)
         self.islands = _split_islands(net, self)
+
+
+class _NetworkFacts(NamedTuple):
+    """What the replay needs of the actual network in every period: the
+    keys of its damaged components and ``rop.gates``."""
+
+    damaged: frozenset[str]
+    waits: dict[tuple[str, int], tuple[str, ...]]
+
+    @classmethod
+    def of(cls, net: Network) -> "_NetworkFacts":
+        """Refuses a meshed or disconnected network with ``CaseValidationError``."""
+        violations = _radiality_violations(net)
+        if violations:
+            raise CaseValidationError(violations)
+        return cls(frozenset(DamageSets.from_network(net).component_keys()), gates(net))
 
 
 def _split_islands(net: Network, p: AcOpfProblem) -> tuple[Island, ...]:
@@ -725,27 +741,75 @@ class _IslandIpm:
         return min(clipped, key=nlp.violation)
 
 
-def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfProblem:
+def build_rip_step(
+    case: EffectiveCase,
+    plan: RestorationPlan,
+    t: int,
+    *,
+    _facts: _NetworkFacts | None = None,
+) -> AcOpfProblem:
     """Fix the plan's statuses at period t over the actual case.
 
     Raises ``CaseValidationError`` for a meshed or disconnected network,
-    whose islands no walk down the feeder tree finds.
+    whose islands no walk down the feeder tree finds. ``_facts`` is
+    ``_NetworkFacts.of(case.network)`` when a replay call has it already.
     """
-    damaged_keys = set(DamageSets.from_network(case.network).component_keys())
-    if damaged_keys != set(plan.energization):
+    facts = _NetworkFacts.of(case.network) if _facts is None else _facts
+    if facts.damaged != set(plan.energization):
         raise GridRestoreError(
             "plan's damaged components do not match the case damage set"
         )
     if not (0 <= t < plan.n_periods):
         raise GridRestoreError(f"period {t} outside plan horizon {plan.n_periods}")
-    return AcOpfProblem(case=case, energized=plan.energized_at(t), period=t)
+    return AcOpfProblem(
+        case=case, energized=plan.energized_at(t), period=t, _waits=facts.waits
+    )
+
+
+class _IslandSolution(NamedTuple):
+    """One live island's part of a period state, keyed like ``AcState``'s fields."""
+
+    v: dict[int, float]
+    theta: dict[int, float]
+    v_violation: dict[int, float]
+    served: dict[int, float]
+    p_gen: dict[int, float]
+    q_gen: dict[int, float]
+    p_flow_fr: dict[int, float]
+    p_flow_to: dict[int, float]
+    q_flow_fr: dict[int, float]
+    q_flow_to: dict[int, float]
+
+
+def _solve_island(net: Network, island: Island, tol: float) -> _IslandSolution:
+    nlp = _IslandNlp(net, island)
+    return _island_solution(nlp, nlp.solve(tol))
+
+
+def _island_solution(nlp: _IslandNlp, u: np.ndarray) -> _IslandSolution:
+    """The values of the island solution ``u``, by element id."""
+    out = _IslandSolution(*({} for _ in _IslandSolution._fields))
+    for bid, k in nlp.bus_index.items():
+        out.v[bid] = float(u[nlp.iv[k]])
+        out.theta[bid] = float(u[nlp.ith[k]])
+        out.v_violation[bid] = float(u[nlp.ivt[k]])
+    for k, d in enumerate(nlp.demands):
+        out.served[d.id] = float(np.clip(u[nlp.ix[k]], 0.0, 1.0))
+    for k, g in enumerate(nlp.gens):
+        out.p_gen[g.id] = float(u[nlp.ipg[k]])
+        out.q_gen[g.id] = float(u[nlp.iqg[k]])
+    if nlp.block is not None:
+        flow_parts = (out.p_flow_fr, out.p_flow_to, out.q_flow_fr, out.q_flow_to)
+        for part, f in zip(flow_parts, nlp.block.flows(u[nlp.iv], u[nlp.ith])):
+            part.update(zip(nlp.block.ids.tolist(), f.tolist()))
+    return out
 
 
 def solve_ac_opf(
     problem: AcOpfProblem,
     tol: float = DEFAULT_RESIDUAL_TOL,
     *,
-    _solved: dict[Island, np.ndarray] | None = None,
+    _solved: dict[Island, _IslandSolution] | None = None,
 ) -> AcState:
     """Solve every live island; dead islands are fixed structurally.
 
@@ -777,31 +841,15 @@ def solve_ac_opf(
     for d in net.demands:
         served[d.id] = 0.0
 
-    converged = True
-    messages = []
+    parts = (v, theta, vt, served, p_gen, q_gen, pfr, pto, qfr, qto)
     for island in problem.islands:
         if not island.live:
             continue
-        nlp = _IslandNlp(net, island)
-        u = solved.get(island)
-        if u is None:
-            u = solved[island] = nlp.solve(tol)
-        for bid, k in nlp.bus_index.items():
-            v[bid] = float(u[nlp.iv[k]])
-            theta[bid] = float(u[nlp.ith[k]])
-            vt[bid] = float(u[nlp.ivt[k]])
-        for k, d in enumerate(nlp.demands):
-            served[d.id] = float(np.clip(u[nlp.ix[k]], 0.0, 1.0))
-        for k, g in enumerate(nlp.gens):
-            p_gen[g.id] = float(u[nlp.ipg[k]])
-            q_gen[g.id] = float(u[nlp.iqg[k]])
-        if nlp.block is not None:
-            f_p, f_pto, f_q, f_qto = nlp.block.flows(u[nlp.iv], u[nlp.ith])
-            for idx, lid in enumerate(nlp.block.ids):
-                pfr[int(lid)] = float(f_p[idx])
-                pto[int(lid)] = float(f_pto[idx])
-                qfr[int(lid)] = float(f_q[idx])
-                qto[int(lid)] = float(f_qto[idx])
+        sol = solved.get(island)
+        if sol is None:
+            sol = solved[island] = _solve_island(net, island, tol)
+        for part, values in zip(parts, sol):
+            part.update(values)
 
     objective = sum(served[d.id] * d.p for d in net.demands) - PENALTY_WEIGHT * sum(vt.values())
     state = AcState(
@@ -934,12 +982,14 @@ def _start_worker(net: Network, islands: list[Island], tol: float) -> None:
     _worker_job = (net, islands, tol)
 
 
-def _solve_nth_island(k: int) -> np.ndarray:
+def _solve_nth_island(k: int) -> _IslandSolution:
     net, islands, tol = _worker_job
-    return _IslandNlp(net, islands[k]).solve(tol)
+    return _solve_island(net, islands[k], tol)
 
 
-def _solve_islands(net: Network, islands: list[Island], tol: float) -> dict[Island, np.ndarray]:
+def _solve_islands(
+    net: Network, islands: list[Island], tol: float
+) -> dict[Island, _IslandSolution]:
     """Each island's solution, one forked worker per usable CPU.
 
     Workers take one island at a time in the given order; a worker's
@@ -953,7 +1003,7 @@ def _solve_islands(net: Network, islands: list[Island], tol: float) -> dict[Isla
         or threading.active_count() > 1
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return {island: _IslandNlp(net, island).solve(tol) for island in islands}
+        return {island: _solve_island(net, island, tol) for island in islands}
     fork = multiprocessing.get_context("fork")
     with fork.Pool(workers, _start_worker, (net, islands, tol)) as pool:
         solutions = pool.map(_solve_nth_island, range(len(islands)), chunksize=1)
@@ -969,13 +1019,15 @@ def simulate_plans(
     """Replay each plan over one actual case, one result per plan.
 
     Every period of every plan is built first, so a plan that does not
-    fit the case is refused before any solve. The distinct live islands
-    of all plans are then solved once, on every usable CPU (see the
-    module docstring), and each period is assembled from them.
+    fit the case is refused before any solve; what the periods need of
+    the network alone is computed once. The distinct live islands of all
+    plans are then solved once, on every usable CPU (see the module
+    docstring), and each period is assembled from them.
     """
     net = actual_case.network
+    facts = _NetworkFacts.of(net)
     problems = [
-        [build_rip_step(actual_case, plan, t) for t in range(plan.n_periods)]
+        [build_rip_step(actual_case, plan, t, _facts=facts) for t in range(plan.n_periods)]
         for plan in plans
     ]
     islands = [

@@ -43,8 +43,9 @@ from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
 from .model import Network, TimeGrid, _radiality_violations, read_json
 from .scenarios import EffectiveCase
 
-# The subset DP keeps 2^K values and one 2^K segment mask per pending
-# segment; above this many damaged lines the instance goes to HiGHS.
+# The subset DP holds a few 2^K arrays (f and then V, the root segment's
+# island ids, the map back to line order) and scores up to 2^K distinct
+# islands; above this many damaged lines the instance goes to HiGHS.
 DP_MAX_LINES = 20
 # Candidate repairs whose DP values lie this close (relative) to the best
 # tie; the lowest damaged-line index among them goes first.
@@ -388,11 +389,10 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
     damaged = [l.id for l in network.lines if l.damaged]
     k_lines = len(damaged)
     values = _served_power(network)  # f, then V in place
-    subsets = np.arange(1 << k_lines)
-    values[subsets[-1]] *= n_periods - k_lines  # periods K .. T-1 have every line back
-    popcount = np.zeros(1 << k_lines, dtype=subsets.dtype)
-    for k in range(k_lines):
-        popcount += (subsets >> k) & 1
+    values[-1] *= n_periods - k_lines  # periods K .. T-1 have every line back
+    popcount = np.zeros(1, dtype=np.uint8)  # uint8 keys: the stable sort is a radix sort
+    for _ in range(k_lines):
+        popcount = np.concatenate((popcount, popcount + 1))
     by_layer = np.argsort(popcount, kind="stable")
     starts = np.searchsorted(popcount[by_layer], np.arange(k_lines + 1))
     for layer in range(k_lines - 1, -1, -1):
@@ -417,30 +417,47 @@ def _served_power(network: Network) -> np.ndarray:
     """f(S): the best served DC power with damaged-line subset S energized.
 
     Entry s of the result is f for the subset whose bit k is set when the
-    k-th damaged line (in ``network.lines`` order) is energized. For all
-    subsets at once, and segment by segment from the leaves up, ``mask``
-    is the bitmask of segment j and the segments below it that connect
-    to it. That is a live island whenever j is the root segment or the
-    damaged line above j is open. Each distinct island is scored once by
-    :func:`_island_values`.
+    k-th damaged line (in ``network.lines`` order) is energized.
+
+    The work runs in another bit order, the damaged lines in depth-first
+    preorder of the segment tree, where the line above segment j and
+    every damaged line below it fill the bits ``[seg_lo[j], seg_lo[j] +
+    seg_width[j])``. From the leaves up, j's island (the bitmask of j and
+    the segments below it that connect to it) is built over the subsets
+    of those bits only: one island id per subset, combined from the
+    children's ids and masks by one outer product per child, so the
+    distinct islands come out without a search. The island is live
+    whenever j is the root segment or the line above j is open; each
+    distinct one is scored once by :func:`_island_values`. Each
+    segment's values are added over the subsets of the other lines by
+    one broadcast, segments K down to 0, so every subset's sum is formed
+    in the same order as by a loop over all subsets. One index, built by
+    doubling, maps the result back to the ``network.lines`` bit order.
     """
     tree = _FeederTree(network)
-    subsets = np.arange(1 << (len(tree.seg_top) - 1), dtype=np.uint32)
-    served = np.zeros(len(subsets))
-    below: dict[int, np.ndarray] = {}  # segment -> connected segments under it
-    for j in range(len(tree.seg_top) - 1, -1, -1):  # children before parents
-        mask = np.full(len(subsets), 1 << j, dtype=np.uint32)
-        if j in below:
-            mask |= below.pop(j)
-        islands = np.unique(mask)
-        values = _island_values(islands, tree)[np.searchsorted(islands, mask)]
+    k_lines = len(tree.seg_top) - 1
+    served = np.zeros(1 << k_lines)  # in preorder bit order
+    below: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # segment -> ids, islands
+    for j in range(k_lines, -1, -1):  # children before parents
+        ids = np.zeros(1, dtype=np.intp)
+        islands = np.array([1 << j], dtype=np.uint32)
+        for c in tree.seg_children[j]:  # bit ranges in ascending order
+            c_ids, c_islands = below.pop(c)
+            code = np.zeros(2 * len(c_ids), dtype=np.intp)  # 0: c's line open
+            code[1::2] = 1 + c_ids  # closed: c's island joins j's
+            ids = (code[:, None] * len(islands) + ids).ravel()
+            islands = (np.insert(c_islands, 0, 0)[:, None] | islands).ravel()
+        values = _island_values(islands, tree)[ids]
         if j:
-            closed = (subsets >> tree.seg_top[j]) & 1
-            values[closed == 1] = 0.0  # j belongs to the island of its parent
-            parent = tree.seg_parent[j]
-            below[parent] = below.get(parent, 0) | mask * closed
-        served += values
-    return served
+            below[j] = ids, islands
+            live, values = values, np.zeros(2 * len(values))
+            values[::2] = live  # bit 0 is j's line: closed, j is in its parent's island
+        lo, width = tree.seg_lo[j], tree.seg_width[j]
+        served.reshape(-1, 1 << width, 1 << lo)[...] += values[:, None]
+    index = np.zeros(1, dtype=np.intp)  # network bit order -> preorder bit order
+    for j in sorted(range(1, k_lines + 1), key=tree.seg_top.__getitem__):
+        index = np.concatenate((index, index | 1 << tree.seg_lo[j]))
+    return served[index]
 
 
 class _FeederTree:
@@ -451,8 +468,12 @@ class _FeederTree:
     line opens a new segment below its parent segment. Per bus:
     ``parent`` (``network.tree.parent``), ``seg``, ``cap`` (the thermal
     limit of the line to the parent), ``supply`` (summed ``p_max``) and
-    ``load``. Per segment: ``seg_parent`` and ``seg_top``, the index of
-    the damaged line above it (-1 at the root).
+    ``load``. Per segment: ``seg_parent``, ``seg_children`` (ascending),
+    ``seg_top``, the index of the damaged line above it (-1 at the root),
+    and the bit range ``[seg_lo, seg_lo + seg_width)`` that the segment's
+    line and every damaged line below it take when the damaged lines are
+    numbered in depth-first preorder of the segment tree (the root's
+    range is all K bits).
     """
 
     def __init__(self, network: Network):
@@ -467,6 +488,18 @@ class _FeederTree:
                 self.seg_top.append(damaged[line.id])
             else:
                 self.seg.append(self.seg[pos])
+        n_seg = len(self.seg_top)
+        self.seg_children = [[] for _ in range(n_seg)]
+        for j in range(1, n_seg):
+            self.seg_children[self.seg_parent[j]].append(j)
+        self.seg_width = [int(j > 0) for j in range(n_seg)]
+        for j in range(n_seg - 1, 0, -1):
+            self.seg_width[self.seg_parent[j]] += self.seg_width[j]
+        self.seg_lo = [0] * n_seg
+        for j in range(n_seg):  # parents before children
+            lo = self.seg_lo[j] + int(j > 0)
+            for c in self.seg_children[j]:
+                self.seg_lo[c], lo = lo, lo + self.seg_width[c]
         self.cap = np.array([np.inf] + [line.thermal_limit for line in tree.up[1:]])
         self.supply = np.array(
             [sum(g.p_max for g in network.generators_at.get(b, ())) for b in tree.order]

@@ -792,8 +792,9 @@ def test_interior_point_matches_slsqp_reference_on_every_island(
     for island in islands:
         nlp = _IslandNlp(case.network, island)
         c = nlp.objective_vector()
-        solved[island] = u = nlp.solve(tol)
+        u = nlp.solve(tol)
         assert c @ u <= c @ slsqp_reference.solve(nlp, tol) + tol, island.buses
+        solved[island] = replay._island_solution(nlp, u)
     for problem in problems:
         state = solve_ac_opf(problem, tol, _solved=solved)
         assert state.converged

@@ -3,15 +3,18 @@
 The closed-form island value is checked against the builtin-simplex
 load-shed LP of ``helpers.dc_shed_optimum``, the DP optimum against the
 MILP optimum of HiGHS and of the builtin branch-and-bound, and the
-routing between the DP and the MILP path.
+routing between the DP and the MILP path. The per-segment served-power
+kernel is held bit for bit to the all-subsets kernel it replaced
+(``dp_reference``), and pinned on the six bundled cases.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gridrestore import rop
+from gridrestore import datasets, rop
 from gridrestore.errors import SolverError
 from gridrestore.milp import solve_milp, solve_milp_builtin
 from gridrestore.model import (
@@ -26,6 +29,7 @@ from gridrestore.model import (
 from gridrestore.rop import _extract_plan, build_rop, check_plan, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
+import dp_reference
 from helpers import (
     PF_Q,
     chain3,
@@ -227,3 +231,106 @@ def test_calls_share_no_state():
     assert again.energization == first.energization
     assert again.objective_mwh == first.objective_mwh
     np.testing.assert_array_equal(again.served_fraction, first.served_fraction)
+
+
+def branching_feeder(parents: list[int]) -> Network:
+    """Every line damaged: bus i + 2 hangs off bus ``parents[i]``.
+
+    Loads, DER sizes and binding thermal limits all differ, and the lines
+    are listed in reverse, so the damaged-line bit order differs from the
+    segment tree's preorder.
+    """
+    rng = np.random.RandomState(len(parents))
+    n = len(parents) + 1
+    lines = [
+        simple_line(i + 1, p, i + 2, damaged=True, thermal=float(rng.uniform(0.3, 2.0)))
+        for i, p in enumerate(parents)
+    ]
+    loads = rng.uniform(0.2, 2.0, size=n - 1)
+    return Network(
+        buses=tuple(Bus(i, is_reference=(i == 1)) for i in range(1, n + 1)),
+        lines=tuple(reversed(lines)),
+        generators=(substation(p=50.0, q=25.0),) + tuple(
+            Generator(b, b, 0.0, 0.6 * b / n, -0.3, 0.3, kind="customer_der")
+            for b in range(3, n + 1, 3)
+        ),
+        demands=tuple(
+            Demand(b - 1, b, float(p), float(p) * PF_Q) for b, p in zip(range(2, n + 1), loads)
+        ),
+    )
+
+
+def test_served_power_matches_reference_on_random_feeders():
+    rng = np.random.RandomState(41)
+    for n_damaged in range(9):
+        for _ in range(3):
+            net = random_der_feeder(rng, n_buses=int(rng.randint(max(n_damaged + 1, 4), 16)))
+            ids = [l.id for l in net.lines]
+            net = apply_damage(net, rng.choice(ids, size=n_damaged, replace=False).tolist())
+            # a shuffled line list changes the tree walk and the damaged-line bit order
+            net = replace(net, lines=tuple(net.lines[i] for i in rng.permutation(len(ids))))
+            served = rop._served_power(net)
+            assert served.shape == (1 << n_damaged,)
+            assert np.array_equal(served, dp_reference.served_power(net))
+
+
+@pytest.mark.parametrize(
+    "parents", [list(range(1, 11)), [1] * 10], ids=["chain10", "star10"]
+)
+def test_served_power_matches_reference_on_chain_and_star(parents):
+    net = branching_feeder(parents)
+    assert np.array_equal(rop._served_power(net), dp_reference.served_power(net))
+
+
+def test_served_power_matches_reference_at_the_line_cap():
+    rng = np.random.RandomState(2)
+    net = random_der_feeder(rng, n_buses=22)
+    ids = [l.id for l in net.lines]
+    net = apply_damage(net, rng.choice(ids, size=rop.DP_MAX_LINES, replace=False).tolist())
+    assert np.array_equal(rop._served_power(net), dp_reference.served_power(net))
+
+
+# sha256 of _served_power(net).tobytes() (little-endian float64), the DP's
+# repair order and its value, per bundled (placement, mode)
+BUNDLED_DP = {
+    ("uniform", DerMode.BASE): (
+        "a559452dae49df2b649f55fbdd8e88d94e050b6af32377fd23313a35f8019b92",
+        [2, 35, 40, 50, 33, 42, 43, 47, 23, 24, 28, 13, 14, 17, 6, 7, 10, 19],
+        39.089999999999996,
+    ),
+    ("uniform", DerMode.HOME_MICROGRID): (
+        "f290570b5bc9152ffadf44b84a5ccd1b2007f4816d522f42e754ad54223ae0fa",
+        [33, 2, 35, 40, 50, 42, 43, 47, 6, 7, 10, 13, 17, 14, 23, 24, 28, 19],
+        23.643899999999995,
+    ),
+    ("uniform", DerMode.COMMUNITY_MICROGRID): (
+        "1ddad9c8dd2dde44864a1fc90bccddda23308af3431f5faa5bf5b15254c14191",
+        [28, 2, 35, 40, 50, 42, 43, 47, 33, 13, 17, 14, 23, 6, 7, 10, 19, 24],
+        54.825,
+    ),
+    ("clustered", DerMode.BASE): (
+        "a559452dae49df2b649f55fbdd8e88d94e050b6af32377fd23313a35f8019b92",
+        [2, 35, 40, 50, 33, 42, 43, 47, 23, 24, 28, 13, 14, 17, 6, 7, 10, 19],
+        39.089999999999996,
+    ),
+    ("clustered", DerMode.HOME_MICROGRID): (
+        "1d0550ebb7ff96ce5860fa2da415f8a7b2d6da4df9dd16ae69725a757351b58d",
+        [33, 23, 24, 28, 2, 35, 40, 50, 13, 14, 17, 6, 7, 10, 19, 42, 43, 47],
+        29.64455,
+    ),
+    ("clustered", DerMode.COMMUNITY_MICROGRID): (
+        "1b859690853cd748246267580c0f7a60f01c5ac6c6085325c4754a6776433c9b",
+        [33, 23, 24, 28, 13, 14, 17, 6, 7, 10, 2, 35, 40, 19, 42, 50, 43, 47],
+        50.25000000000001,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "placement, mode", list(BUNDLED_DP), ids=lambda v: getattr(v, "value", v)
+)
+def test_bundled_served_power_and_order_are_pinned(storm_network, storm_grid, placement, mode):
+    net = apply_der_mode(storm_network, datasets.bundled_placement(placement), mode).network
+    digest, order, value = BUNDLED_DP[(placement, mode)]
+    assert hashlib.sha256(rop._served_power(net).tobytes()).hexdigest() == digest
+    assert rop._best_order(net, storm_grid.n_periods) == (order, value)
