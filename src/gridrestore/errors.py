@@ -29,9 +29,5 @@ class InfeasibleError(GridRestoreError):
     """The optimization problem has no feasible solution."""
 
 
-class UnboundedError(GridRestoreError):
-    """The optimization problem is unbounded (indicates a modeling bug)."""
-
-
 class SolverError(GridRestoreError):
     """The solver failed numerically or exhausted its work budget."""

@@ -3,8 +3,8 @@
 Group splits (customers with vs. without DERs) follow the placement that
 defined the case, so the base scenario reports the same two groups even
 though its DERs supply nothing. Reconnection times walk the radial
-feeder tree once, under the gating rule the ordering model and the
-replay share (``rop.gates``).
+feeder tree (``Network.radial_tree``) once, under the gating rule the
+ordering model and the replay share (``Network.gates``).
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseValidationError, GridRestoreError
-from .model import _radiality_violations
-from .rop import RestorationPlan, gates
+from .errors import GridRestoreError
+from .rop import RestorationPlan
 from .scenarios import EffectiveCase
 
 
@@ -83,16 +82,13 @@ def reconnection_times(
     for a meshed or disconnected network.
     """
     net = case.network
-    violations = _radiality_violations(net)
-    if violations:
-        raise CaseValidationError(violations)
-    waits = gates(net)
+    tree = net.radial_tree
+    waits = net.gates
     never = plan.n_periods
 
     def works(element) -> int:
         return max((plan.energization.get(k, never) for k in waits[element]), default=0)
 
-    tree = net.tree
     reached: dict[int, int] = {}
     for bid, parent, line in zip(tree.order, tree.parent, tree.up):
         if line is None:

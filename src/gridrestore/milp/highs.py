@@ -35,15 +35,13 @@ def solve_milp_highs(problem: MilpProblem, rel_gap: float = 1e-6) -> Solution:
     constraints = ()
     if lp.n_rows:
         constraints = sopt.LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper)
-    kwargs = dict(
+    res = sopt.milp(
+        c,
         constraints=constraints,
         bounds=sopt.Bounds(lp.col_lower, lp.col_upper),
         integrality=integrality,
+        options={"mip_rel_gap": rel_gap, "node_limit": NODE_LIMIT},
     )
-    opts = {"mip_rel_gap": rel_gap, "node_limit": NODE_LIMIT, "presolve": True}
-    res = sopt.milp(c, options=opts, **kwargs)
-    if res.status == 2:
-        res = sopt.milp(c, options={**opts, "presolve": False}, **kwargs)
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else None
     nodes = int(res.mip_node_count or 0) if hasattr(res, "mip_node_count") else 0
     if res.status == 0:

@@ -3,6 +3,12 @@
 All electrical quantities on a :class:`Network` are per-unit on
 ``base_mva``. Case files carry power in physical units (MW / MVAr) and
 admittances in per-unit; :func:`load_case` performs the conversion.
+
+The facts that both steps of the method read are cached on the
+immutable :class:`Network`, each computed once: ``radial_tree`` (the
+feeder tree, refused when meshed or disconnected), ``damage`` (the
+damaged components) and ``gates`` (what each element waits for). The
+ordering model, the AC replay and the reconnection times read them.
 """
 
 from __future__ import annotations
@@ -122,6 +128,31 @@ class FeederTree:
     up: tuple[Line | None, ...]
 
 
+def component_key(kind: str, ident: int) -> str:
+    return f"{kind}:{ident}"
+
+
+@dataclass(frozen=True)
+class DamageSets:
+    """Damaged component ids, grouped by kind."""
+
+    buses: tuple[int, ...]
+    lines: tuple[int, ...]
+    generators: tuple[int, ...]
+    demands: tuple[int, ...]
+
+    def component_keys(self) -> tuple[str, ...]:
+        keys = [component_key("bus", i) for i in self.buses]
+        keys += [component_key("line", i) for i in self.lines]
+        keys += [component_key("gen", i) for i in self.generators]
+        keys += [component_key("demand", i) for i in self.demands]
+        return tuple(keys)
+
+    @property
+    def total(self) -> int:
+        return len(self.buses) + len(self.lines) + len(self.generators) + len(self.demands)
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable feeder description. Safe to share across workers."""
@@ -184,6 +215,43 @@ class Network:
                     up.append(line)
         return FeederTree(tuple(order), tuple(parent), tuple(up))
 
+    @cached_property
+    def radial_tree(self) -> FeederTree:
+        """``tree``; raises ``CaseValidationError`` for a meshed or disconnected network."""
+        violations = _radiality_violations(self)
+        if violations:
+            raise CaseValidationError(violations)
+        return self.tree
+
+    @cached_property
+    def damage(self) -> DamageSets:
+        return DamageSets(
+            buses=tuple(b.id for b in self.buses if b.damaged),
+            lines=tuple(l.id for l in self.lines if l.damaged),
+            generators=tuple(g.id for g in self.generators if g.damaged),
+            demands=tuple(d.id for d in self.demands if d.damaged),
+        )
+
+    @cached_property
+    def gates(self) -> dict[tuple[str, int], tuple[str, ...]]:
+        """The keys of the damaged components each element waits for, by ``(kind, id)``.
+
+        An element works when it and its damaged buses are back: its own key
+        if it is damaged, then its damaged buses, a line's from bus first.
+        Every bus, line, generator (``gen``) and demand has an entry.
+        """
+        bus_down = set(self.damage.buses)
+
+        def waits(kind, element, *buses):
+            keys = [component_key(kind, element.id)] if element.damaged else []
+            return tuple(keys + [component_key("bus", i) for i in buses if i in bus_down])
+
+        out = {("bus", b.id): waits("bus", b) for b in self.buses}
+        out.update({("line", l.id): waits("line", l, l.from_bus, l.to_bus) for l in self.lines})
+        out.update({("gen", g.id): waits("gen", g, g.bus) for g in self.generators})
+        out.update({("demand", d.id): waits("demand", d, d.bus) for d in self.demands})
+        return out
+
     @property
     def reference_bus(self) -> Bus:
         for b in self.buses:
@@ -193,14 +261,6 @@ class Network:
 
     def total_demand_p(self) -> float:
         return sum(d.p for d in self.demands)
-
-    def damaged_component_count(self) -> int:
-        return (
-            sum(1 for l in self.lines if l.damaged)
-            + sum(1 for b in self.buses if b.damaged)
-            + sum(1 for g in self.generators if g.damaged)
-            + sum(1 for d in self.demands if d.damaged)
-        )
 
 
 def validate(network: Network) -> ValidationReport:
@@ -403,4 +463,4 @@ def save_case(network: Network, path) -> None:
 
 def time_grid_for(network: Network, step_hours: float = 1.0) -> TimeGrid:
     """Horizon sized for a one-repair-per-period budget plus the initial step."""
-    return TimeGrid(n_periods=1 + network.damaged_component_count(), step_hours=step_hours)
+    return TimeGrid(n_periods=1 + network.damage.total, step_hours=step_hours)

@@ -6,14 +6,14 @@ and their flows are removed from the problem entirely (so zero flow
 holds exactly, not numerically), and buses in islands without an
 energized source are fixed at V = 0 with full shed before any solver
 runs. An element works when it and its damaged buses are back
-(``rop.gates``); the islands come from one walk down ``Network.tree``,
-so the network must be radial. Live islands are solved independently
-with one angle reference each; the lower voltage bound is soft, charged
-to the objective at ``PENALTY_WEIGHT``. Each island is one sparse
-primal-dual interior-point solve from a flat start, with the exact
-Hessian of the polar line flows (``_IslandIpm``); a solve that fails
-returns its least-violating iterate, and the residual check then marks
-its periods as not converged.
+(``Network.gates``); the islands come from one walk down
+``Network.radial_tree``, so the network must be radial. Live islands
+are solved independently with one angle reference each; the lower
+voltage bound is soft, charged to the objective at ``PENALTY_WEIGHT``.
+Each island is one sparse primal-dual interior-point solve from a flat
+start, with the exact Hessian of the polar line flows (``_IslandIpm``);
+a solve that fails returns its least-violating iterate, and the
+residual check then marks its periods as not converged.
 
 ``simulate_plans`` replays several plans over one actual case and
 solves each distinct island once per call: with one repair per period
@@ -38,7 +38,7 @@ import multiprocessing
 import os
 import threading
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,9 +46,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import CaseValidationError, GridRestoreError
-from .model import Network, _radiality_violations
-from .rop import DamageSets, RestorationPlan, gates
+from .errors import GridRestoreError
+from .model import Network
+from .rop import RestorationPlan
 from .scenarios import EffectiveCase
 
 # Objective weight of the soft voltage floor's slack, per unit of voltage.
@@ -72,14 +72,11 @@ class AcOpfProblem:
 
     ``energized`` holds the keys of the damaged components back in service.
     A meshed or disconnected network raises ``CaseValidationError``.
-    ``_waits`` is ``rop.gates`` of the checked network when the caller
-    has it already (see ``_NetworkFacts``).
     """
 
     case: EffectiveCase
     energized: set[str]
     period: int
-    _waits: InitVar[dict | None] = None
 
     energized_bus_ids: frozenset[int] = field(init=False)
     energized_line_ids: frozenset[int] = field(init=False)
@@ -87,9 +84,9 @@ class AcOpfProblem:
     energized_demand_ids: frozenset[int] = field(init=False)
     islands: tuple[Island, ...] = field(init=False)
 
-    def __post_init__(self, _waits):
+    def __post_init__(self):
         net = self.case.network
-        waits = _NetworkFacts.of(net).waits if _waits is None else _waits
+        waits = net.gates
 
         def working(kind, elements) -> frozenset[int]:
             return frozenset(
@@ -103,22 +100,6 @@ class AcOpfProblem:
         self.islands = _split_islands(net, self)
 
 
-class _NetworkFacts(NamedTuple):
-    """What the replay needs of the actual network in every period: the
-    keys of its damaged components and ``rop.gates``."""
-
-    damaged: frozenset[str]
-    waits: dict[tuple[str, int], tuple[str, ...]]
-
-    @classmethod
-    def of(cls, net: Network) -> "_NetworkFacts":
-        """Refuses a meshed or disconnected network with ``CaseValidationError``."""
-        violations = _radiality_violations(net)
-        if violations:
-            raise CaseValidationError(violations)
-        return cls(frozenset(DamageSets.from_network(net).component_keys()), gates(net))
-
-
 def _split_islands(net: Network, p: AcOpfProblem) -> tuple[Island, ...]:
     """Energized buses grouped into islands by one walk down the feeder tree.
 
@@ -126,7 +107,7 @@ def _split_islands(net: Network, p: AcOpfProblem) -> tuple[Island, ...]:
     them is energized, and otherwise starts an island of its own.
     Islands come in the order of their smallest bus.
     """
-    tree = net.tree
+    tree = net.radial_tree
     island_of: dict[int, int] = {}
     buses: list[list[int]] = []
     lines: list[list[int]] = []
@@ -741,29 +722,21 @@ class _IslandIpm:
         return min(clipped, key=nlp.violation)
 
 
-def build_rip_step(
-    case: EffectiveCase,
-    plan: RestorationPlan,
-    t: int,
-    *,
-    _facts: _NetworkFacts | None = None,
-) -> AcOpfProblem:
+def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfProblem:
     """Fix the plan's statuses at period t over the actual case.
 
     Raises ``CaseValidationError`` for a meshed or disconnected network,
-    whose islands no walk down the feeder tree finds. ``_facts`` is
-    ``_NetworkFacts.of(case.network)`` when a replay call has it already.
+    whose islands no walk down the feeder tree finds.
     """
-    facts = _NetworkFacts.of(case.network) if _facts is None else _facts
-    if facts.damaged != set(plan.energization):
+    net = case.network
+    net.radial_tree  # refuses a meshed network before a mismatched plan
+    if set(net.damage.component_keys()) != set(plan.energization):
         raise GridRestoreError(
             "plan's damaged components do not match the case damage set"
         )
     if not (0 <= t < plan.n_periods):
         raise GridRestoreError(f"period {t} outside plan horizon {plan.n_periods}")
-    return AcOpfProblem(
-        case=case, energized=plan.energized_at(t), period=t, _waits=facts.waits
-    )
+    return AcOpfProblem(case=case, energized=plan.energized_at(t), period=t)
 
 
 class _IslandSolution(NamedTuple):
@@ -1020,14 +993,14 @@ def simulate_plans(
 
     Every period of every plan is built first, so a plan that does not
     fit the case is refused before any solve; what the periods need of
-    the network alone is computed once. The distinct live islands of all
-    plans are then solved once, on every usable CPU (see the module
-    docstring), and each period is assembled from them.
+    the network alone is cached on the ``Network``, so it is computed
+    once. The distinct live islands of all plans are then solved once,
+    on every usable CPU (see the module docstring), and each period is
+    assembled from them.
     """
     net = actual_case.network
-    facts = _NetworkFacts.of(net)
     problems = [
-        [build_rip_step(actual_case, plan, t, _facts=facts) for t in range(plan.n_periods)]
+        [build_rip_step(actual_case, plan, t) for t in range(plan.n_periods)]
         for plan in plans
     ]
     islands = [

@@ -8,8 +8,9 @@ thermal bounds is realized by some bus angles: the model has flow columns
 but no angle columns, and a gated line is switched off by its thermal
 bound alone. At most one component comes back per period, on both
 solution paths. A line, unit or demand is gated by the damaged
-components it waits for, itself and its damaged buses (:func:`gates`);
-the AC replay and the reconnection times read the same map.
+components it waits for, itself and its damaged buses
+(``Network.gates``); the AC replay and the reconnection times read the
+same map.
 
 :func:`solve_rop` finds the exact optimum of an eligible instance by a
 subset dynamic program instead of the MILP search: only lines damaged,
@@ -32,15 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CaseFormatError,
-    CaseValidationError,
-    InfeasibleError,
-    SolverError,
-    UnboundedError,
-)
+from .errors import CaseFormatError, CaseValidationError, InfeasibleError, SolverError
 from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import Network, TimeGrid, _radiality_violations, read_json
+from .model import DamageSets, Network, TimeGrid, component_key, read_json
 from .scenarios import EffectiveCase
 
 # The subset DP holds a few 2^K arrays (f and then V, the root segment's
@@ -53,60 +48,10 @@ DP_TIE_REL = 1e-12
 # Relative agreement required between the DP value and the LP objective
 # of the dispatch with the DP's order fixed.
 DP_AGREEMENT_TOL = 1e-7
-
-
-def component_key(kind: str, ident: int) -> str:
-    return f"{kind}:{ident}"
-
-
-def gates(network: Network) -> dict[tuple[str, int], tuple[str, ...]]:
-    """The keys of the damaged components each element waits for, by ``(kind, id)``.
-
-    An element works when it and its damaged buses are back: its own key
-    if it is damaged, then its damaged buses, a line's from bus first.
-    Every bus, line, generator (``gen``) and demand has an entry.
-    """
-    bus_down = {b.id for b in network.buses if b.damaged}
-
-    def waits(kind, element, *buses):
-        keys = [component_key(kind, element.id)] if element.damaged else []
-        return tuple(keys + [component_key("bus", i) for i in buses if i in bus_down])
-
-    out = {("bus", b.id): waits("bus", b) for b in network.buses}
-    out.update({("line", l.id): waits("line", l, l.from_bus, l.to_bus) for l in network.lines})
-    out.update({("gen", g.id): waits("gen", g, g.bus) for g in network.generators})
-    out.update({("demand", d.id): waits("demand", d, d.bus) for d in network.demands})
-    return out
-
-
-@dataclass(frozen=True)
-class DamageSets:
-    """Damaged component ids, grouped by kind."""
-
-    buses: tuple[int, ...]
-    lines: tuple[int, ...]
-    generators: tuple[int, ...]
-    demands: tuple[int, ...]
-
-    @classmethod
-    def from_network(cls, network: Network) -> "DamageSets":
-        return cls(
-            buses=tuple(b.id for b in network.buses if b.damaged),
-            lines=tuple(l.id for l in network.lines if l.damaged),
-            generators=tuple(g.id for g in network.generators if g.damaged),
-            demands=tuple(d.id for d in network.demands if d.damaged),
-        )
-
-    def component_keys(self) -> tuple[str, ...]:
-        keys = [component_key("bus", i) for i in self.buses]
-        keys += [component_key("line", i) for i in self.lines]
-        keys += [component_key("gen", i) for i in self.generators]
-        keys += [component_key("demand", i) for i in self.demands]
-        return tuple(keys)
-
-    @property
-    def total(self) -> int:
-        return len(self.buses) + len(self.lines) + len(self.generators) + len(self.demands)
+# Islands scored at once by _island_values. Its bus x island work arrays
+# peak at about 22 B per bus and island, so this bounds them (11 MB at 123
+# buses) whatever the number of distinct islands of a segment.
+ISLAND_CHUNK = 4096
 
 
 @dataclass
@@ -180,13 +125,16 @@ class RestorationPlan:
 @dataclass
 class RopInstance:
     case: EffectiveCase
-    damage: DamageSets
     time: TimeGrid
     problem: MilpProblem
     x_col: dict[tuple[int, int], int] = field(default_factory=dict)
     z_col: dict[tuple[str, int], int] = field(default_factory=dict)
     pg_col: dict[tuple[int, int], int] = field(default_factory=dict)
     pl_col: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @property
+    def damage(self) -> DamageSets:
+        return self.case.network.damage
 
     def total_demand_energy_mwh(self) -> float:
         net = self.case.network
@@ -207,16 +155,16 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
     limit must imply them.
     """
     net = case.network
-    violations = _radiality_violations(net)
-    for l in net.lines:
-        if l.thermal_limit > abs(l.b) * (max(abs(l.angle_min), l.angle_max) + 1e-12):
-            violations.append(
-                f"line {l.id}: thermal limit admits a larger angle spread than its "
-                "angle bounds, which the angle-free model cannot enforce"
-            )
+    net.radial_tree  # refuses a meshed or disconnected network
+    violations = [
+        f"line {l.id}: thermal limit admits a larger angle spread than its "
+        "angle bounds, which the angle-free model cannot enforce"
+        for l in net.lines
+        if l.thermal_limit > abs(l.b) * (max(abs(l.angle_min), l.angle_max) + 1e-12)
+    ]
     if violations:
         raise CaseValidationError(violations)
-    damage = DamageSets.from_network(net)
+    damage = net.damage
     if damage.total and time.n_periods < damage.total + 1:
         raise InfeasibleError(
             f"horizon of {time.n_periods} periods cannot energize "
@@ -226,14 +174,9 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
     T = time.n_periods
     dt = time.step_hours
     b = ProblemBuilder(maximize=True)
-    inst = RopInstance(
-        case=case,
-        damage=damage,
-        time=time,
-        problem=None,  # set after build
-    )
+    inst = RopInstance(case=case, time=time, problem=None)  # problem set after build
 
-    waits = gates(net)
+    waits = net.gates
     z_keys = damage.component_keys()
     for t in range(T):
         for d in net.demands:
@@ -297,20 +240,14 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
                 {inst.z_col[(key, t)]: 1.0, inst.z_col[(key, t + 1)]: -1.0}, upper=0.0
             )
 
-    # components attached to a damaged bus wait for the bus
-    for bus_id in damage.buses:
-        bus_key = component_key("bus", bus_id)
-        attached = []
-        for l in net.lines_at.get(bus_id, ()):
-            if l.damaged:
-                attached.append(component_key("line", l.id))
-        for g in net.generators_at.get(bus_id, ()):
-            if g.damaged:
-                attached.append(component_key("gen", g.id))
-        for d in net.demands_at.get(bus_id, ()):
-            if d.damaged:
-                attached.append(component_key("demand", d.id))
-        for key in attached:
+    # a damaged line, unit or demand is energized no earlier than its damaged buses
+    attached = {component_key("bus", i): [] for i in damage.buses}
+    for (kind, ident), keys in waits.items():
+        if kind != "bus" and keys[:1] == (component_key(kind, ident),):
+            for bus_key in keys[1:]:
+                attached[bus_key].append(keys[0])
+    for bus_key, keys in attached.items():
+        for key in keys:
             for t in range(T):
                 b.add_row(
                     {inst.z_col[(key, t)]: 1.0, inst.z_col[(bus_key, t)]: -1.0},
@@ -328,8 +265,6 @@ def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
     sol = solve_milp(instance.problem, rel_gap=rel_gap)
     if sol.status == "infeasible":
         raise InfeasibleError("restoration MILP is infeasible")
-    if sol.status == "unbounded":
-        raise UnboundedError("restoration MILP is unbounded; modeling bug")
     if not sol.ok:
         raise SolverError(f"restoration MILP failed: {sol.message}")
     return _extract_plan(instance, sol)
@@ -338,7 +273,7 @@ def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
 def _dp_eligible(instance: RopInstance) -> bool:
     """Whether the subset DP finds this instance's exact optimum."""
     net = instance.case.network
-    damage = instance.damage
+    damage = net.damage
     return (
         not (damage.buses or damage.generators or damage.demands)
         and len(damage.lines) <= DP_MAX_LINES
@@ -386,7 +321,7 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
     the order follows the argmax from {}, ties going to the lowest
     damaged-line index.
     """
-    damaged = [l.id for l in network.lines if l.damaged]
+    damaged = network.damage.lines
     k_lines = len(damaged)
     values = _served_power(network)  # f, then V in place
     values[-1] *= n_periods - k_lines  # periods K .. T-1 have every line back
@@ -478,7 +413,7 @@ class _FeederTree:
 
     def __init__(self, network: Network):
         tree = network.tree
-        damaged = {l.id: k for k, l in enumerate(l for l in network.lines if l.damaged)}
+        damaged = {lid: k for k, lid in enumerate(network.damage.lines)}
         self.parent, self.seg = tree.parent, [0]
         self.seg_parent, self.seg_top = [-1], [-1]
         for line, pos in zip(tree.up[1:], tree.parent[1:]):
@@ -518,23 +453,26 @@ def _island_values(islands: np.ndarray, tree: _FeederTree) -> np.ndarray:
     and passes the remainder to its parent, capped at the thermal limit
     of the line between them. Serving a subtree from its own units first
     is optimal because every served MW weighs the same and every unit
-    may sit at zero output.
+    may sit at zero output. The islands are scored ``ISLAND_CHUNK`` at a
+    time; each island's value is independent of the others.
     """
     seg = np.asarray(tree.seg, dtype=np.uint32)
-    inside = (islands[None, :] >> seg[:, None]) & 1 == 1  # bus x island
-    surplus = np.zeros(inside.shape)
-    short = np.zeros(inside.shape)
     served = np.zeros(len(islands))
-    for v in range(len(tree.parent) - 1, -1, -1):  # children before parents
-        supply = np.where(inside[v], tree.supply[v] + surplus[v], 0.0)
-        demand = np.where(inside[v], tree.load[v] + short[v], 0.0)
-        served += np.minimum(supply, demand)
-        if v:
-            # the line to the parent conducts when both ends are in the island
-            p = tree.parent[v]
-            up = inside[p] * tree.cap[v]
-            surplus[p] += np.minimum(np.maximum(supply - demand, 0.0), up)
-            short[p] += np.minimum(np.maximum(demand - supply, 0.0), up)
+    for start in range(0, len(islands), ISLAND_CHUNK):
+        chunk = slice(start, start + ISLAND_CHUNK)
+        inside = (islands[None, chunk] >> seg[:, None]) & 1 == 1  # bus x island
+        surplus = np.zeros(inside.shape)
+        short = np.zeros(inside.shape)
+        for v in range(len(tree.parent) - 1, -1, -1):  # children before parents
+            supply = np.where(inside[v], tree.supply[v] + surplus[v], 0.0)
+            demand = np.where(inside[v], tree.load[v] + short[v], 0.0)
+            served[chunk] += np.minimum(supply, demand)
+            if v:
+                # the line to the parent conducts when both ends are in the island
+                p = tree.parent[v]
+                up = inside[p] * tree.cap[v]
+                surplus[p] += np.minimum(np.maximum(supply - demand, 0.0), up)
+                short[p] += np.minimum(np.maximum(demand - supply, 0.0), up)
     return served
 
 

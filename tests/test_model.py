@@ -1,10 +1,13 @@
 import json
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from gridrestore import model
 from gridrestore.errors import CaseValidationError, UnknownIdError
+from gridrestore.metrics import reconnection_times
 from gridrestore.model import (
     Bus,
     Demand,
@@ -20,8 +23,11 @@ from gridrestore.model import (
     validate,
 )
 from gridrestore import datasets
+from gridrestore.replay import simulate_plans
+from gridrestore.rop import build_rop, solve_rop
+from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
-from helpers import random_radial, simple_line, substation
+from helpers import chain3, random_radial, simple_line, substation
 
 
 def test_bundled_case_counts(bundled_network):
@@ -171,6 +177,36 @@ def test_feeder_tree_spans_every_bus(storm_network):
             ends = {tree.up[k].from_bus, tree.up[k].to_bus}
             assert ends == {tree.order[k], tree.order[tree.parent[k]]}
         assert sorted(l.id for l in tree.up[1:]) == sorted(l.id for l in net.lines)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Replace the cached property ``Network.<name>`` by one that logs each computation."""
+    func = vars(Network)[name].func
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return func(net)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Network, name)
+    monkeypatch.setattr(Network, name, prop)
+    return calls
+
+
+def test_network_facts_are_computed_once_per_network(monkeypatch):
+    net = chain3()
+    net = replace(net, buses=(net.buses[0], replace(net.buses[1], damaged=True), net.buses[2]))
+    case = apply_der_mode(net, DerPlacement("none", ()), DerMode.BASE)
+    checks = []
+    check = model._radiality_violations
+    monkeypatch.setattr(model, "_radiality_violations", lambda n: checks.append(n) or check(n))
+    counts = {name: _counted(monkeypatch, name) for name in ("radial_tree", "damage", "gates")}
+    plan = solve_rop(build_rop(case, time_grid_for(case.network)))
+    simulate_plans(case, [plan, plan])
+    reconnection_times(plan, case)
+    assert checks == [case.network]
+    assert counts == {name: [case.network] for name in counts}
 
 
 def test_time_grid_sizing(storm_network):

@@ -23,7 +23,7 @@ from gridrestore.replay import (
     simulate_plan,
     solve_ac_opf,
 )
-from gridrestore.rop import DamageSets, RestorationPlan, build_rop, rop_ens_mwh, solve_rop
+from gridrestore.rop import RestorationPlan, build_rop, rop_ens_mwh, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
 import slsqp_reference
@@ -263,7 +263,7 @@ def test_islands_are_the_connected_components_of_working_elements():
             ),
             demands=tuple(replace(d, damaged=rng.rand() < 0.25) for d in net.demands),
         )
-        keys = DamageSets.from_network(net).component_keys()
+        keys = net.damage.component_keys()
         on = tuple(k for k in keys if rng.rand() < 0.5)
         off = tuple(k for k in keys if k not in on)
         plan = RestorationPlan(

@@ -1,8 +1,12 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridrestore.errors import CaseValidationError, InfeasibleError
-from gridrestore.milp import solve_milp, solve_milp_builtin
+from gridrestore import datasets, rop
+from gridrestore.errors import CaseValidationError, InfeasibleError, SolverError
+from gridrestore.milp import UNBOUNDED, Solution, solve_milp, solve_milp_builtin
 from gridrestore.model import Bus, Demand, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
@@ -43,6 +47,38 @@ def test_build_rop_bundled_dimensions(storm_network, storm_grid):
     assert all((key, t) in inst.z_col for key in inst.damage.component_keys() for t in range(T))
     # the column maps name every column exactly once
     assert sorted(_column_names(inst)) == list(range(inst.problem.lp.n_cols))
+
+
+def milp_fingerprint(problem) -> str:
+    """sha256 of a MILP's objective, triplets, row and column bounds and integer columns."""
+    lp = problem.lp
+    h = hashlib.sha256()
+    for a in (lp.c, lp.a_vals, lp.row_lower, lp.row_upper, lp.col_lower, lp.col_upper):
+        h.update(np.asarray(a, dtype=np.float64).tobytes())
+    for a in (lp.a_rows, lp.a_cols, sorted(problem.integer_columns)):
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# The bundled MILPs' fingerprints, per (placement, mode). The matrix layout
+# picks the dispatch LP's vertex among equal optima, and with it the fig 5
+# DER/non-DER split, so a layout change must be deliberate.
+BUNDLED_MILP = {
+    ("uniform", DerMode.BASE): "39e31342a264d32217b6e8658f3b2f40310cf19102950799354111323b9c1da4",
+    ("uniform", DerMode.HOME_MICROGRID): "4ecaec705dba0d1ba2214c41179293d9f45b27f89dd4875a3c1fc92fb39b460a",
+    ("uniform", DerMode.COMMUNITY_MICROGRID): "bf75af0ee2f08dd1c4a5f5a2035e668626d8cfd8a794c4bce63258b4443039d6",
+    ("clustered", DerMode.BASE): "39e31342a264d32217b6e8658f3b2f40310cf19102950799354111323b9c1da4",
+    ("clustered", DerMode.HOME_MICROGRID): "1ecab4be52b37a0a02ec57005574bdf92141ce75255116f297e62d2e0838be78",
+    ("clustered", DerMode.COMMUNITY_MICROGRID): "999fa9eb416bc1f5e0af14a2703562158a7d27ec22113a7fb2123ee3176b127c",
+}
+
+
+@pytest.mark.parametrize(
+    "placement, mode", list(BUNDLED_MILP), ids=lambda v: getattr(v, "value", v)
+)
+def test_bundled_milp_is_pinned(storm_network, storm_grid, placement, mode):
+    case = apply_der_mode(storm_network, datasets.bundled_placement(placement), mode)
+    assert milp_fingerprint(build_rop(case, storm_grid).problem) == BUNDLED_MILP[(placement, mode)]
 
 
 def _column_names(inst):
@@ -181,8 +217,6 @@ def test_build_rop_rejects_meshed_network():
 
 
 def test_damaged_bus_precedence():
-    from dataclasses import replace
-
     net = chain3(damage=(1, 2))
     net = replace(
         net,
@@ -212,6 +246,9 @@ def test_attached_rows_follow_damaged_bus_order():
     )
     inst = build_rop(as_case(net), TimeGrid(9))
     assert inst.damage.buses == (2, 9)
+    assert milp_fingerprint(inst.problem) == (
+        "16b9c90a14dcf26b1ccf1a8c3919a9873da12fb4ec34779d1abe5fca2960592a"
+    )
     key_of = {j: key for (key, _), j in inst.z_col.items()}
     lp = inst.problem.lp
     entries = {}
@@ -232,6 +269,17 @@ def test_attached_rows_follow_damaged_bus_order():
         ("bus:2", "line:1"), ("bus:2", "line:2"),
         ("bus:9", "line:8"), ("bus:9", "line:9"), ("bus:9", "demand:9"),
     }
+
+
+def test_unexpected_milp_status_is_a_solver_error(monkeypatch):
+    net = chain3(damage=(1, 2))
+    net = replace(net, buses=(net.buses[0], replace(net.buses[1], damaged=True), net.buses[2]))
+    inst = build_rop(as_case(net), TimeGrid(4))  # a damaged bus: the MILP path
+    monkeypatch.setattr(
+        rop, "solve_milp", lambda problem, rel_gap: Solution(UNBOUNDED, message="faked")
+    )
+    with pytest.raises(SolverError, match="faked"):
+        solve_rop(inst)
 
 
 def test_monotone_budget_invariants_random():

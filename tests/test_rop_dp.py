@@ -9,6 +9,7 @@ kernel is held bit for bit to the all-subsets kernel it replaced
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,28 @@ def test_served_power_matches_reference_at_the_line_cap():
     ids = [l.id for l in net.lines]
     net = apply_damage(net, rng.choice(ids, size=rop.DP_MAX_LINES, replace=False).tolist())
     assert np.array_equal(rop._served_power(net), dp_reference.served_power(net))
+
+
+def test_island_chunks_change_no_bit(monkeypatch):
+    net = branching_feeder([1] * 10)
+    whole = rop._served_power(net)
+    monkeypatch.setattr(rop, "ISLAND_CHUNK", 7)
+    assert np.array_equal(rop._served_power(net), whole)
+
+
+def test_served_power_memory_is_bounded_per_subset():
+    # 16 spurs off the root segment: 2^16 distinct islands of 17 buses,
+    # 357 B per subset (23 MB) when scored in one batch, 56 B in chunks
+    k = 16
+    net = star_feeder(k)
+    rop._served_power(star_feeder(3))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        rop._served_power(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * (1 << k)
 
 
 # sha256 of _served_power(net).tobytes() (little-endian float64), the DP's
