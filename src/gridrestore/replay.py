@@ -13,7 +13,10 @@ voltage bound is soft, charged to the objective at ``PENALTY_WEIGHT``.
 Each island is one sparse primal-dual interior-point solve from a flat
 start, with the exact Hessian of the polar line flows (``_IslandIpm``);
 a solve that fails returns its least-violating iterate, and the
-residual check then marks its periods as not converged.
+residual check then marks its periods as not converged. The pi-model
+flow is written once (``_LineBlock``), and each iterate evaluates its
+trigonometric terms once, for the flows, their partials and their
+Hessians alike.
 
 ``simulate_plans`` replays several plans over one actual case and
 solves each distinct island once per call: with one repair per period
@@ -219,118 +222,73 @@ class RipResult:
 # --- AC branch flow (pi model with ideal from-side tap) ---------------------
 
 
+class _Terms(NamedTuple):
+    """What a block's flows and their derivatives share at one point: the
+    end voltages and, per quantity, k = c cos d + s sin d and dk/dd."""
+
+    vi: np.ndarray
+    vj: np.ndarray
+    k: np.ndarray
+    k_d: np.ndarray
+
+
 class _LineBlock:
-    """Vectorized flows and their first and second derivatives for a set of lines."""
+    """The four directed flows of a set of lines and their derivatives.
+
+    Stacked in the order pfr, pto, qfr, qto, every quantity is
+    a_i vi^2 + a_j vj^2 + vi vj (c cos d + s sin d) with d = th_i - th_j;
+    the to end sees the angle -d, which flips the sign of its s. The tap
+    T = t_r + j t_i sits at the from end, so only the from end's self
+    term is scaled by 1 / t_m^2.
+    """
 
     def __init__(self, lines, bus_index: dict[int, int]):
         self.ids = np.array([l.id for l in lines], dtype=np.int64)
         self.i = np.array([bus_index[l.from_bus] for l in lines], dtype=np.int64)
         self.j = np.array([bus_index[l.to_bus] for l in lines], dtype=np.int64)
-        g = np.array([l.g for l in lines])
-        bb = np.array([l.b for l in lines])
-        g_fr = np.array([l.g_fr for l in lines])
-        b_fr = np.array([l.b_fr for l in lines])
-        g_to = np.array([l.g_to for l in lines])
-        b_to = np.array([l.b_to for l in lines])
-        tm2 = np.array([l.t_m**2 for l in lines])
-        tr = np.array([l.t_r for l in lines])
-        ti = np.array([l.t_i for l in lines])
-        self.ap = (g + g_fr) / tm2
-        self.cp = (-g * tr + bb * ti) / tm2
-        self.sp = (-bb * tr - g * ti) / tm2
-        self.a2p = (g + g_to) / tm2
-        self.c2p = (-g * tr - bb * ti) / tm2
-        self.s2p = (-bb * tr + g * ti) / tm2
-        self.aq = -(bb + b_fr) / tm2
-        self.cq = (bb * tr + g * ti) / tm2
-        self.sq = (-g * tr + bb * ti) / tm2
-        self.a2q = -(bb + b_to) / tm2
-        self.c2q = (bb * tr - g * ti) / tm2
-        self.s2q = (-g * tr - bb * ti) / tm2
-        self.t_lim = np.array([l.thermal_limit for l in lines])
-        self.a_min = np.array([l.angle_min for l in lines])
-        self.a_max = np.array([l.angle_max for l in lines])
+        g, bb, g_fr, b_fr, g_to, b_to, tm2, tr, ti, self.t_lim, self.a_min, self.a_max = np.array([
+            (l.g, l.b, l.g_fr, l.b_fr, l.g_to, l.b_to, l.t_m**2, l.t_r, l.t_i,
+             l.thermal_limit, l.angle_min, l.angle_max)
+            for l in lines
+        ]).reshape(-1, 12).T
+        zero = np.zeros(len(lines))
+        self.a_i = np.array([(g + g_fr) / tm2, zero, -(bb + b_fr) / tm2, zero])
+        self.a_j = np.array([zero, g + g_to, zero, -(bb + b_to)])
+        self.c = np.array([
+            -g * tr + bb * ti, -g * tr - bb * ti, bb * tr + g * ti, bb * tr - g * ti,
+        ]) / tm2
+        self.s = np.array([
+            -bb * tr - g * ti, bb * tr - g * ti, -g * tr + bb * ti, g * tr + bb * ti,
+        ]) / tm2
 
-    def flows(self, v: np.ndarray, th: np.ndarray):
-        vi, vj = v[self.i], v[self.j]
+    def terms(self, v: np.ndarray, th: np.ndarray) -> _Terms:
+        """The block's one trigonometric evaluation at (v, th)."""
         d = th[self.i] - th[self.j]
         cos_d, sin_d = np.cos(d), np.sin(d)
-        vv = vi * vj
-        pfr = self.ap * vi**2 + vv * (self.cp * cos_d + self.sp * sin_d)
-        qfr = self.aq * vi**2 + vv * (self.cq * cos_d + self.sq * sin_d)
-        # to-side angle is -d; cos(-d) = cos d, sin(-d) = -sin d
-        pto = self.a2p * vj**2 + vv * (self.c2p * cos_d - self.s2p * sin_d)
-        qto = self.a2q * vj**2 + vv * (self.c2q * cos_d - self.s2q * sin_d)
-        return pfr, pto, qfr, qto
+        k = self.c * cos_d + self.s * sin_d
+        return _Terms(v[self.i], v[self.j], k, -self.c * sin_d + self.s * cos_d)
 
-    def flow_partials(self, v: np.ndarray, th: np.ndarray):
-        """d(flow)/d(vi, vj, thi, thj) for the four directed quantities."""
-        vi, vj = v[self.i], v[self.j]
-        d = th[self.i] - th[self.j]
-        cos_d, sin_d = np.cos(d), np.sin(d)
-        out = {}
-        kfr_p = self.cp * cos_d + self.sp * sin_d
-        kfr_p_d = -self.cp * sin_d + self.sp * cos_d
-        out["pfr"] = (
-            2 * self.ap * vi + vj * kfr_p,
-            vi * kfr_p,
-            vi * vj * kfr_p_d,
-            -vi * vj * kfr_p_d,
-        )
-        kfr_q = self.cq * cos_d + self.sq * sin_d
-        kfr_q_d = -self.cq * sin_d + self.sq * cos_d
-        out["qfr"] = (
-            2 * self.aq * vi + vj * kfr_q,
-            vi * kfr_q,
-            vi * vj * kfr_q_d,
-            -vi * vj * kfr_q_d,
-        )
-        kto_p = self.c2p * cos_d - self.s2p * sin_d
-        kto_p_d = -self.c2p * sin_d - self.s2p * cos_d
-        out["pto"] = (
-            vj * kto_p,
-            2 * self.a2p * vj + vi * kto_p,
-            vi * vj * kto_p_d,
-            -vi * vj * kto_p_d,
-        )
-        kto_q = self.c2q * cos_d - self.s2q * sin_d
-        kto_q_d = -self.c2q * sin_d - self.s2q * cos_d
-        out["qto"] = (
-            vj * kto_q,
-            2 * self.a2q * vj + vi * kto_q,
-            vi * vj * kto_q_d,
-            -vi * vj * kto_q_d,
-        )
-        return out
+    def flows(self, t: _Terms) -> np.ndarray:
+        """The four quantities, (4, lines)."""
+        return self.a_i * t.vi**2 + self.a_j * t.vj**2 + t.vi * t.vj * t.k
 
-    def flow_hessians(self, v: np.ndarray, th: np.ndarray):
-        """Second derivatives of the four directed quantities.
+    def partials(self, t: _Terms) -> np.ndarray:
+        """Their partials over (vi, vj, thi, thj), (4, lines, 4)."""
+        dth = t.vi * t.vj * t.k_d
+        dvi = 2 * self.a_i * t.vi + t.vj * t.k
+        dvj = 2 * self.a_j * t.vj + t.vi * t.k
+        return np.stack([dvi, dvj, dth, -dth], axis=-1)
 
-        One symmetric 4x4 block per line over (vi, vj, thi, thj). Every
-        quantity has the form a_i vi^2 + a_j vj^2 + vi vj (c cos d + s sin d).
-        """
-        vi, vj = v[self.i], v[self.j]
-        d = th[self.i] - th[self.j]
-        cos_d, sin_d = np.cos(d), np.sin(d)
-        zero = np.zeros_like(self.ap)
-        # rows: pfr, qfr, pto, qto; the to side sees the angle -d
-        a_i = np.array([self.ap, self.aq, zero, zero])
-        a_j = np.array([zero, zero, self.a2p, self.a2q])
-        c = np.array([self.cp, self.cq, self.c2p, self.c2q])
-        s = np.array([self.sp, self.sq, -self.s2p, -self.s2q])
-        k = c * cos_d + s * sin_d
-        k_d = -c * sin_d + s * cos_d
-        h = np.empty((4, len(vi), 4, 4))
-        h[:, :, 0, 0] = 2 * a_i
-        h[:, :, 1, 1] = 2 * a_j
-        h[:, :, 0, 1] = h[:, :, 1, 0] = k
-        h[:, :, 0, 2] = h[:, :, 2, 0] = vj * k_d
-        h[:, :, 0, 3] = h[:, :, 3, 0] = -vj * k_d
-        h[:, :, 1, 2] = h[:, :, 2, 1] = vi * k_d
-        h[:, :, 1, 3] = h[:, :, 3, 1] = -vi * k_d
-        h[:, :, 2, 2] = h[:, :, 3, 3] = -vi * vj * k
-        h[:, :, 2, 3] = h[:, :, 3, 2] = vi * vj * k
-        return dict(zip(("pfr", "qfr", "pto", "qto"), h))
+    def hessians(self, t: _Terms) -> np.ndarray:
+        """Their symmetric second derivatives, (4, lines, 4, 4)."""
+        vi, vj, k, k_d = t
+        vik, vjk, vvk = vi * k_d, vj * k_d, vi * vj * k
+        return np.stack([
+            2 * self.a_i, k, vjk, -vjk,
+            k, 2 * self.a_j, vik, -vik,
+            vjk, vik, -vvk, vvk,
+            -vjk, -vik, vvk, -vvk,
+        ], axis=-1).reshape(k.shape + (4, 4))
 
 
 class _IslandNlp:
@@ -344,7 +302,7 @@ class _IslandNlp:
         self.lines = [net.line_by_id[l] for l in island.lines]
         self.gens = [net.generator_by_id[g] for g in island.generators]
         self.demands = [net.demand_by_id[d] for d in island.demands]
-        self.block = _LineBlock(self.lines, self.bus_index) if self.lines else None
+        self.block = block = _LineBlock(self.lines, self.bus_index)
 
         nb, nl = len(self.buses), len(self.lines)
         nd, ng = len(self.demands), len(self.gens)
@@ -356,15 +314,27 @@ class _IslandNlp:
         self.iqg = 2 * nb + nd + ng + np.arange(ng)
         self.ivt = 2 * nb + nd + 2 * ng + np.arange(nb)
         self.n_var = 3 * nb + nd + 2 * ng
+        # each line's variables, in the order of its partials
+        self.line_vars = np.column_stack([
+            self.iv[block.i], self.iv[block.j], self.ith[block.i], self.ith[block.j],
+        ])
 
         self.pd = np.array([d.p for d in self.demands])
         self.qd = np.array([d.q for d in self.demands])
         self.v_min = np.array([b.v_min for b in self.buses])
         self.v_max = np.array([b.v_max for b in self.buses])
 
-        # balance rows of the units and demands
-        self.gen_rows = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
-        self.demand_rows = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
+        # The balance rows' terms, each at its bus's row: the units' P and
+        # Q, the demands' served P and Q, then the flows pfr, pto, qfr, qto
+        # at their ends. The units and demands are linear in one variable each.
+        gen_rows = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
+        demand_rows = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
+        self.balance_rows = np.concatenate([
+            gen_rows, nb + gen_rows, demand_rows, nb + demand_rows,
+            block.i, block.j, nb + block.i, nb + block.j,
+        ])
+        self.linear_cols = np.concatenate([self.ipg, self.iqg, self.ix, self.ix])
+        self.linear_coef = np.concatenate([np.ones(2 * ng), -self.pd, -self.qd])
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(self.n_var)
@@ -403,43 +373,37 @@ class _IslandNlp:
             u[self.iqg[k]] = np.clip(want_q * share, g.q_min, g.q_max)
         return u
 
-    # -- balance equalities ---------------------------------------------
-    def balance(self, u: np.ndarray) -> np.ndarray:
-        v, th = u[self.iv], u[self.ith]
-        out = np.zeros(2 * self.nb)
-        np.add.at(out, self.gen_rows, u[self.ipg])
-        np.add.at(out, self.nb + self.gen_rows, u[self.iqg])
-        x = u[self.ix]
-        np.subtract.at(out, self.demand_rows, x * self.pd)
-        np.subtract.at(out, self.nb + self.demand_rows, x * self.qd)
-        if self.block is not None:
-            pfr, pto, qfr, qto = self.block.flows(v, th)
-            np.subtract.at(out, self.block.i, pfr)
-            np.subtract.at(out, self.block.j, pto)
-            np.subtract.at(out, self.nb + self.block.i, qfr)
-            np.subtract.at(out, self.nb + self.block.j, qto)
-        return out
+    def terms(self, u: np.ndarray) -> _Terms:
+        return self.block.terms(u[self.iv], u[self.ith])
+
+    def flows(self, u: np.ndarray) -> np.ndarray:
+        return self.block.flows(self.terms(u))
+
+    # -- balance equalities, given the flows f at u ---------------------
+    def balance(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        parts = np.concatenate([self.linear_coef * u[self.linear_cols], -f.ravel()])
+        return np.bincount(self.balance_rows, parts, minlength=2 * self.nb)
 
     # -- thermal inequalities (squared apparent power) -------------------
-    def thermal(self, u: np.ndarray) -> np.ndarray:
-        pfr, pto, qfr, qto = self.block.flows(u[self.iv], u[self.ith])
-        return np.concatenate(
-            [pfr**2 + qfr**2 - self.block.t_lim**2, pto**2 + qto**2 - self.block.t_lim**2]
-        )
+    def thermal(self, f: np.ndarray) -> np.ndarray:
+        t2 = self.block.t_lim**2
+        return np.concatenate([f[0] ** 2 + f[2] ** 2 - t2, f[1] ** 2 + f[3] ** 2 - t2])
+
+    def inequalities(self, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The rows h(u) <= 0 besides the bounds: thermal at the from and
+        to ends, the soft voltage floor, the angle difference above and below."""
+        th = u[self.ith]
+        d = th[self.block.i] - th[self.block.j]
+        soft = self.v_min - u[self.iv] - u[self.ivt]
+        return np.concatenate([self.thermal(f), soft, d - self.block.a_max, self.block.a_min - d])
 
     def violation(self, u: np.ndarray) -> float:
-        viol = float(np.max(np.abs(self.balance(u)), initial=0.0))
-        if self.nl:
-            viol = max(viol, float(np.max(self.thermal(u), initial=0.0)))
-            th = u[self.ith]
-            diff = th[self.block.i] - th[self.block.j]
-            viol = max(
-                viol,
-                float(np.max(diff - self.block.a_max, initial=0.0)),
-                float(np.max(self.block.a_min - diff, initial=0.0)),
-            )
-        soft = self.v_min - u[self.iv] - u[self.ivt]
-        return max(viol, float(np.max(soft, initial=0.0)))
+        """The largest violation of the balance and inequality rows at ``u``."""
+        f = self.flows(u)
+        return float(max(
+            np.max(np.abs(self.balance(u, f)), initial=0.0),
+            np.max(self.inequalities(u, f), initial=0.0),
+        ))
 
     def solve(self, tol: float) -> np.ndarray:
         """Interior-point solution, clipped to the bounds (see ``_IslandIpm``)."""
@@ -470,16 +434,17 @@ _DELTA_C = 1e-8
 class _Point(NamedTuple):
     """One iterate and what the step needs of it: the balance rows g, the
     inequality rows h, the values of their Jacobians (in the COO order of
-    ``_IslandIpm``), and the flows and their partials, each stacked in the
-    order pfr, pto, qfr, qto."""
+    ``_IslandIpm``), the line block's terms, and the flows and their
+    partials, stacked in the order pfr, pto, qfr, qto."""
 
     u: np.ndarray
     g: np.ndarray
     h: np.ndarray
     g_vals: np.ndarray
     h_vals: np.ndarray
-    f: np.ndarray | None  # (4, nl)
-    df: np.ndarray | None  # (4, nl, 4), over (v_i, v_j, th_i, th_j)
+    terms: _Terms
+    f: np.ndarray  # (4, nl)
+    df: np.ndarray  # (4, nl, 4), over (v_i, v_j, th_i, th_j)
 
 
 class _IslandIpm:
@@ -512,22 +477,14 @@ class _IslandIpm:
         self.m = m = 2 * nb
         pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
         pos[free] = np.arange(nf)
-        empty = np.zeros(0, dtype=np.int64)
-        self.bi, self.bj = (nlp.block.i, nlp.block.j) if nl else (empty, empty)
-        bi, bj = self.bi, self.bj
-        # each line's variables, in the order of its 4x4 blocks
-        quad = np.column_stack([nlp.iv[bi], nlp.iv[bj], nlp.ith[bi], nlp.ith[bj]])
+        quad = nlp.line_vars
 
-        # the balance row of each flow, in the order pfr, pto, qfr, qto
-        self.flow_rows = np.concatenate([bi, bj, nb + bi, nb + bj])
-        # Jg in COO form: the unit and demand entries, then each flow's
-        # four partials at its balance row
-        self.g_rows = np.concatenate([
-            nlp.gen_rows, nb + nlp.gen_rows, nlp.demand_rows, nb + nlp.demand_rows,
-            np.repeat(self.flow_rows, 4),
-        ])
-        self.g_cols = np.concatenate([nlp.ipg, nlp.iqg, nlp.ix, nlp.ix, np.tile(quad, (4, 1)).ravel()])
-        self.g_vals0 = np.concatenate([np.ones(2 * nlp.ng), -nlp.pd, -nlp.qd])
+        # Jg in COO form: the linear terms of the balance rows, then each
+        # flow's four partials at its balance row
+        n_linear = len(nlp.linear_cols)
+        self.flow_rows = nlp.balance_rows[n_linear:]
+        self.g_rows = np.concatenate([nlp.balance_rows[:n_linear], np.repeat(self.flow_rows, 4)])
+        self.g_cols = np.concatenate([nlp.linear_cols, np.tile(quad, (4, 1)).ravel()])
 
         # Jh in COO form. Rows: thermal at the from and to ends, the soft
         # floor, the angle difference above and below, the upper and
@@ -575,28 +532,17 @@ class _IslandIpm:
     def evaluate(self, u: np.ndarray) -> _Point:
         """g, h and the values of their Jacobians at ``u``."""
         nlp = self.nlp
-        v, th = u[nlp.iv], u[nlp.ith]
-        soft = nlp.v_min - v - u[nlp.ivt]
+        terms = nlp.terms(u)
+        f = nlp.block.flows(terms)
+        df = nlp.block.partials(terms)
         upper = u[self.free] - self.hi[self.free]
         lower = self.lo[self.free] - u[self.free]
-        if not nlp.nl:
-            h = np.concatenate([soft, upper, lower])
-            return _Point(u, nlp.balance(u), h, self.g_vals0, self.h_vals0, None, None)
-        block = nlp.block
-        f = np.array(block.flows(v, th))
-        parts = block.flow_partials(v, th)
-        df = np.array([parts[k] for k in ("pfr", "pto", "qfr", "qto")]).transpose(0, 2, 1)
-        t2 = block.t_lim**2
-        d = th[self.bi] - th[self.bj]
-        h = np.concatenate([
-            f[0] ** 2 + f[2] ** 2 - t2, f[1] ** 2 + f[3] ** 2 - t2, soft,
-            d - block.a_max, block.a_min - d, upper, lower,
-        ])
+        h = np.concatenate([nlp.inequalities(u, f), upper, lower])
         # d(p^2 + q^2) = 2 p dp + 2 q dq, at the from end, then the to end
         jt = 2 * (f[:2, :, None] * df[:2] + f[2:, :, None] * df[2:])
-        g_vals = np.concatenate([self.g_vals0, -df.ravel()])
+        g_vals = np.concatenate([nlp.linear_coef, -df.ravel()])
         h_vals = np.concatenate([jt.ravel(), self.h_vals0])
-        return _Point(u, nlp.balance(u), h, g_vals, h_vals, f, df)
+        return _Point(u, nlp.balance(u, f), h, g_vals, h_vals, terms, f, df)
 
     def lagrangian_gradient(self, pt: _Point, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         """c + Jg' lam + Jh' w, over all variables."""
@@ -614,34 +560,31 @@ class _IslandIpm:
         """
         nlp = self.nlp
         nb, nl, nf = nlp.nb, nlp.nl, self.nf
-        parts = []
-        if nl:
-            hess = nlp.block.flow_hessians(pt.u[nlp.iv], pt.u[nlp.ith])
-            # the thermal multiplier at each flow's end
-            mu_t = np.tile(mu[: 2 * nl].reshape(2, nl), (2, 1))
-            # each flow's weight in Lxx: minus its balance multiplier, plus
-            # 2 mu p (or 2 mu q) from its end's thermal row
-            w = 2 * mu_t * pt.f - lam[self.flow_rows].reshape(4, nl)
-            blk = np.einsum("fl,flab->lab", w, np.array([hess[k] for k in ("pfr", "pto", "qfr", "qto")]))
-            # the thermal rows' Gauss-Newton terms, 2 mu (dp dp' + dq dq')
-            blk += 2 * np.einsum("fl,fla,flb->lab", mu_t, pt.df, pt.df)
-            jt = pt.h_vals[: 8 * nl].reshape(2, nl, 4)
-            blk += np.einsum("tl,tla,tlb->lab", d[: 2 * nl].reshape(2, nl), jt, jt)
-            angle = d[2 * nl + nb : 3 * nl + nb] + d[3 * nl + nb : 4 * nl + nb]
-            blk[:, 2, 2] += angle
-            blk[:, 3, 3] += angle
-            blk[:, 2, 3] -= angle
-            blk[:, 3, 2] -= angle
-            parts.append(blk.ravel())
+        # the thermal multiplier at each flow's end: from, to, from, to
+        mu_t = mu[: 2 * nl].reshape(2, nl)[[0, 1, 0, 1]]
+        # each flow's weight in Lxx: minus its balance multiplier, plus
+        # 2 mu p (or 2 mu q) from its end's thermal row
+        w = 2 * mu_t * pt.f - lam[self.flow_rows].reshape(4, nl)
+        blk = np.einsum("fl,flab->lab", w, nlp.block.hessians(pt.terms))
+        # the thermal rows' Gauss-Newton terms, 2 mu (dp dp' + dq dq')
+        blk += 2 * np.einsum("fl,fla,flb->lab", mu_t, pt.df, pt.df)
+        jt = pt.h_vals[: 8 * nl].reshape(2, nl, 4)
+        blk += np.einsum("tl,tla,tlb->lab", d[: 2 * nl].reshape(2, nl), jt, jt)
+        angle = d[2 * nl + nb : 3 * nl + nb] + d[3 * nl + nb : 4 * nl + nb]
+        blk[:, 2, 2] += angle
+        blk[:, 3, 3] += angle
+        blk[:, 2, 3] -= angle
+        blk[:, 3, 2] -= angle
+        soft = d[2 * nl : 2 * nl + nb]
         bounds = 4 * nl + nb
-        parts += [
-            np.tile(d[2 * nl : 2 * nl + nb], 4),
+        return np.concatenate([
+            blk.ravel(),
+            soft, soft, soft, soft,
             d[bounds : bounds + nf] + d[bounds + nf :],
             pt.g_vals,
             pt.g_vals,
             np.full(self.m, -delta_c),
-        ]
-        return np.concatenate(parts)
+        ])
 
     def kkt_matrix(self, vals: np.ndarray) -> sparse.csc_matrix:
         """The KKT matrix holding ``vals``; the one matrix is refilled in place."""
@@ -771,10 +714,9 @@ def _island_solution(nlp: _IslandNlp, u: np.ndarray) -> _IslandSolution:
     for k, g in enumerate(nlp.gens):
         out.p_gen[g.id] = float(u[nlp.ipg[k]])
         out.q_gen[g.id] = float(u[nlp.iqg[k]])
-    if nlp.block is not None:
-        flow_parts = (out.p_flow_fr, out.p_flow_to, out.q_flow_fr, out.q_flow_to)
-        for part, f in zip(flow_parts, nlp.block.flows(u[nlp.iv], u[nlp.ith])):
-            part.update(zip(nlp.block.ids.tolist(), f.tolist()))
+    flow_parts = (out.p_flow_fr, out.p_flow_to, out.q_flow_fr, out.q_flow_to)
+    for part, f in zip(flow_parts, nlp.flows(u)):
+        part.update(zip(nlp.block.ids.tolist(), f.tolist()))
     return out
 
 
@@ -866,7 +808,7 @@ def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
 
     block = _LineBlock(on, bus_index)
     pfr, pto, qfr, qto = (np.array([f[l.id] for l in on]) for f in flows)
-    for recomputed, stated in zip(block.flows(v, th), (pfr, pto, qfr, qto)):
+    for recomputed, stated in zip(block.flows(block.terms(v, th)), (pfr, pto, qfr, qto)):
         flow_err = max(flow_err, float(np.max(np.abs(recomputed - stated), initial=0.0)))
     # math.hypot, not np.hypot: the two differ in the last digit
     apparent = np.array([math.hypot(p, q) for p, q in zip(np.r_[pfr, pto], np.r_[qfr, qto])])

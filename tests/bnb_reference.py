@@ -1,4 +1,4 @@
-"""Built-in branch-and-bound driver over the bounded-variable simplex.
+"""Reference branch-and-bound over the bounded-variable simplex (``simplex_reference``).
 
 Node selection is best LP bound; after branching, the search first dives
 depth-first down the 1-branch (energize early) to find an incumbent
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..errors import SolverError
-from .problem import (
+from gridrestore.errors import SolverError
+from gridrestore.milp.problem import (
     INCUMBENT_WITH_GAP,
     INFEASIBLE,
     OPTIMAL,
@@ -23,7 +23,7 @@ from .problem import (
     MilpProblem,
     Solution,
 )
-from .simplex import solve_lp_builtin
+from simplex_reference import solve_lp_builtin
 
 _INT_TOL = 1e-6
 

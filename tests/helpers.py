@@ -4,7 +4,7 @@ independent DC load-shed oracle used to cross-check the scheduling MILP.
 The oracle deliberately avoids the production model builder: de-energized
 lines are dropped from its LP entirely, flows follow bus angles (the
 production model has no angle columns), and it is solved with the
-built-in simplex, so the two routes share neither problem assembly nor
+reference simplex, so the two routes share neither problem assembly nor
 solver kernel.
 """
 
@@ -15,8 +15,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from gridrestore.milp import ProblemBuilder, solve_lp
+from gridrestore.milp import ProblemBuilder
 from gridrestore.model import Bus, Demand, Generator, Line, Network
+
+from simplex_reference import solve_lp
 
 PF_Q = 0.3286841  # tan(acos(0.95))
 

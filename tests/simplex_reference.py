@@ -1,4 +1,9 @@
-"""Built-in LP solver: two-phase revised simplex with bounded variables.
+"""Reference LP solver: two-phase revised simplex with bounded variables.
+
+The package solves every LP and MILP with HiGHS. This simplex and the
+branch-and-bound over it (``bnb_reference``) are the tests' reference
+kernel, independent of HiGHS: the brute-force oracle solves its LPs here,
+and HiGHS is cross-checked against the branch-and-bound.
 
 Rows ``lo <= a.x <= hi`` become equalities ``a.x - s = 0`` with a bounded
 slack ``s``; phase 1 drives artificial residual columns to zero. Entering
@@ -11,8 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SolverError
-from .problem import INFEASIBLE, OPTIMAL, UNBOUNDED, INF, LinearProgram, Solution
+from gridrestore.errors import SolverError
+from gridrestore.milp.problem import (
+    INF,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LinearProgram,
+    Solution,
+    verify_solution,
+)
 
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 500
@@ -43,6 +56,13 @@ def solve_lp_builtin(lp: LinearProgram, tol: float = 1e-7) -> Solution:
     x = work.x[:n].copy()
     obj = float(lp.c @ x)
     return Solution(status=OPTIMAL, objective=obj, x=x, gap=0.0)
+
+
+def solve_lp(lp: LinearProgram, tol: float = 1e-7) -> Solution:
+    """``solve_lp_builtin``, re-verified against the raw constraint matrix."""
+    sol = solve_lp_builtin(lp, tol=tol)
+    verify_solution(lp, sol, tol)
+    return sol
 
 
 def _solve_bounds_only(lp: LinearProgram, tol: float) -> Solution:

@@ -5,7 +5,10 @@ method. This module keeps the dense solver it replaced, on the same
 model (``_IslandNlp``'s variables, bounds, objective and rows): SLSQP
 from the flat start, polished once more with SLSQP only when the
 residuals stay above tolerance. The tests hold the interior-point
-optimum against it, so the two share the model but no solver code.
+optimum against it, so the two share the model but no solver code:
+the constraint functions hand ``nlp.flows`` to ``balance`` and
+``thermal``, and the dense Jacobians read the model's stacked flow
+partials (``_LineBlock.partials``).
 """
 
 from __future__ import annotations
@@ -16,52 +19,45 @@ import scipy.optimize as sopt
 
 def balance_jac(nlp, u: np.ndarray) -> np.ndarray:
     """Dense Jacobian of ``nlp.balance``."""
-    nb = nlp.nb
-    J = np.zeros((2 * nb, nlp.n_var))
-    J[nlp.gen_rows, nlp.ipg] = 1.0
-    J[nb + nlp.gen_rows, nlp.iqg] = 1.0
-    J[nlp.demand_rows, nlp.ix] = -nlp.pd
-    J[nb + nlp.demand_rows, nlp.ix] = -nlp.qd
-    if nlp.block is not None:
-        parts = nlp.block.flow_partials(u[nlp.iv], u[nlp.ith])
-        bi, bj = nlp.block.i, nlp.block.j
-        for name, row_base, at in (("pfr", 0, bi), ("pto", 0, bj), ("qfr", nb, bi), ("qto", nb, bj)):
-            dvi, dvj, dthi, dthj = parts[name]
-            rows = row_base + at
-            np.subtract.at(J, (rows, nlp.iv[bi]), dvi)
-            np.subtract.at(J, (rows, nlp.iv[bj]), dvj)
-            np.subtract.at(J, (rows, nlp.ith[bi]), dthi)
-            np.subtract.at(J, (rows, nlp.ith[bj]), dthj)
+    J = np.zeros((2 * nlp.nb, nlp.n_var))
+    n = len(nlp.linear_cols)
+    J[nlp.balance_rows[:n], nlp.linear_cols] = nlp.linear_coef
+    # each flow's partials, with a minus sign, at its balance row
+    df = nlp.block.partials(nlp.terms(u))
+    for rows, partials in zip(nlp.balance_rows[n:].reshape(4, nlp.nl), df):
+        for cols, d in zip(nlp.line_vars.T, partials.T):
+            np.subtract.at(J, (rows, cols), d)
     return J
 
 
 def thermal_jac(nlp, u: np.ndarray) -> np.ndarray:
-    """Dense Jacobian of ``nlp.thermal``."""
-    v, th = u[nlp.iv], u[nlp.ith]
-    pfr, pto, qfr, qto = nlp.block.flows(v, th)
-    parts = nlp.block.flow_partials(v, th)
+    """Dense Jacobian of ``nlp.thermal``: d(p^2 + q^2) = 2 p dp + 2 q dq."""
+    terms = nlp.terms(u)
+    f, df = nlp.block.flows(terms), nlp.block.partials(terms)
     nl = nlp.nl
     J = np.zeros((2 * nl, nlp.n_var))
-    bi, bj = nlp.block.i, nlp.block.j
     rows_fr = np.arange(nl)
-    for rows, p, q, pn, qn in (
-        (rows_fr, pfr, qfr, "pfr", "qfr"),
-        (nl + rows_fr, pto, qto, "pto", "qto"),
-    ):
-        dp, dq = parts[pn], parts[qn]
-        for off, cols in ((0, nlp.iv[bi]), (1, nlp.iv[bj]), (2, nlp.ith[bi]), (3, nlp.ith[bj])):
-            np.add.at(J, (rows, cols), 2 * p * dp[off] + 2 * q * dq[off])
+    # the from end's rows read pfr and qfr, the to end's pto and qto
+    for rows, p, q in ((rows_fr, 0, 2), (nl + rows_fr, 1, 3)):
+        for k, cols in enumerate(nlp.line_vars.T):
+            np.add.at(J, (rows, cols), 2 * f[p] * df[p, :, k] + 2 * f[q] * df[q, :, k])
     return J
 
 
 def slsqp_constraints(nlp) -> list[dict]:
     """Balance, thermal, soft voltage floor, then angle differences."""
-    cons = [{"type": "eq", "fun": nlp.balance, "jac": lambda z: balance_jac(nlp, z)}]
+    cons = [
+        {
+            "type": "eq",
+            "fun": lambda z: nlp.balance(z, nlp.flows(z)),
+            "jac": lambda z: balance_jac(nlp, z),
+        }
+    ]
     if nlp.nl:
         cons.append(
             {
                 "type": "ineq",
-                "fun": lambda z: -nlp.thermal(z),
+                "fun": lambda z: -nlp.thermal(nlp.flows(z)),
                 "jac": lambda z: -thermal_jac(nlp, z),
             }
         )

@@ -10,12 +10,12 @@ from gridrestore.milp import (
     ProblemBuilder,
     Solution,
     feasibility_violation,
-    solve_lp,
     solve_milp,
-    solve_milp_builtin,
     verify_solution,
 )
-from gridrestore.milp.simplex import solve_lp_builtin
+
+from bnb_reference import solve_milp_builtin
+from simplex_reference import solve_lp, solve_lp_builtin
 
 
 def highs_lp(lp):

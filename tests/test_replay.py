@@ -14,7 +14,16 @@ import pytest
 from gridrestore import replay
 from gridrestore.errors import CaseValidationError, GridRestoreError
 from gridrestore.metrics import reconnection_times
-from gridrestore.model import Bus, Demand, Generator, Line, Network, TimeGrid, time_grid_for
+from gridrestore.model import (
+    Bus,
+    Demand,
+    Generator,
+    Line,
+    Network,
+    TimeGrid,
+    time_grid_for,
+    validate,
+)
 from gridrestore.replay import (
     _IslandIpm,
     _IslandNlp,
@@ -635,7 +644,8 @@ def test_replay_does_not_depend_on_the_blas_thread_count(
 
 
 def _loop_balance(nlp, u):
-    """The unit and demand terms of balance and its Jacobian, one at a time."""
+    """Balance one term at a time, and its Jacobian in the unit and demand
+    columns: each flow leaves at its end, pfr, pto, qfr, qto in turn."""
     out = np.zeros(2 * nlp.nb)
     J = np.zeros((2 * nlp.nb, nlp.n_var))
     for k, g in enumerate(nlp.gens):
@@ -650,6 +660,10 @@ def _loop_balance(nlp, u):
         out[nlp.nb + bi] -= u[nlp.ix[k]] * d.q
         J[bi, nlp.ix[k]] = -d.p
         J[nlp.nb + bi, nlp.ix[k]] = -d.q
+    ends = ((0, "from_bus"), (0, "to_bus"), (nlp.nb, "from_bus"), (nlp.nb, "to_bus"))
+    for (row, end), flows in zip(ends, nlp.flows(u)):
+        for line, f in zip(nlp.lines, flows):
+            out[row + nlp.bus_index[getattr(line, end)]] -= f
     return out, J
 
 
@@ -657,16 +671,21 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     case = apply_der_mode(storm_network, uniform_placement, DerMode.COMMUNITY_MICROGRID)
     damaged = sorted(l.id for l in storm_network.lines if l.damaged)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
+    assert len(island.lines) == len(island.buses) - 1
     # without lines only the unit and demand terms remain
-    nlp = _IslandNlp(case.network, replace(island, lines=()))
-    ipm = _IslandIpm(nlp)
-    assert len(set(nlp.gen_rows)) < nlp.ng  # some bus hosts several units
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        u = rng.uniform(*nlp.bounds())
-        out, J = _loop_balance(nlp, u)
-        np.testing.assert_array_equal(nlp.balance(u), out)
-        np.testing.assert_array_equal(_dense(ipm.g_rows, ipm.g_cols, ipm.evaluate(u).g_vals, J.shape), J)
+    for island in (replace(island, lines=()), island):
+        nlp = _IslandNlp(case.network, island)
+        ipm = _IslandIpm(nlp)
+        assert len({g.bus for g in nlp.gens}) < nlp.ng  # some bus hosts several units
+        # the unit and demand columns; without lines, every column
+        linear = np.r_[nlp.ix, nlp.ipg, nlp.iqg] if nlp.nl else np.arange(nlp.n_var)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            u = rng.uniform(*nlp.bounds())
+            out, J = _loop_balance(nlp, u)
+            np.testing.assert_array_equal(nlp.balance(u, nlp.flows(u)), out)
+            jg = _dense(ipm.g_rows, ipm.g_cols, ipm.evaluate(u).g_vals, J.shape)
+            np.testing.assert_array_equal(jg[:, linear], J[:, linear])
 
 
 def _dense(rows, cols, vals, shape):
@@ -688,18 +707,42 @@ def _central_differences(fun, u, columns, eps=1e-6):
 
 
 def _shunted_feeder(seed):
-    """A random DER feeder whose lines carry shunts and off-nominal taps."""
+    """A random DER feeder whose lines carry shunts and off-nominal,
+    phase-shifting taps (t_m^2 = t_r^2 + t_i^2)."""
     rng = np.random.RandomState(seed)
     net = random_der_feeder(rng, n_buses=10)
-    lines = tuple(
-        replace(
-            l, g_fr=rng.uniform(0, 0.1), b_fr=rng.uniform(-0.1, 0.1),
-            g_to=rng.uniform(0, 0.1), b_to=rng.uniform(-0.1, 0.1),
-            t_m=rng.uniform(0.95, 1.05), t_r=rng.uniform(0.95, 1.05), t_i=rng.uniform(-0.05, 0.05),
-        )
-        for l in net.lines
-    )
-    return replace(net, lines=lines)
+    lines = []
+    for l in net.lines:
+        shunts = rng.uniform([0, -0.1, 0, -0.1], [0.1, 0.1, 0.1, 0.1])
+        t_m, shift = rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05)
+        lines.append(replace(
+            l, g_fr=shunts[0], b_fr=shunts[1], g_to=shunts[2], b_to=shunts[3],
+            t_m=t_m, t_r=t_m * np.cos(shift), t_i=t_m * np.sin(shift),
+        ))
+    return replace(net, lines=tuple(lines))
+
+
+def test_line_flows_match_complex_phasor_pi_model():
+    net = _shunted_feeder(3)
+    assert validate(net).ok
+    index = {b.id: k for k, b in enumerate(net.buses)}
+    block = replay._LineBlock(net.lines, index)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        v, th = rng.uniform(0.9, 1.1, len(index)), rng.uniform(-0.3, 0.3, len(index))
+        phasor = v * np.exp(1j * th)
+        expected = []
+        for l in net.lines:
+            y = l.g + 1j * l.b
+            # the ideal transformer T:1 at the from end feeds the pi section
+            # the voltage V_i / T and conserves power: S = V conj(I)
+            vi = phasor[index[l.from_bus]] / (l.t_r + 1j * l.t_i)
+            vj = phasor[index[l.to_bus]]
+            s_fr = vi * np.conj((y + l.g_fr + 1j * l.b_fr) * vi - y * vj)
+            s_to = vj * np.conj((y + l.g_to + 1j * l.b_to) * vj - y * vi)
+            expected.append([s_fr.real, s_to.real, s_fr.imag, s_to.imag])
+        f = block.flows(block.terms(v, th))
+        np.testing.assert_allclose(f, np.array(expected).T, rtol=1e-12, atol=1e-12)
 
 
 def test_flow_hessians_match_central_differences_of_partials():
@@ -709,25 +752,25 @@ def test_flow_hessians_match_central_differences_of_partials():
     rng = np.random.default_rng(5)
     for _ in range(5):
         v, th = rng.uniform(0.9, 1.1, nb), rng.uniform(-0.3, 0.3, nb)
-        hess = block.flow_hessians(v, th)
+        hess = block.hessians(block.terms(v, th))
         # each bus variable is position 0 or 2 of the lines leaving it,
         # and 1 or 3 of the lines entering it
-        fd = {name: np.full_like(h, np.nan) for name, h in hess.items()}
+        fd = np.full_like(hess, np.nan)
         for k in range(nb):
             for var, (at_i, at_j) in ((v, (0, 1)), (th, (2, 3))):
                 saved = var[k]
                 var[k] = saved + 1e-6
-                up = block.flow_partials(v, th)
+                up = block.partials(block.terms(v, th))
                 var[k] = saved - 1e-6
-                down = block.flow_partials(v, th)
+                down = block.partials(block.terms(v, th))
                 var[k] = saved
-                for name in fd:
-                    diff = (np.array(up[name]) - np.array(down[name])).T / 2e-6
-                    for pos, ends in ((at_i, block.i), (at_j, block.j)):
-                        fd[name][ends == k, pos] = diff[ends == k]
-        for name, h in hess.items():
-            np.testing.assert_array_equal(h, np.swapaxes(h, 1, 2))
-            np.testing.assert_allclose(h, fd[name], rtol=0, atol=1e-7 * np.abs(h).max())
+                diff = (up - down) / 2e-6
+                for pos, ends in ((at_i, block.i), (at_j, block.j)):
+                    fd[:, ends == k, pos] = diff[:, ends == k]
+        np.testing.assert_array_equal(hess, np.swapaxes(hess, 2, 3))
+        # one tolerance per quantity: pfr, pto, qfr, qto
+        for h, h_fd in zip(hess, fd):
+            np.testing.assert_allclose(h, h_fd, rtol=0, atol=1e-7 * np.abs(h).max())
 
 
 def test_kkt_blocks_match_finite_differences():
@@ -748,10 +791,12 @@ def test_kkt_blocks_match_finite_differences():
         every = np.arange(nlp.n_var)
         jg = _dense(ipm.g_rows, ipm.g_cols, pt.g_vals, (m, nlp.n_var))
         np.testing.assert_allclose(
-            jg, _central_differences(nlp.balance, u, every), rtol=0, atol=1e-7 * np.abs(jg).max()
+            jg,
+            _central_differences(lambda w: nlp.balance(w, nlp.flows(w)), u, every),
+            rtol=0, atol=1e-7 * np.abs(jg).max(),
         )
         jh = _dense(ipm.h_rows, ipm.h_cols, pt.h_vals, (ipm.n_ineq, nlp.n_var))
-        thermal_fd = _central_differences(nlp.thermal, u, every)
+        thermal_fd = _central_differences(lambda w: nlp.thermal(nlp.flows(w)), u, every)
         np.testing.assert_allclose(
             jh[: 2 * nlp.nl], thermal_fd, rtol=0, atol=1e-7 * np.abs(thermal_fd).max()
         )
@@ -774,6 +819,47 @@ def test_kkt_blocks_match_finite_differences():
         np.testing.assert_array_equal(kkt[nf:, :nf], jg[:, free])
         np.testing.assert_array_equal(kkt[:nf, nf:], jg[:, free].T)
         np.testing.assert_array_equal(kkt[nf:, nf:], -1e-8 * np.eye(m))
+
+
+class _TrigLog:
+    """numpy, except that each call of cos and sin is logged."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.log.append("cos")
+        return np.cos(x)
+
+    def sin(self, x):
+        self.log.append("sin")
+        return np.sin(x)
+
+
+def test_island_solve_evaluates_the_flow_terms_once_per_iterate(
+    monkeypatch, storm_network, uniform_placement
+):
+    case = apply_der_mode(storm_network, uniform_placement, DerMode.COMMUNITY_MICROGRID)
+    damaged = sorted(l.id for l in storm_network.lines if l.damaged)
+    (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
+    assert len(island.buses) == len(storm_network.buses) == 56
+    log = []
+    evaluate = _IslandIpm.evaluate
+
+    def logged(self, u):
+        log.append("evaluate")
+        return evaluate(self, u)
+
+    monkeypatch.setattr(_IslandIpm, "evaluate", logged)
+    monkeypatch.setattr(replay, "np", _TrigLog(log))
+    replay._solve_island(case.network, island, replay.DEFAULT_RESIDUAL_TOL)
+    iterates = log.count("evaluate")
+    assert iterates > 5
+    # one cos and one sin per iterate, and one more for the solution's flows
+    assert log.count("cos") == log.count("sin") == iterates + 1
 
 
 def test_interior_point_matches_slsqp_reference_on_every_island(

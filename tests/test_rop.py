@@ -6,7 +6,7 @@ import pytest
 
 from gridrestore import datasets, rop
 from gridrestore.errors import CaseValidationError, InfeasibleError, SolverError
-from gridrestore.milp import UNBOUNDED, Solution, solve_milp, solve_milp_builtin
+from gridrestore.milp import UNBOUNDED, Solution, solve_milp
 from gridrestore.model import Bus, Demand, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
@@ -18,6 +18,7 @@ from gridrestore.rop import (
 )
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
+from bnb_reference import solve_milp_builtin
 from helpers import (
     PF_Q,
     chain3,

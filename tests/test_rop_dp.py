@@ -1,8 +1,8 @@
 """The exact subset DP that orders line repairs, one per period.
 
-The closed-form island value is checked against the builtin-simplex
+The closed-form island value is checked against the reference-simplex
 load-shed LP of ``helpers.dc_shed_optimum``, the DP optimum against the
-MILP optimum of HiGHS and of the builtin branch-and-bound, and the
+MILP optimum of HiGHS and of the reference branch-and-bound, and the
 routing between the DP and the MILP path. The per-segment served-power
 kernel is held bit for bit to the all-subsets kernel it replaced
 (``dp_reference``), and pinned on the six bundled cases.
@@ -17,7 +17,7 @@ import pytest
 
 from gridrestore import datasets, rop
 from gridrestore.errors import SolverError
-from gridrestore.milp import solve_milp, solve_milp_builtin
+from gridrestore.milp import solve_milp
 from gridrestore.model import (
     Bus,
     Demand,
@@ -31,6 +31,7 @@ from gridrestore.rop import _extract_plan, build_rop, check_plan, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
 import dp_reference
+from bnb_reference import solve_milp_builtin
 from helpers import (
     PF_Q,
     chain3,
