@@ -9,6 +9,9 @@ immutable :class:`Network`, each computed once: ``radial_tree`` (the
 feeder tree, refused when meshed or disconnected), ``damage`` (the
 damaged components) and ``gates`` (what each element waits for). The
 ordering model, the AC replay and the reconnection times read them.
+The AC replay also reads ``line_block``, the pi-model flows of every
+line (:class:`LineBlock`), from which its islands and its residual
+check pick their lines by position.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import CaseFormatError, CaseValidationError, UnknownIdError
 
@@ -128,6 +134,102 @@ class FeederTree:
     up: tuple[Line | None, ...]
 
 
+class LineTerms(NamedTuple):
+    """What a block's flows and their derivatives share at one point: the
+    end voltages and, per quantity, k = c cos d + s sin d and dk/dd."""
+
+    vi: np.ndarray
+    vj: np.ndarray
+    k: np.ndarray
+    k_d: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LineBlock:
+    """The four directed flows of a set of lines and their derivatives.
+
+    Stacked in the order pfr, pto, qfr, qto, every quantity is
+    a_i vi^2 + a_j vj^2 + vi vj (c cos d + s sin d) with d = th_i - th_j;
+    the to end sees the angle -d, which flips the sign of its s. The tap
+    T = t_r + j t_i sits at the from end, so only the from end's self
+    term is scaled by 1 / t_m^2. ``i`` and ``j`` are the positions of
+    each line's from and to bus in the bus vectors the block is given.
+    """
+
+    ids: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    a_i: np.ndarray  # (4, lines), like a_j, c and s
+    a_j: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    t_lim: np.ndarray
+    a_min: np.ndarray
+    a_max: np.ndarray
+
+    @classmethod
+    def of(cls, lines, bus_index: dict[int, int]) -> LineBlock:
+        """The block of ``lines``, whose end buses sit at ``bus_index``."""
+        g, bb, g_fr, b_fr, g_to, b_to, tm2, tr, ti, t_lim, a_min, a_max = np.array([
+            (l.g, l.b, l.g_fr, l.b_fr, l.g_to, l.b_to, l.t_m**2, l.t_r, l.t_i,
+             l.thermal_limit, l.angle_min, l.angle_max)
+            for l in lines
+        ]).reshape(-1, 12).T
+        zero = np.zeros(len(lines))
+        return cls(
+            ids=np.array([l.id for l in lines], dtype=np.int64),
+            i=np.array([bus_index[l.from_bus] for l in lines], dtype=np.int64),
+            j=np.array([bus_index[l.to_bus] for l in lines], dtype=np.int64),
+            a_i=np.array([(g + g_fr) / tm2, zero, -(bb + b_fr) / tm2, zero]),
+            a_j=np.array([zero, g + g_to, zero, -(bb + b_to)]),
+            c=np.array([
+                -g * tr + bb * ti, -g * tr - bb * ti, bb * tr + g * ti, bb * tr - g * ti,
+            ]) / tm2,
+            s=np.array([
+                -bb * tr - g * ti, bb * tr - g * ti, -g * tr + bb * ti, g * tr + bb * ti,
+            ]) / tm2,
+            t_lim=t_lim,
+            a_min=a_min,
+            a_max=a_max,
+        )
+
+    def take(self, rows, i: np.ndarray, j: np.ndarray) -> LineBlock:
+        """The lines at positions ``rows``, with their ends at positions i and j."""
+        return LineBlock(
+            self.ids[rows], i, j, self.a_i[:, rows], self.a_j[:, rows], self.c[:, rows],
+            self.s[:, rows], self.t_lim[rows], self.a_min[rows], self.a_max[rows],
+        )
+
+    def terms(self, v: np.ndarray, th: np.ndarray) -> LineTerms:
+        """The block's one trigonometric evaluation at (v, th)."""
+        d = th[self.i] - th[self.j]
+        cos_d, sin_d = np.cos(d), np.sin(d)
+        k = self.c * cos_d + self.s * sin_d
+        return LineTerms(v[self.i], v[self.j], k, -self.c * sin_d + self.s * cos_d)
+
+    def flows(self, t: LineTerms) -> np.ndarray:
+        """The four quantities, (4, lines)."""
+        return self.a_i * t.vi**2 + self.a_j * t.vj**2 + t.vi * t.vj * t.k
+
+    def partials(self, t: LineTerms) -> np.ndarray:
+        """Their partials over (vi, vj, thi, thj), (4, lines, 4)."""
+        dth = t.vi * t.vj * t.k_d
+        dvi = 2 * self.a_i * t.vi + t.vj * t.k
+        dvj = 2 * self.a_j * t.vj + t.vi * t.k
+        return np.stack([dvi, dvj, dth, -dth], axis=-1)
+
+    def hessians(self, t: LineTerms) -> np.ndarray:
+        """Their symmetric second derivatives, (4, lines, 4, 4)."""
+        vi, vj, k, k_d = t
+        vik, vjk, vvk = vi * k_d, vj * k_d, vi * vj * k
+        return np.stack([
+            2 * self.a_i, k, vjk, -vjk,
+            k, 2 * self.a_j, vik, -vik,
+            vjk, vik, -vvk, vvk,
+            -vjk, -vik, vvk, -vvk,
+        ], axis=-1).reshape(k.shape + (4, 4))
+
+
 def component_key(kind: str, ident: int) -> str:
     return f"{kind}:{ident}"
 
@@ -178,6 +280,21 @@ class Network:
     @cached_property
     def demand_by_id(self) -> dict[int, Demand]:
         return {d.id: d for d in self.demands}
+
+    @cached_property
+    def bus_position(self) -> dict[int, int]:
+        """Each bus's position in ``buses``, by id."""
+        return {b.id: k for k, b in enumerate(self.buses)}
+
+    @cached_property
+    def line_position(self) -> dict[int, int]:
+        """Each line's position in ``lines``, by id."""
+        return {l.id: k for k, l in enumerate(self.lines)}
+
+    @cached_property
+    def line_block(self) -> LineBlock:
+        """The flows of ``lines``, in order, between the positions in ``buses``."""
+        return LineBlock.of(self.lines, self.bus_position)
 
     @cached_property
     def lines_at(self) -> dict[int, tuple[Line, ...]]:

@@ -10,26 +10,32 @@ runs. An element works when it and its damaged buses are back
 ``Network.radial_tree``, so the network must be radial. Live islands
 are solved independently with one angle reference each; the lower
 voltage bound is soft, charged to the objective at ``PENALTY_WEIGHT``.
-Each island is one sparse primal-dual interior-point solve from a flat
-start, with the exact Hessian of the polar line flows (``_IslandIpm``);
-a solve that fails returns its least-violating iterate, and the
-residual check then marks its periods as not converged. The pi-model
-flow is written once (``_LineBlock``), and each iterate evaluates its
-trigonometric terms once, for the flows, their partials and their
-Hessians alike.
+Each island is solved by a sparse primal-dual interior point from a flat
+start, with the exact Hessian of the polar line flows; an island that
+fails returns its least-violating iterate, and the residual check then
+marks its periods as not converged. The islands of one call are solved
+in batches (``_BatchIpm``): the islands of a batch iterate in lockstep,
+and each iterate evaluates the flows, the rows and the KKT entries of
+the whole batch at once, while every island keeps its own step
+lengths, stopping test and LU, so its solution does not depend on its
+batch-mates. The pi-model flow is written once (``model.LineBlock``,
+one per network, from which the batches and the residual check pick
+their lines), and each iterate evaluates its trigonometric terms once,
+for the flows, their partials and their Hessians alike.
 
 ``simulate_plans`` replays several plans over one actual case and
 solves each distinct island once per call: with one repair per period
 most islands recur unchanged, and plans over the same case share many
 of them. A solve depends only on the island, the case's network and the
 tolerance, so sharing it changes no value. The call builds every period
-of every plan first, then solves the distinct live islands on every CPU
-the process may use, one forked worker per CPU (in-process when that is
-one CPU, the platform cannot fork or other threads run). The state, the
-residuals and the convergence check still run in every period, in the
-calling process. ``simulate_plan`` is the call for one plan. The
-results depend neither on the worker count nor on the BLAS thread
-count; the tests check both.
+of every plan first, then splits the distinct live islands into one
+batch per CPU the process may use and solves each batch in its own
+forked worker (in-process, as one batch, when that is one CPU, the
+platform cannot fork or other threads run). The state, the residuals
+and the convergence check still run in every period, in the calling
+process. ``simulate_plan`` is the call for one plan. The results depend
+neither on the worker count, nor on how the islands are batched, nor on
+the BLAS thread count; the tests check all three.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import GridRestoreError
-from .model import Network
+from .model import LineTerms, Network
 from .rop import RestorationPlan
 from .scenarios import EffectiveCase
 
@@ -219,76 +225,7 @@ class RipResult:
                 w.writerow([did] + [f"{v:.9f}" for v in self.served_fraction[i]])
 
 
-# --- AC branch flow (pi model with ideal from-side tap) ---------------------
-
-
-class _Terms(NamedTuple):
-    """What a block's flows and their derivatives share at one point: the
-    end voltages and, per quantity, k = c cos d + s sin d and dk/dd."""
-
-    vi: np.ndarray
-    vj: np.ndarray
-    k: np.ndarray
-    k_d: np.ndarray
-
-
-class _LineBlock:
-    """The four directed flows of a set of lines and their derivatives.
-
-    Stacked in the order pfr, pto, qfr, qto, every quantity is
-    a_i vi^2 + a_j vj^2 + vi vj (c cos d + s sin d) with d = th_i - th_j;
-    the to end sees the angle -d, which flips the sign of its s. The tap
-    T = t_r + j t_i sits at the from end, so only the from end's self
-    term is scaled by 1 / t_m^2.
-    """
-
-    def __init__(self, lines, bus_index: dict[int, int]):
-        self.ids = np.array([l.id for l in lines], dtype=np.int64)
-        self.i = np.array([bus_index[l.from_bus] for l in lines], dtype=np.int64)
-        self.j = np.array([bus_index[l.to_bus] for l in lines], dtype=np.int64)
-        g, bb, g_fr, b_fr, g_to, b_to, tm2, tr, ti, self.t_lim, self.a_min, self.a_max = np.array([
-            (l.g, l.b, l.g_fr, l.b_fr, l.g_to, l.b_to, l.t_m**2, l.t_r, l.t_i,
-             l.thermal_limit, l.angle_min, l.angle_max)
-            for l in lines
-        ]).reshape(-1, 12).T
-        zero = np.zeros(len(lines))
-        self.a_i = np.array([(g + g_fr) / tm2, zero, -(bb + b_fr) / tm2, zero])
-        self.a_j = np.array([zero, g + g_to, zero, -(bb + b_to)])
-        self.c = np.array([
-            -g * tr + bb * ti, -g * tr - bb * ti, bb * tr + g * ti, bb * tr - g * ti,
-        ]) / tm2
-        self.s = np.array([
-            -bb * tr - g * ti, bb * tr - g * ti, -g * tr + bb * ti, g * tr + bb * ti,
-        ]) / tm2
-
-    def terms(self, v: np.ndarray, th: np.ndarray) -> _Terms:
-        """The block's one trigonometric evaluation at (v, th)."""
-        d = th[self.i] - th[self.j]
-        cos_d, sin_d = np.cos(d), np.sin(d)
-        k = self.c * cos_d + self.s * sin_d
-        return _Terms(v[self.i], v[self.j], k, -self.c * sin_d + self.s * cos_d)
-
-    def flows(self, t: _Terms) -> np.ndarray:
-        """The four quantities, (4, lines)."""
-        return self.a_i * t.vi**2 + self.a_j * t.vj**2 + t.vi * t.vj * t.k
-
-    def partials(self, t: _Terms) -> np.ndarray:
-        """Their partials over (vi, vj, thi, thj), (4, lines, 4)."""
-        dth = t.vi * t.vj * t.k_d
-        dvi = 2 * self.a_i * t.vi + t.vj * t.k
-        dvj = 2 * self.a_j * t.vj + t.vi * t.k
-        return np.stack([dvi, dvj, dth, -dth], axis=-1)
-
-    def hessians(self, t: _Terms) -> np.ndarray:
-        """Their symmetric second derivatives, (4, lines, 4, 4)."""
-        vi, vj, k, k_d = t
-        vik, vjk, vvk = vi * k_d, vj * k_d, vi * vj * k
-        return np.stack([
-            2 * self.a_i, k, vjk, -vjk,
-            k, 2 * self.a_j, vik, -vik,
-            vjk, vik, -vvk, vvk,
-            -vjk, -vik, vvk, -vvk,
-        ], axis=-1).reshape(k.shape + (4, 4))
+# --- island AC OPF --------------------------------------------------------------
 
 
 class _IslandNlp:
@@ -302,7 +239,13 @@ class _IslandNlp:
         self.lines = [net.line_by_id[l] for l in island.lines]
         self.gens = [net.generator_by_id[g] for g in island.generators]
         self.demands = [net.demand_by_id[d] for d in island.demands]
-        self.block = block = _LineBlock(self.lines, self.bus_index)
+        # the island's lines, picked from the network's block by position
+        self.line_rows = np.array([net.line_position[l] for l in island.lines], dtype=np.int64)
+        self.block = block = net.line_block.take(
+            self.line_rows,
+            np.array([self.bus_index[l.from_bus] for l in self.lines], dtype=np.int64),
+            np.array([self.bus_index[l.to_bus] for l in self.lines], dtype=np.int64),
+        )
 
         nb, nl = len(self.buses), len(self.lines)
         nd, ng = len(self.demands), len(self.gens)
@@ -367,13 +310,15 @@ class _IslandNlp:
         u[self.ix] = x0
         want_p = x0 * total_load
         want_q = x0 * float(self.qd.sum())
-        for k, g in enumerate(self.gens):
-            share = g.p_max / cap if cap > 0 else 0.0
-            u[self.ipg[k]] = np.clip(want_p * share, g.p_min, g.p_max)
-            u[self.iqg[k]] = np.clip(want_q * share, g.q_min, g.q_max)
+        p_min, p_max, q_min, q_max = np.array(
+            [(g.p_min, g.p_max, g.q_min, g.q_max) for g in self.gens]
+        ).reshape(-1, 4).T
+        share = p_max / cap if cap > 0 else np.zeros(self.ng)
+        u[self.ipg] = np.clip(want_p * share, p_min, p_max)
+        u[self.iqg] = np.clip(want_q * share, q_min, q_max)
         return u
 
-    def terms(self, u: np.ndarray) -> _Terms:
+    def terms(self, u: np.ndarray) -> LineTerms:
         return self.block.terms(u[self.iv], u[self.ith])
 
     def flows(self, u: np.ndarray) -> np.ndarray:
@@ -405,10 +350,6 @@ class _IslandNlp:
             np.max(self.inequalities(u, f), initial=0.0),
         ))
 
-    def solve(self, tol: float) -> np.ndarray:
-        """Interior-point solution, clipped to the bounds (see ``_IslandIpm``)."""
-        return _IslandIpm(self).run(tol)
-
 
 # Barrier schedule and step rule of Ipopt (Waechter and Biegler 2006):
 # the first barrier parameter, the subproblem tolerance _KAPPA_EPS * mu,
@@ -434,7 +375,7 @@ _DELTA_C = 1e-8
 class _Point(NamedTuple):
     """One iterate and what the step needs of it: the balance rows g, the
     inequality rows h, the values of their Jacobians (in the COO order of
-    ``_IslandIpm``), the line block's terms, and the flows and their
+    ``_Batch``), the line block's terms, and the flows and their
     partials, stacked in the order pfr, pto, qfr, qto."""
 
     u: np.ndarray
@@ -442,13 +383,267 @@ class _Point(NamedTuple):
     h: np.ndarray
     g_vals: np.ndarray
     h_vals: np.ndarray
-    terms: _Terms
+    terms: LineTerms
     f: np.ndarray  # (4, nl)
     df: np.ndarray  # (4, nl, 4), over (v_i, v_j, th_i, th_j)
 
 
-class _IslandIpm:
-    """Primal-dual interior point for one island's AC OPF.
+class _IslandKkt:
+    """One island's rows and KKT pattern, in the island's own numbering.
+
+    h stacks the thermal rows at the from and to ends, the soft voltage
+    floor, the angle difference above and below, and the upper and lower
+    bounds of the free variables. The KKT matrix
+    ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` over the free variables
+    and the balance rows keeps one sparsity pattern: its CSC slots are
+    built once, and ``s_*`` give the slot of each entry that
+    ``_Batch.kkt_values`` lists, section by section (0: an entry on a
+    held variable, which the matrix drops).
+    """
+
+    def __init__(self, nlp: _IslandNlp):
+        self.nlp = nlp
+        nb, nl = nlp.nb, nlp.nl
+        self.c = nlp.objective_vector()
+        self.lo, self.hi = nlp.bounds()
+        self.start = np.clip(nlp.start_point(), self.lo, self.hi)
+        self.free = free = np.flatnonzero(self.lo < self.hi)
+        self.nf = nf = len(free)
+        self.m = m = 2 * nb
+        self.n_kkt = n = nf + m
+        n_linear = len(nlp.linear_cols)
+        self.linear_rows = nlp.balance_rows[:n_linear]
+        self.flow_rows = nlp.balance_rows[n_linear:].reshape(4, nl)
+        self.n_ineq = 4 * nl + nb + 2 * nf
+        self.r_thermal = np.arange(2 * nl).reshape(2, nl)
+        self.r_soft = 2 * nl + np.arange(nb)
+        self.r_above = 2 * nl + nb + np.arange(nl)
+        self.r_below = self.r_above + nl
+        self.r_upper = 4 * nl + nb + np.arange(nf)
+        self.r_lower = self.r_upper + nf
+
+        # KKT entries in the order kkt_values() lists them: the line
+        # blocks, the soft floor's (v, v_t) blocks, the free diagonal,
+        # Jg and its transpose, the constraint block's diagonal
+        pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
+        pos[free] = np.arange(nf)
+        quad = pos[nlp.line_vars]
+        soft_rows = pos[np.array([nlp.iv, nlp.iv, nlp.ivt, nlp.ivt])].ravel()
+        soft_cols = pos[np.array([nlp.iv, nlp.ivt, nlp.iv, nlp.ivt])].ravel()
+        g_rows = nf + np.concatenate([self.linear_rows, np.repeat(self.flow_rows.ravel(), 4)])
+        g_cols = pos[np.concatenate([nlp.linear_cols, np.tile(nlp.line_vars, (4, 1)).ravel()])]
+        rows = np.concatenate([
+            np.repeat(quad, 4, axis=1).ravel(), soft_rows, np.arange(nf),
+            g_rows, g_cols, nf + np.arange(m),
+        ])
+        cols = np.concatenate([
+            np.tile(quad, (1, 4)).ravel(), soft_cols, np.arange(nf),
+            g_cols, g_rows, nf + np.arange(m),
+        ])
+        # entries on held variables go to slot 0, which the matrix drops
+        key = np.where((rows < 0) | (cols < 0), -1, cols * n + rows)
+        keys = np.sort(key)
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        keys = keys[keys >= 0]
+        slot = np.searchsorted(keys, key) + (key >= 0)
+        self.n_data = len(keys)
+        indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        self.kkt = sparse.csc_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+        at = np.cumsum([0, 16 * nl, 4 * nb, nf, n_linear, 16 * nl, n_linear, 16 * nl, m])
+        (self.s_block, s_soft, self.s_diag, self.s_jg_linear, s_jg_flow, self.s_jgt_linear,
+         s_jgt_flow, self.s_shift) = (slot[a:b] for a, b in zip(at[:-1], at[1:]))
+        self.s_soft = s_soft.reshape(4, nb)
+        self.s_jg_flow, self.s_jgt_flow = s_jg_flow.reshape(4, nl, 4), s_jgt_flow.reshape(4, nl, 4)
+
+    def shift(self) -> None:
+        """Put -_DELTA_C on the filled matrix's constraint diagonal."""
+        self.kkt.data[self.s_shift - 1] = -_DELTA_C
+
+
+class _Batch:
+    """Several islands' problems, stacked island by island.
+
+    The variables, balance rows, inequality rows, free variables, KKT
+    rows and KKT entries each keep every island's own order in one
+    segment (``at_*`` lists where each segment starts and the last one
+    ends), so a sum over an island's segment adds the same numbers in the
+    same order as the island alone. The lines, the Jacobian terms and
+    the KKT entries go section by section, island by island within a
+    section: each row, column and KKT entry then receives its terms in
+    the island's own order, and ``np.bincount``, which adds them in
+    input order, sums them as the island alone would.
+    """
+
+    def __init__(self, parts: list[_IslandKkt]):
+        self.parts = parts
+        nlps = [p.nlp for p in parts]
+        net = nlps[0].net
+
+        def starts(sizes):
+            return np.cumsum([0] + sizes)
+
+        self.at_var = at_var = starts([n.n_var for n in nlps])
+        at_bus = starts([n.nb for n in nlps])
+        self.at_row = at_row = starts([p.m for p in parts])
+        self.at_ineq = at_ineq = starts([p.n_ineq for p in parts])
+        self.at_free = starts([p.nf for p in parts])
+        self.at_kkt = at_kkt = starts([p.n_kkt for p in parts])
+        self.at_data = at_data = starts([p.n_data for p in parts])
+        self.n_var, self.m, self.n_ineq = at_var[-1], at_row[-1], at_ineq[-1]
+        self.n_kkt, self.n_data = at_kkt[-1], at_data[-1]
+
+        def stack(arrays, at=None, axis=0):
+            """The islands' arrays, each past the ``at`` of the islands before it."""
+            arrays = list(arrays)
+            out = np.concatenate(arrays, axis=axis)
+            if at is not None:
+                shape = [1] * out.ndim
+                shape[axis] = -1
+                out += np.repeat(at[:-1], [a.shape[axis] for a in arrays]).reshape(shape)
+            return out
+
+        def slots(arrays, axis=0):
+            """Each island's slots, past the slots of the islands before it; 0 stays 0."""
+            arrays = list(arrays)
+            return np.where(np.concatenate(arrays, axis=axis) > 0, stack(arrays, at_data, axis), 0)
+
+        self.c, lo, hi, self.start = (
+            stack([getattr(p, name) for p in parts]) for name in ("c", "lo", "hi", "start")
+        )
+        self.free = free = stack([p.free for p in parts], at_var)
+        self.lo_free, self.hi_free = lo[free], hi[free]
+        self.iv, self.ith, self.ivt = (
+            stack([getattr(n, name) for n in nlps], at_var) for name in ("iv", "ith", "ivt")
+        )
+        self.v_min = stack([n.v_min for n in nlps])
+        self.block = block = net.line_block.take(
+            stack([n.line_rows for n in nlps]),
+            stack([n.block.i for n in nlps], at_bus),
+            stack([n.block.j for n in nlps], at_bus),
+        )
+        nl, nb, nf = len(block.ids), at_bus[-1], len(free)
+        line_vars = stack([n.line_vars for n in nlps], at_var)
+        self.linear_cols = stack([n.linear_cols for n in nlps], at_var)
+        self.linear_coef = stack([n.linear_coef for n in nlps])
+        linear_rows = stack([p.linear_rows for p in parts], at_row)
+        self.flow_rows = stack([p.flow_rows for p in parts], at_row, axis=1)
+        self.balance_rows = np.concatenate([linear_rows, self.flow_rows.ravel()])
+        self.g_rows = np.concatenate([linear_rows, np.repeat(self.flow_rows.ravel(), 4)])
+        self.g_cols = np.concatenate([self.linear_cols, np.tile(line_vars, (4, 1)).ravel()])
+
+        self.r_thermal = stack([p.r_thermal for p in parts], at_ineq, axis=1)
+        self.r_soft, self.r_above, self.r_below, self.r_upper, self.r_lower = (
+            stack([getattr(p, name) for p in parts], at_ineq)
+            for name in ("r_soft", "r_above", "r_below", "r_upper", "r_lower")
+        )
+        # where evaluate()'s sections of h go
+        self.h_order = np.concatenate([
+            self.r_thermal.ravel(), self.r_soft, self.r_above, self.r_below,
+            self.r_upper, self.r_lower,
+        ])
+        # Jh in COO form; only the thermal entries vary
+        th_i, th_j = line_vars[:, 2], line_vars[:, 3]
+        self.h_rows = np.concatenate([
+            np.repeat(self.r_thermal.ravel(), 4), self.r_soft, self.r_soft,
+            self.r_above, self.r_above, self.r_below, self.r_below, self.r_upper, self.r_lower,
+        ])
+        self.h_cols = np.concatenate([
+            np.tile(line_vars, (2, 1)).ravel(), self.iv, self.ivt,
+            th_i, th_j, th_i, th_j, free, free,
+        ])
+        one_l, one_f = np.ones(nl), np.ones(nf)
+        self.h_vals0 = np.concatenate([-np.ones(2 * nb), one_l, -one_l, -one_l, one_l, one_f, -one_f])
+
+        # each free variable's and balance row's place in the stacked KKT rows
+        self.k_free = stack([np.arange(p.nf) for p in parts], at_kkt)
+        self.k_row = stack([p.nf + np.arange(p.m) for p in parts], at_kkt)
+        self.slot = np.concatenate([
+            slots(p.s_block for p in parts),
+            slots((p.s_soft for p in parts), axis=1).ravel(),
+            slots(p.s_diag for p in parts),
+            slots(p.s_jg_linear for p in parts),
+            slots((p.s_jg_flow for p in parts), axis=1).ravel(),
+            slots(p.s_jgt_linear for p in parts),
+            slots((p.s_jgt_flow for p in parts), axis=1).ravel(),
+            slots(p.s_shift for p in parts),
+        ])
+
+    def evaluate(self, u: np.ndarray) -> _Point:
+        """g, h and the values of their Jacobians at ``u``."""
+        block = self.block
+        terms = block.terms(u[self.iv], u[self.ith])
+        f = block.flows(terms)
+        df = block.partials(terms)
+        th = u[self.ith]
+        d = th[block.i] - th[block.j]
+        t2 = block.t_lim**2
+        u_free = u[self.free]
+        h = np.empty(self.n_ineq)
+        h[self.h_order] = np.concatenate([
+            f[0] ** 2 + f[2] ** 2 - t2, f[1] ** 2 + f[3] ** 2 - t2,
+            self.v_min - u[self.iv] - u[self.ivt], d - block.a_max, block.a_min - d,
+            u_free - self.hi_free, self.lo_free - u_free,
+        ])
+        g = np.bincount(
+            self.balance_rows,
+            np.concatenate([self.linear_coef * u[self.linear_cols], -f.ravel()]),
+            minlength=self.m,
+        )
+        # d(p^2 + q^2) = 2 p dp + 2 q dq, at the from end, then the to end
+        jt = 2 * (f[:2, :, None] * df[:2] + f[2:, :, None] * df[2:])
+        g_vals = np.concatenate([self.linear_coef, -df.ravel()])
+        h_vals = np.concatenate([jt.ravel(), self.h_vals0])
+        return _Point(u, g, h, g_vals, h_vals, terms, f, df)
+
+    def lagrangian_gradient(self, pt: _Point, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """c + Jg' lam + Jh' w, over all variables."""
+        return (
+            self.c
+            + np.bincount(self.g_cols, pt.g_vals * lam[self.g_rows], minlength=self.n_var)
+            + np.bincount(self.h_cols, pt.h_vals * w[self.h_rows], minlength=self.n_var)
+        )
+
+    def kkt_values(self, pt: _Point, lam, mu, d) -> np.ndarray:
+        """The KKT entries' values, in the order of ``self.slot``.
+
+        ``d`` is mu/z, the weight of each inequality row in Jh' d Jh.
+        """
+        nl = len(self.block.ids)
+        # the thermal multiplier at each flow's end: from, to, from, to
+        mu_t = mu[self.r_thermal][[0, 1, 0, 1]]
+        # each flow's weight in Lxx: minus its balance multiplier, plus
+        # 2 mu p (or 2 mu q) from its end's thermal row
+        w = 2 * mu_t * pt.f - lam[self.flow_rows]
+        blk = np.einsum("fl,flab->lab", w, self.block.hessians(pt.terms))
+        # the thermal rows' Gauss-Newton terms, 2 mu (dp dp' + dq dq')
+        blk += 2 * np.einsum("fl,fla,flb->lab", mu_t, pt.df, pt.df)
+        jt = pt.h_vals[: 8 * nl].reshape(2, nl, 4)
+        blk += np.einsum("tl,tla,tlb->lab", d[self.r_thermal], jt, jt)
+        angle = d[self.r_above] + d[self.r_below]
+        blk[:, 2, 2] += angle
+        blk[:, 3, 3] += angle
+        blk[:, 2, 3] -= angle
+        blk[:, 3, 2] -= angle
+        soft = d[self.r_soft]
+        return np.concatenate([
+            blk.ravel(),
+            soft, soft, soft, soft,
+            d[self.r_upper] + d[self.r_lower],
+            pt.g_vals,
+            pt.g_vals,
+            np.zeros(self.m),
+        ])
+
+    def kkt_matrices(self, vals: np.ndarray) -> list[sparse.csc_matrix]:
+        """Each island's KKT matrix holding ``vals``, refilled in place."""
+        data = np.bincount(self.slot, vals, minlength=self.n_data + 1)[1:]
+        for part, a, b in zip(self.parts, self.at_data[:-1], self.at_data[1:]):
+            part.kkt.data[:] = data[a:b]
+        return [part.kkt for part in self.parts]
+
+
+class _BatchIpm:
+    """Primal-dual interior point for the AC OPF of several islands, in lockstep.
 
     It follows the MATPOWER Interior Point Solver (Wang, Murillo-Sanchez,
     Zimmerman and Thomas, IEEE Trans. Power Syst. 22(3), 2007) on
@@ -459,210 +654,163 @@ class _IslandIpm:
     The Hessian is exact. Fixed variables (the reference angle,
     zero-width bounds) are held out of the step.
 
-    The KKT matrix ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` keeps one
-    sparsity pattern per island: its CSC slots are built once, and each
-    iteration fills the values with one ``np.bincount`` and factors them
-    with one ``splu``. A singular matrix is factored again with
-    ``-_DELTA_C`` on the constraint block's diagonal, as in Ipopt's
-    regularization (Waechter and Biegler, Math. Programming 106, 2006).
+    Every lockstep iterate evaluates the flows, the rows and the KKT
+    entries of all the islands still in the batch at once (``_Batch``).
+    Each island keeps its own barrier parameter, dual scale, stopping
+    test and step lengths, and its own KKT matrix, filled by one
+    ``np.bincount`` and factored alone by one ``splu``. A singular matrix
+    is factored again with ``-_DELTA_C`` on the constraint block's
+    diagonal, as in Ipopt's regularization (Waechter and Biegler, Math.
+    Programming 106, 2006). So an island's iterates do not depend on its
+    batch-mates: a factorization of the stacked matrix would let the
+    ordering interleave islands. An island that converges or fails
+    leaves the batch, and the others go on without it.
     """
 
-    def __init__(self, nlp: _IslandNlp):
-        self.nlp = nlp
-        nb, nl = nlp.nb, nlp.nl
-        self.c = nlp.objective_vector()
-        self.lo, self.hi = nlp.bounds()
-        self.free = free = np.flatnonzero(self.lo < self.hi)
-        self.nf = nf = len(free)
-        self.m = m = 2 * nb
-        pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
-        pos[free] = np.arange(nf)
-        quad = nlp.line_vars
+    def __init__(self, nlps: Sequence[_IslandNlp]):
+        """``nlps``: islands of one network."""
+        self.parts = [_IslandKkt(nlp) for nlp in nlps]
+        # per island: the Newton steps taken and the LU factorizations
+        self.iterations = np.zeros(len(self.parts), dtype=np.int64)
+        self.factorizations = np.zeros(len(self.parts), dtype=np.int64)
 
-        # Jg in COO form: the linear terms of the balance rows, then each
-        # flow's four partials at its balance row
-        n_linear = len(nlp.linear_cols)
-        self.flow_rows = nlp.balance_rows[n_linear:]
-        self.g_rows = np.concatenate([nlp.balance_rows[:n_linear], np.repeat(self.flow_rows, 4)])
-        self.g_cols = np.concatenate([nlp.linear_cols, np.tile(quad, (4, 1)).ravel()])
-
-        # Jh in COO form. Rows: thermal at the from and to ends, the soft
-        # floor, the angle difference above and below, the upper and
-        # lower bounds of the free variables. Only the thermal entries vary.
-        self.n_ineq = 4 * nl + nb + 2 * nf
-        r_soft = 2 * nl + np.arange(nb)
-        r_above = 2 * nl + nb + np.arange(nl)
-        r_upper = 4 * nl + nb + np.arange(nf)
-        self.h_rows = np.concatenate([
-            np.repeat(np.arange(2 * nl), 4), r_soft, r_soft, r_above, r_above,
-            r_above + nl, r_above + nl, r_upper, r_upper + nf,
-        ])
-        self.h_cols = np.concatenate([
-            np.tile(quad, (2, 1)).ravel(), nlp.iv, nlp.ivt,
-            quad[:, 2], quad[:, 3], quad[:, 2], quad[:, 3], free, free,
-        ])
-        one_l, one_f = np.ones(nl), np.ones(nf)
-        self.h_vals0 = np.concatenate([-np.ones(2 * nb), one_l, -one_l, -one_l, one_l, one_f, -one_f])
-
-        # KKT entries in the order kkt_values() lists them: the line
-        # blocks, the soft floor's (v, v_t) blocks, the free diagonal,
-        # Jg and its transpose, the constraint block's diagonal
-        n = nf + m
-        block = pos[quad]
-        soft_rows = pos[np.array([nlp.iv, nlp.iv, nlp.ivt, nlp.ivt])].ravel()
-        soft_cols = pos[np.array([nlp.iv, nlp.ivt, nlp.iv, nlp.ivt])].ravel()
-        g_at = nf + self.g_rows, pos[self.g_cols]
-        rows = np.concatenate([
-            np.repeat(block, 4, axis=1).ravel(), soft_rows, np.arange(nf),
-            g_at[0], g_at[1], nf + np.arange(m),
-        ])
-        cols = np.concatenate([
-            np.tile(block, (1, 4)).ravel(), soft_cols, np.arange(nf),
-            g_at[1], g_at[0], nf + np.arange(m),
-        ])
-        # entries on held variables go to slot 0, which the matrix drops
-        key = np.where((rows < 0) | (cols < 0), -1, cols * n + rows)
-        keys = np.unique(np.r_[-1, key])
-        self.slot = np.searchsorted(keys, key)
-        self.n_slots = len(keys)
-        keys = keys[1:]
-        indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        self.kkt = sparse.csc_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
-
-    def evaluate(self, u: np.ndarray) -> _Point:
-        """g, h and the values of their Jacobians at ``u``."""
-        nlp = self.nlp
-        terms = nlp.terms(u)
-        f = nlp.block.flows(terms)
-        df = nlp.block.partials(terms)
-        upper = u[self.free] - self.hi[self.free]
-        lower = self.lo[self.free] - u[self.free]
-        h = np.concatenate([nlp.inequalities(u, f), upper, lower])
-        # d(p^2 + q^2) = 2 p dp + 2 q dq, at the from end, then the to end
-        jt = 2 * (f[:2, :, None] * df[:2] + f[2:, :, None] * df[2:])
-        g_vals = np.concatenate([nlp.linear_coef, -df.ravel()])
-        h_vals = np.concatenate([jt.ravel(), self.h_vals0])
-        return _Point(u, nlp.balance(u, f), h, g_vals, h_vals, terms, f, df)
-
-    def lagrangian_gradient(self, pt: _Point, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """c + Jg' lam + Jh' w, over all variables."""
-        n_var = self.nlp.n_var
-        return (
-            self.c
-            + np.bincount(self.g_cols, pt.g_vals * lam[self.g_rows], minlength=n_var)
-            + np.bincount(self.h_cols, pt.h_vals * w[self.h_rows], minlength=n_var)
-        )
-
-    def kkt_values(self, pt: _Point, lam, mu, d, delta_c=0.0) -> np.ndarray:
-        """The KKT entries' values, in the order of ``self.slot``.
-
-        ``d`` is mu/z, the weight of each inequality row in Jh' d Jh.
-        """
-        nlp = self.nlp
-        nb, nl, nf = nlp.nb, nlp.nl, self.nf
-        # the thermal multiplier at each flow's end: from, to, from, to
-        mu_t = mu[: 2 * nl].reshape(2, nl)[[0, 1, 0, 1]]
-        # each flow's weight in Lxx: minus its balance multiplier, plus
-        # 2 mu p (or 2 mu q) from its end's thermal row
-        w = 2 * mu_t * pt.f - lam[self.flow_rows].reshape(4, nl)
-        blk = np.einsum("fl,flab->lab", w, nlp.block.hessians(pt.terms))
-        # the thermal rows' Gauss-Newton terms, 2 mu (dp dp' + dq dq')
-        blk += 2 * np.einsum("fl,fla,flb->lab", mu_t, pt.df, pt.df)
-        jt = pt.h_vals[: 8 * nl].reshape(2, nl, 4)
-        blk += np.einsum("tl,tla,tlb->lab", d[: 2 * nl].reshape(2, nl), jt, jt)
-        angle = d[2 * nl + nb : 3 * nl + nb] + d[3 * nl + nb : 4 * nl + nb]
-        blk[:, 2, 2] += angle
-        blk[:, 3, 3] += angle
-        blk[:, 2, 3] -= angle
-        blk[:, 3, 2] -= angle
-        soft = d[2 * nl : 2 * nl + nb]
-        bounds = 4 * nl + nb
-        return np.concatenate([
-            blk.ravel(),
-            soft, soft, soft, soft,
-            d[bounds : bounds + nf] + d[bounds + nf :],
-            pt.g_vals,
-            pt.g_vals,
-            np.full(self.m, -delta_c),
-        ])
-
-    def kkt_matrix(self, vals: np.ndarray) -> sparse.csc_matrix:
-        """The KKT matrix holding ``vals``; the one matrix is refilled in place."""
-        self.kkt.data[:] = np.bincount(self.slot, vals, minlength=self.n_slots)[1:]
-        return self.kkt
-
-    def run(self, tol: float) -> np.ndarray:
-        """The first iterate whose KKT residuals are all below
+    def run(self, tol: float) -> list[np.ndarray]:
+        """Each island's first iterate whose KKT residuals are all below
         ``_ACCURACY * tol``, clipped to the bounds.
 
-        A solve that stalls, overflows or meets a singular matrix returns
+        An island that stalls, overflows or meets a singular matrix gets
         its least-violating finite iterate instead, never an exception:
-        the residual check of ``solve_ac_opf`` then marks the period.
+        the residual check of ``solve_ac_opf`` then marks its periods.
         """
         with np.errstate(all="ignore"):
             return self._iterate(tol)
 
-    def _iterate(self, tol: float) -> np.ndarray:
-        nlp, lo, hi, free, nf = self.nlp, self.lo, self.hi, self.free, self.nf
-        n_ineq = self.n_ineq
+    def _factor_solve(self, k: int, kkt: sparse.csc_matrix, rhs: np.ndarray):
+        """The step of island ``k``, or None when its matrix stays singular."""
+        for shifted in (False, True):
+            if shifted:
+                self.parts[k].shift()
+            self.factorizations[k] += 1
+            try:
+                return splu(kkt, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            except RuntimeError:  # exactly singular
+                continue
+        return None
+
+    def _least_violating(self, k: int, iterates: list[np.ndarray]) -> np.ndarray:
+        part = self.parts[k]
+        clipped = [np.clip(u, part.lo, part.hi) for u in iterates]
+        return min(clipped, key=part.nlp.violation)
+
+    def _iterate(self, tol: float) -> list[np.ndarray]:
         stop = _ACCURACY * tol
-        mu_min = stop / (10 * n_ineq)
-        pt = self.evaluate(np.clip(nlp.start_point(), lo, hi))
-        z = np.maximum(-pt.h, 1.0)
-        mu = np.ones(n_ineq)
-        lam = np.zeros(self.m)
-        barrier = _MU_INIT
-        iterates = []
-        for _ in range(IPM_MAX_ITER):
-            iterates.append(pt.u)
-            # KKT residuals, the dual ones scaled as in Ipopt
-            scale = max(_S_MAX, (np.abs(lam).sum() + mu.sum()) / (self.m + n_ineq)) / _S_MAX
-            dual = np.max(np.abs(self.lagrangian_gradient(pt, lam, mu)[free])) / scale
-            primal = max(np.max(np.abs(pt.g)), np.max(np.abs(pt.h + z)))
+        out: list = [None] * len(self.parts)
+        iterates: list[list[np.ndarray]] = [[] for _ in self.parts]
+        ids = np.arange(len(self.parts))  # the islands still in the batch
+        batch = _Batch(self.parts)
+        u = batch.start
+        for t in range(IPM_MAX_ITER + 1):
+            pt = batch.evaluate(u)
+            at_var, at_row, at_ineq = batch.at_var, batch.at_row, batch.at_ineq
+            m_each, n_ineq_each = np.diff(at_row), np.diff(at_ineq)
+            if t == 0:
+                z = np.maximum(-pt.h, 1.0)
+                mu = np.ones(batch.n_ineq)
+                lam = np.zeros(batch.m)
+                barrier = np.full(len(ids), _MU_INIT)
+                broken = np.zeros(len(ids), dtype=bool)
+            else:
+                self.iterations[ids] += 1
+                broken = ~(
+                    np.logical_and.reduceat(np.isfinite(pt.g), at_row[:-1])
+                    & np.logical_and.reduceat(np.isfinite(pt.h), at_ineq[:-1])
+                )
+            for k, island in enumerate(ids):
+                if not broken[k]:
+                    iterates[island].append(u[at_var[k] : at_var[k + 1]])
+            if t == IPM_MAX_ITER:
+                break
+            # KKT residuals, the dual ones scaled as in Ipopt; the sums are
+            # taken island by island, in each island's own order
             comp = z * mu
-            if max(primal, dual, comp.sum() / scale) <= stop:
-                return np.clip(pt.u, lo, hi)
-            # lower the barrier parameter once its subproblem is solved
-            while barrier > mu_min and max(
-                primal, dual, np.max(np.abs(comp - barrier)) / scale
-            ) <= _KAPPA_EPS * barrier:
-                barrier = max(mu_min, min(_KAPPA_MU * barrier, barrier**1.5))
+            abs_lam = np.abs(lam)
+            lam_sum, mu_sum, comp_sum = np.array([
+                (abs_lam[r0:r1].sum(), mu[h0:h1].sum(), comp[h0:h1].sum())
+                for r0, r1, h0, h1 in zip(at_row[:-1], at_row[1:], at_ineq[:-1], at_ineq[1:])
+            ]).reshape(-1, 3).T
+            scale = np.maximum(_S_MAX, (lam_sum + mu_sum) / (m_each + n_ineq_each)) / _S_MAX
+            grad = batch.lagrangian_gradient(pt, lam, mu)
+            dual = np.maximum.reduceat(np.abs(grad[batch.free]), batch.at_free[:-1]) / scale
+            primal = np.maximum(
+                np.maximum.reduceat(np.abs(pt.g), at_row[:-1]),
+                np.maximum.reduceat(np.abs(pt.h + z), at_ineq[:-1]),
+            )
+            done = ~broken & (np.maximum(np.maximum(primal, dual), comp_sum / scale) <= stop)
+            for k in np.flatnonzero(done):
+                part = self.parts[ids[k]]
+                out[ids[k]] = np.clip(u[at_var[k] : at_var[k + 1]], part.lo, part.hi)
+            going = ~(broken | done)
+            # lower each barrier parameter once its subproblem is solved
+            mu_min = stop / (10 * n_ineq_each)
+            lowering = going.copy()
+            while True:
+                off = np.abs(comp - np.repeat(barrier, n_ineq_each))
+                lowering &= (barrier > mu_min) & (
+                    np.maximum(np.maximum(primal, dual), np.maximum.reduceat(off, at_ineq[:-1]) / scale)
+                    <= _KAPPA_EPS * barrier
+                )
+                if not lowering.any():
+                    break
+                for k in np.flatnonzero(lowering):
+                    b = float(barrier[k])
+                    barrier[k] = max(mu_min[k], min(_KAPPA_MU * b, b**1.5))
 
             d = mu / z
-            rhs = np.concatenate([
-                -self.lagrangian_gradient(pt, lam, mu + d * pt.h + barrier / z)[free],
-                -pt.g,
-            ])
-            step = None
-            for delta_c in (0.0, _DELTA_C):
-                kkt = self.kkt_matrix(self.kkt_values(pt, lam, mu, d, delta_c))
-                try:
-                    step = splu(kkt, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-                    break
-                except RuntimeError:  # exactly singular
-                    continue
-            if step is None or not np.all(np.isfinite(step)):
-                break
-            dx = np.zeros(nlp.n_var)
-            dx[free] = step[:nf]
-            dz = -pt.h - z - np.bincount(self.h_rows, pt.h_vals * dx[self.h_cols], minlength=n_ineq)
-            dmu = (barrier - mu * dz) / z - mu
+            barrier_rows = np.repeat(barrier, n_ineq_each)
+            rhs = np.empty(batch.n_kkt)
+            rhs[batch.k_free] = -batch.lagrangian_gradient(
+                pt, lam, mu + d * pt.h + barrier_rows / z
+            )[batch.free]
+            rhs[batch.k_row] = -pt.g
+            step = np.zeros(batch.n_kkt)
+            kkts = batch.kkt_matrices(batch.kkt_values(pt, lam, mu, d))
+            for k in np.flatnonzero(going):
+                at = slice(batch.at_kkt[k], batch.at_kkt[k + 1])
+                x = self._factor_solve(ids[k], kkts[k], rhs[at])
+                if x is None or not np.all(np.isfinite(x)):
+                    going[k] = False
+                else:
+                    step[at] = x
+            dx = np.zeros(batch.n_var)
+            dx[batch.free] = step[batch.k_free]
+            dz = -pt.h - z - np.bincount(
+                batch.h_rows, pt.h_vals * dx[batch.h_cols], minlength=batch.n_ineq
+            )
+            dmu = (barrier_rows - mu * dz) / z - mu
             # fraction to the boundary, for the primal and the dual step apart
-            tau = max(_TAU_MIN, 1.0 - barrier)
-            alpha_p = min(1.0, tau * np.min(z / -dz, where=dz < 0, initial=math.inf))
-            alpha_d = min(1.0, tau * np.min(mu / -dmu, where=dmu < 0, initial=math.inf))
-            if alpha_p < _ALPHA_MIN:
-                break
-            z = z + alpha_p * dz
-            lam = lam + alpha_d * step[nf:]
-            mu = mu + alpha_d * dmu
-            pt = self.evaluate(pt.u + alpha_p * dx)
-            if not (np.all(np.isfinite(pt.g)) and np.all(np.isfinite(pt.h))):
-                break
-        else:
-            iterates.append(pt.u)
-        clipped = [np.clip(u, lo, hi) for u in iterates]
-        return min(clipped, key=nlp.violation)
+            tau = np.maximum(_TAU_MIN, 1.0 - barrier)
+            to_z = np.where(dz < 0, z / -dz, np.inf)
+            to_mu = np.where(dmu < 0, mu / -dmu, np.inf)
+            alpha_p = np.minimum(1.0, tau * np.minimum.reduceat(to_z, at_ineq[:-1]))
+            alpha_d = np.minimum(1.0, tau * np.minimum.reduceat(to_mu, at_ineq[:-1]))
+            going &= ~(alpha_p < _ALPHA_MIN)
+            z = z + np.repeat(alpha_p, n_ineq_each) * dz
+            lam = lam + np.repeat(alpha_d, m_each) * step[batch.k_row]
+            mu = mu + np.repeat(alpha_d, n_ineq_each) * dmu
+            u = u + np.repeat(alpha_p, np.diff(at_var)) * dx
+            for k in np.flatnonzero(~(going | done)):
+                out[ids[k]] = self._least_violating(ids[k], iterates[ids[k]])
+            if not going.any():
+                return out
+            if not going.all():
+                u = u[np.repeat(going, np.diff(at_var))]
+                z, mu = (a[np.repeat(going, n_ineq_each)] for a in (z, mu))
+                lam = lam[np.repeat(going, m_each)]
+                barrier, ids = barrier[going], ids[going]
+                batch = _Batch([self.parts[k] for k in ids])
+        for island in ids:
+            out[island] = self._least_violating(island, iterates[island])
+        return out
 
 
 def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfProblem:
@@ -697,27 +845,26 @@ class _IslandSolution(NamedTuple):
     q_flow_to: dict[int, float]
 
 
-def _solve_island(net: Network, island: Island, tol: float) -> _IslandSolution:
-    nlp = _IslandNlp(net, island)
-    return _island_solution(nlp, nlp.solve(tol))
+def _solve_batch(net: Network, islands: Sequence[Island], tol: float) -> list[_IslandSolution]:
+    """Each island's solution, from one lockstep interior point over them all."""
+    nlps = [_IslandNlp(net, island) for island in islands]
+    return [_island_solution(nlp, u) for nlp, u in zip(nlps, _BatchIpm(nlps).run(tol))]
 
 
 def _island_solution(nlp: _IslandNlp, u: np.ndarray) -> _IslandSolution:
     """The values of the island solution ``u``, by element id."""
-    out = _IslandSolution(*({} for _ in _IslandSolution._fields))
-    for bid, k in nlp.bus_index.items():
-        out.v[bid] = float(u[nlp.iv[k]])
-        out.theta[bid] = float(u[nlp.ith[k]])
-        out.v_violation[bid] = float(u[nlp.ivt[k]])
-    for k, d in enumerate(nlp.demands):
-        out.served[d.id] = float(np.clip(u[nlp.ix[k]], 0.0, 1.0))
-    for k, g in enumerate(nlp.gens):
-        out.p_gen[g.id] = float(u[nlp.ipg[k]])
-        out.q_gen[g.id] = float(u[nlp.iqg[k]])
-    flow_parts = (out.p_flow_fr, out.p_flow_to, out.q_flow_fr, out.q_flow_to)
-    for part, f in zip(flow_parts, nlp.flows(u)):
-        part.update(zip(nlp.block.ids.tolist(), f.tolist()))
-    return out
+    buses = nlp.island.buses
+    gens = nlp.island.generators
+    lines = nlp.block.ids.tolist()
+    return _IslandSolution(
+        dict(zip(buses, u[nlp.iv].tolist())),
+        dict(zip(buses, u[nlp.ith].tolist())),
+        dict(zip(buses, u[nlp.ivt].tolist())),
+        dict(zip(nlp.island.demands, np.clip(u[nlp.ix], 0.0, 1.0).tolist())),
+        dict(zip(gens, u[nlp.ipg].tolist())),
+        dict(zip(gens, u[nlp.iqg].tolist())),
+        *(dict(zip(lines, f)) for f in nlp.flows(u).tolist()),
+    )
 
 
 def solve_ac_opf(
@@ -729,7 +876,8 @@ def solve_ac_opf(
     """Solve every live island; dead islands are fixed structurally.
 
     ``_solved`` maps islands to solutions already found in the same
-    replay (same case and tolerance); it is read and extended.
+    replay (same case and tolerance); it is read and extended. The
+    islands not in it are solved as one batch.
     """
     solved = {} if _solved is None else _solved
     net = problem.case.network
@@ -756,14 +904,13 @@ def solve_ac_opf(
     for d in net.demands:
         served[d.id] = 0.0
 
+    live = [island for island in problem.islands if island.live]
+    missing = [island for island in live if island not in solved]
+    if missing:
+        solved.update(zip(missing, _solve_batch(net, missing, tol)))
     parts = (v, theta, vt, served, p_gen, q_gen, pfr, pto, qfr, qto)
-    for island in problem.islands:
-        if not island.live:
-            continue
-        sol = solved.get(island)
-        if sol is None:
-            sol = solved[island] = _solve_island(net, island, tol)
-        for part, values in zip(parts, sol):
+    for island in live:
+        for part, values in zip(parts, solved[island]):
             part.update(values)
 
     objective = sum(served[d.id] * d.p for d in net.demands) - PENALTY_WEIGHT * sum(vt.values())
@@ -796,7 +943,7 @@ def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
     net = problem.case.network
     v = np.array([state.v[b.id] for b in net.buses])
     th = np.array([state.theta[b.id] for b in net.buses])
-    bus_index = {b.id: k for k, b in enumerate(net.buses)}
+    bus_index = net.bus_position
     live = {b for isl in problem.islands if isl.live for b in isl.buses}
     flows = (state.p_flow_fr, state.p_flow_to, state.q_flow_fr, state.q_flow_to)
 
@@ -806,7 +953,9 @@ def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
     # de-energized or dead-island lines: flows must be exactly zero
     flow_err = max((abs(f[l.id]) for l in off for f in flows), default=0.0)
 
-    block = _LineBlock(on, bus_index)
+    lines = net.line_block
+    rows = np.array([net.line_position[l.id] for l in on], dtype=np.int64)
+    block = lines.take(rows, lines.i[rows], lines.j[rows])
     pfr, pto, qfr, qto = (np.array([f[l.id] for l in on]) for f in flows)
     for recomputed, stated in zip(block.flows(block.terms(v, th)), (pfr, pto, qfr, qto)):
         flow_err = max(flow_err, float(np.max(np.abs(recomputed - stated), initial=0.0)))
@@ -888,29 +1037,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# (network, islands, tol) of the replay a forked pool worker serves
+# (network, batches, tol) of the replay a forked pool worker serves
 _worker_job: tuple = ()
 
 
-def _start_worker(net: Network, islands: list[Island], tol: float) -> None:
+def _start_worker(net: Network, batches: list[list[Island]], tol: float) -> None:
     global _worker_job
-    _worker_job = (net, islands, tol)
+    _worker_job = (net, batches, tol)
 
 
-def _solve_nth_island(k: int) -> _IslandSolution:
-    net, islands, tol = _worker_job
-    return _solve_island(net, islands[k], tol)
+def _solve_nth_batch(k: int) -> list[_IslandSolution]:
+    net, batches, tol = _worker_job
+    return _solve_batch(net, batches[k], tol)
+
+
+def _split_batches(islands: list[Island], n: int) -> list[list[Island]]:
+    """``n`` batches of about equal bus count: each island, largest
+    first, joins the batch with the fewest buses so far."""
+    batches: list[list[Island]] = [[] for _ in range(n)]
+    buses = [0] * n
+    for island in sorted(islands, key=lambda island: len(island.buses), reverse=True):
+        k = buses.index(min(buses))
+        batches[k].append(island)
+        buses[k] += len(island.buses)
+    return batches
 
 
 def _solve_islands(
     net: Network, islands: list[Island], tol: float
 ) -> dict[Island, _IslandSolution]:
-    """Each island's solution, one forked worker per usable CPU.
+    """Each island's solution, one batch per forked worker, one worker per usable CPU.
 
-    Workers take one island at a time in the given order; a worker's
-    exception is raised here. The islands are solved in this process
-    when one worker suffices, when the platform cannot fork, or when
-    other threads run here, since a fork copies any lock they hold.
+    The islands are split by ``_split_batches``; a worker's exception is
+    raised here. They are solved in this process, as one batch, when one
+    worker suffices, when the platform cannot fork, or when other
+    threads run here, since a fork copies any lock they hold.
     """
     workers = min(_usable_cpus(), len(islands))
     if (
@@ -918,11 +1079,17 @@ def _solve_islands(
         or threading.active_count() > 1
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return {island: _solve_island(net, island, tol) for island in islands}
+        return dict(zip(islands, _solve_batch(net, islands, tol))) if islands else {}
+    batches = _split_batches(islands, workers)
+    net.line_block  # computed here, once, rather than in every worker
     fork = multiprocessing.get_context("fork")
-    with fork.Pool(workers, _start_worker, (net, islands, tol)) as pool:
-        solutions = pool.map(_solve_nth_island, range(len(islands)), chunksize=1)
-    return dict(zip(islands, solutions))
+    with fork.Pool(workers, _start_worker, (net, batches, tol)) as pool:
+        solutions = pool.map(_solve_nth_batch, range(workers), chunksize=1)
+    return {
+        island: solution
+        for batch, batch_solutions in zip(batches, solutions)
+        for island, solution in zip(batch, batch_solutions)
+    }
 
 
 def simulate_plans(
@@ -937,8 +1104,8 @@ def simulate_plans(
     fit the case is refused before any solve; what the periods need of
     the network alone is cached on the ``Network``, so it is computed
     once. The distinct live islands of all plans are then solved once,
-    on every usable CPU (see the module docstring), and each period is
-    assembled from them.
+    one batch per usable CPU (see the module docstring), and each period
+    is assembled from them.
     """
     net = actual_case.network
     problems = [

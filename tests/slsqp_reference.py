@@ -8,7 +8,7 @@ residuals stay above tolerance. The tests hold the interior-point
 optimum against it, so the two share the model but no solver code:
 the constraint functions hand ``nlp.flows`` to ``balance`` and
 ``thermal``, and the dense Jacobians read the model's stacked flow
-partials (``_LineBlock.partials``).
+partials (``LineBlock.partials``).
 """
 
 from __future__ import annotations

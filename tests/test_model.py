@@ -201,7 +201,10 @@ def test_network_facts_are_computed_once_per_network(monkeypatch):
     checks = []
     check = model._radiality_violations
     monkeypatch.setattr(model, "_radiality_violations", lambda n: checks.append(n) or check(n))
-    counts = {name: _counted(monkeypatch, name) for name in ("radial_tree", "damage", "gates")}
+    counts = {
+        name: _counted(monkeypatch, name)
+        for name in ("radial_tree", "damage", "gates", "line_block")
+    }
     plan = solve_rop(build_rop(case, time_grid_for(case.network)))
     simulate_plans(case, [plan, plan])
     reconnection_times(plan, case)

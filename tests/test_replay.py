@@ -14,18 +14,22 @@ import pytest
 from gridrestore import replay
 from gridrestore.errors import CaseValidationError, GridRestoreError
 from gridrestore.metrics import reconnection_times
+from gridrestore import model
 from gridrestore.model import (
     Bus,
     Demand,
     Generator,
     Line,
+    LineBlock,
     Network,
     TimeGrid,
     time_grid_for,
     validate,
 )
 from gridrestore.replay import (
-    _IslandIpm,
+    _Batch,
+    _BatchIpm,
+    _IslandKkt,
     _IslandNlp,
     build_rip_step,
     residuals,
@@ -462,19 +466,20 @@ def _spur_feeder_case():
 
 
 def _record_island_solves(monkeypatch, path):
-    """Log each island solve to ``path``, from this process or a forked worker.
+    """Log each island of each batch solve to ``path``, from this process
+    or a forked worker.
 
     Returns a function that takes the solves logged since its last call,
     as ``(pid, repr(island))`` pairs.
     """
-    solve = _IslandNlp.solve
+    solve = replay._solve_batch
 
-    def recording(self, tol):
+    def recording(net, islands, tol):
         with open(path, "a") as log:
-            log.write(f"{os.getpid()} {self.island!r}\n")
-        return solve(self, tol)
+            log.writelines(f"{os.getpid()} {island!r}\n" for island in islands)
+        return solve(net, islands, tol)
 
-    monkeypatch.setattr(_IslandNlp, "solve", recording)
+    monkeypatch.setattr(replay, "_solve_batch", recording)
 
     def take():
         lines = path.read_text().splitlines() if path.exists() else []
@@ -565,15 +570,15 @@ def test_replay_beside_another_thread_solves_in_process(monkeypatch, tmp_path):
 def test_island_solve_error_reaches_the_caller(monkeypatch):
     case, plan, live = _spur_feeder_case()
     failing = live[-1]
-    solve = _IslandNlp.solve
+    solve = replay._solve_batch
 
-    def fail_one(self, tol):
-        if self.island == failing:
-            raise FloatingPointError(f"island {self.island.buses} failed")
-        return solve(self, tol)
+    def fail_one(net, islands, tol):
+        if failing in islands:
+            raise FloatingPointError(f"island {failing.buses} failed")
+        return solve(net, islands, tol)
 
     monkeypatch.setattr(replay, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_IslandNlp, "solve", fail_one)
+    monkeypatch.setattr(replay, "_solve_batch", fail_one)
     with pytest.raises(FloatingPointError) as raised:
         simulate_plan(case, plan)
     assert str(raised.value) == f"island {failing.buses} failed"
@@ -675,7 +680,7 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     # without lines only the unit and demand terms remain
     for island in (replace(island, lines=()), island):
         nlp = _IslandNlp(case.network, island)
-        ipm = _IslandIpm(nlp)
+        ipm = _Batch([_IslandKkt(nlp)])  # a batch of one
         assert len({g.bus for g in nlp.gens}) < nlp.ng  # some bus hosts several units
         # the unit and demand columns; without lines, every column
         linear = np.r_[nlp.ix, nlp.ipg, nlp.iqg] if nlp.nl else np.arange(nlp.n_var)
@@ -726,7 +731,7 @@ def test_line_flows_match_complex_phasor_pi_model():
     net = _shunted_feeder(3)
     assert validate(net).ok
     index = {b.id: k for k, b in enumerate(net.buses)}
-    block = replay._LineBlock(net.lines, index)
+    block = LineBlock.of(net.lines, index)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v, th = rng.uniform(0.9, 1.1, len(index)), rng.uniform(-0.3, 0.3, len(index))
@@ -748,7 +753,7 @@ def test_line_flows_match_complex_phasor_pi_model():
 def test_flow_hessians_match_central_differences_of_partials():
     net = _shunted_feeder(5)
     nb = len(net.buses)
-    block = replay._LineBlock(net.lines, {b.id: k for k, b in enumerate(net.buses)})
+    block = LineBlock.of(net.lines, {b.id: k for k, b in enumerate(net.buses)})
     rng = np.random.default_rng(5)
     for _ in range(5):
         v, th = rng.uniform(0.9, 1.1, nb), rng.uniform(-0.3, 0.3, nb)
@@ -779,8 +784,9 @@ def test_kkt_blocks_match_finite_differences():
     damaged = sorted(l.id for l in net.lines if l.damaged)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
     nlp = _IslandNlp(case.network, island)
-    ipm = _IslandIpm(nlp)
-    free, nf, m = ipm.free, ipm.nf, ipm.m
+    part = _IslandKkt(nlp)
+    ipm = _Batch([part])  # a batch of one
+    free, nf, m = ipm.free, len(ipm.free), ipm.m
     assert nlp.nl and nlp.ng > 1 and nf < nlp.n_var  # the reference angle is held
     rng = np.random.default_rng(8)
     lo, hi = nlp.bounds()
@@ -811,14 +817,18 @@ def test_kkt_blocks_match_finite_differences():
         lxx = _central_differences(
             lambda w: ipm.lagrangian_gradient(ipm.evaluate(w), lam, mu)[free], u, free
         )
-        kkt = ipm.kkt_matrix(ipm.kkt_values(pt, lam, mu, d, delta_c=1e-8)).toarray()
+        (matrix,) = ipm.kkt_matrices(ipm.kkt_values(pt, lam, mu, d))
+        kkt = matrix.toarray()
         hessian = lxx + jh[:, free].T @ (d[:, None] * jh[:, free])
         np.testing.assert_allclose(
             kkt[:nf, :nf], hessian, rtol=0, atol=1e-7 * np.abs(hessian).max()
         )
         np.testing.assert_array_equal(kkt[nf:, :nf], jg[:, free])
         np.testing.assert_array_equal(kkt[:nf, nf:], jg[:, free].T)
-        np.testing.assert_array_equal(kkt[nf:, nf:], -1e-8 * np.eye(m))
+        np.testing.assert_array_equal(kkt[nf:, nf:], np.zeros((m, m)))
+        part.shift()
+        np.testing.assert_array_equal(matrix.toarray()[nf:, nf:], -replay._DELTA_C * np.eye(m))
+        np.testing.assert_array_equal(matrix.toarray()[:, :nf], kkt[:, :nf])
 
 
 class _TrigLog:
@@ -844,22 +854,32 @@ def test_island_solve_evaluates_the_flow_terms_once_per_iterate(
 ):
     case = apply_der_mode(storm_network, uniform_placement, DerMode.COMMUNITY_MICROGRID)
     damaged = sorted(l.id for l in storm_network.lines if l.damaged)
-    (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
-    assert len(island.buses) == len(storm_network.buses) == 56
+    plan = fixed_plan(damaged)
+    (whole,) = build_rip_step(case, plan, len(damaged)).islands
+    assert len(whole.buses) == len(storm_network.buses) == 56
+    islands = [whole] + [i for i in build_rip_step(case, plan, 0).islands if i.live]
+    assert len(islands) > 3
     log = []
-    evaluate = _IslandIpm.evaluate
+    evaluate = _Batch.evaluate
 
     def logged(self, u):
         log.append("evaluate")
         return evaluate(self, u)
 
-    monkeypatch.setattr(_IslandIpm, "evaluate", logged)
-    monkeypatch.setattr(replay, "np", _TrigLog(log))
-    replay._solve_island(case.network, island, replay.DEFAULT_RESIDUAL_TOL)
+    monkeypatch.setattr(_Batch, "evaluate", logged)
+    monkeypatch.setattr(model, "np", _TrigLog(log))
+    nlps = [_IslandNlp(case.network, island) for island in islands]
+    ipm = _BatchIpm(nlps)
+    solutions = [replay._island_solution(nlp, u) for nlp, u in zip(nlps, ipm.run(1e-6))]
+    assert len(solutions) == len(islands)
     iterates = log.count("evaluate")
-    assert iterates > 5
-    # one cos and one sin per iterate, and one more for the solution's flows
-    assert log.count("cos") == log.count("sin") == iterates + 1
+    # the batch iterates as long as its slowest island, and every island converges
+    assert iterates == 1 + ipm.iterations.max() > 5
+    assert len(set(ipm.iterations.tolist())) > 1
+    assert ipm.iterations.max() < replay.IPM_MAX_ITER
+    # one cos and one sin per lockstep iterate, and one more per island
+    # for the flows of its solution
+    assert log.count("cos") == log.count("sin") == iterates + len(islands)
 
 
 def test_interior_point_matches_slsqp_reference_on_every_island(
@@ -874,13 +894,12 @@ def test_interior_point_matches_slsqp_reference_on_every_island(
     islands = dict.fromkeys(i for p in problems for i in p.islands if i.live)
     assert len(islands) == 25
     assert {(36, 40), (41, 42)} <= {i.buses for i in islands}
+    nlps = [_IslandNlp(case.network, island) for island in islands]
     solved = {}
-    for island in islands:
-        nlp = _IslandNlp(case.network, island)
+    for nlp, u in zip(nlps, _BatchIpm(nlps).run(tol)):
         c = nlp.objective_vector()
-        u = nlp.solve(tol)
-        assert c @ u <= c @ slsqp_reference.solve(nlp, tol) + tol, island.buses
-        solved[island] = replay._island_solution(nlp, u)
+        assert c @ u <= c @ slsqp_reference.solve(nlp, tol) + tol, nlp.island.buses
+        solved[nlp.island] = replay._island_solution(nlp, u)
     for problem in problems:
         state = solve_ac_opf(problem, tol, _solved=solved)
         assert state.converged
@@ -902,3 +921,84 @@ def test_infeasible_island_is_a_non_converged_period():
     assert not state.converged
     assert state.max_residual == pytest.approx(0.4)
     assert state.message == "constraint residual 4.000e-01 above tolerance 1.0e-06"
+
+
+def _batch_solve(net, islands, tol=replay.DEFAULT_RESIDUAL_TOL):
+    """Each island's solution, iteration count and LU count, from one batch."""
+    ipm = _BatchIpm([_IslandNlp(net, island) for island in islands])
+    solutions = ipm.run(tol)
+    return {
+        island: (u, n, lus)
+        for island, u, n, lus in zip(islands, solutions, ipm.iterations, ipm.factorizations)
+    }
+
+
+def _assert_same_solves(found, reference):
+    assert found.keys() == reference.keys()
+    for island, (u, n, lus) in reference.items():
+        np.testing.assert_array_equal(found[island][0], u, err_msg=str(island.buses))
+        assert found[island][1:] == (n, lus), island.buses
+
+
+def test_batch_solutions_do_not_depend_on_the_batch(storm_network, clustered_placement):
+    # the bundled clustered/base plan replayed under community microgrids
+    assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
+    plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
+    case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
+    islands = list(dict.fromkeys(
+        island
+        for t in range(plan.n_periods)
+        for island in build_rip_step(case, plan, t).islands
+        if island.live
+    ))
+    assert len(islands) == 25
+    net = case.network
+    batch = _batch_solve(net, islands)
+    shuffled = list(islands)
+    np.random.default_rng(16).shuffle(shuffled)
+    assert shuffled != islands
+    one_at_a_time = {}
+    for island in islands:
+        one_at_a_time.update(_batch_solve(net, [island]))
+    _assert_same_solves(_batch_solve(net, shuffled), batch)
+    _assert_same_solves(one_at_a_time, batch)
+    iterations = [n for _, n, _ in batch.values()]
+    assert min(iterations) < max(iterations) < replay.IPM_MAX_ITER
+
+
+def test_infeasible_island_in_a_batch_holds_up_no_other():
+    # bus 2: a must-run 0.5 unit alone with a 0.1 demand, which no dispatch
+    # balances; bus 5: a unit that serves its own demand; the rest: the
+    # substation's island
+    net = Network(
+        buses=tuple(Bus(b, is_reference=b == 1) for b in range(1, 6)),
+        lines=(
+            simple_line(1, 1, 2, damaged=True, thermal=8.0),
+            simple_line(2, 1, 3, thermal=8.0),
+            simple_line(3, 3, 4, thermal=8.0),
+            simple_line(4, 1, 5, damaged=True, thermal=8.0),
+        ),
+        generators=(
+            substation(),
+            Generator(2, 2, 0.5, 1.0, 0.0, 0.0, kind="utility_der"),
+            Generator(3, 5, 0.0, 0.2, -0.1, 0.1, kind="utility_der"),
+        ),
+        demands=tuple(Demand(k, b, 0.1, 0.1 * PF_Q) for k, b in enumerate((2, 3, 4, 5), 1)),
+    )
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    islands = build_rip_step(case, fixed_plan([1, 4]), 0).islands
+    assert [i.buses for i in islands] == [(1, 3, 4), (2,), (5,)]
+    infeasible = islands[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _batch_solve(case.network, islands)
+        for island in islands:
+            _assert_same_solves(_batch_solve(case.network, [island]), {island: batch[island]})
+    # the infeasible island returns its least-violating iterate...
+    nlp = _IslandNlp(case.network, infeasible)
+    assert nlp.violation(batch[infeasible][0]) == pytest.approx(0.4)
+    # ...and leaves the batch, whose other islands go on and converge
+    others = [island for island in islands if island != infeasible]
+    for island in others:
+        assert _IslandNlp(case.network, island).violation(batch[island][0]) <= 1e-6
+    assert batch[infeasible][1] < max(batch[island][1] for island in others)
