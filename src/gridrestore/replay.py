@@ -16,9 +16,11 @@ fails returns its least-violating iterate, and the residual check then
 marks its periods as not converged. The islands of one call are solved
 in batches (``_BatchIpm``): the islands of a batch iterate in lockstep,
 and each iterate evaluates the flows, the rows and the KKT entries of
-the whole batch at once, while every island keeps its own step
-lengths, stopping test and LU, so its solution does not depend on its
-batch-mates. The pi-model flow is written once (``model.LineBlock``,
+the whole batch at once and solves every island's KKT system by one
+block elimination down the feeder tree, which is the elimination tree
+of a radial island's matrix. Every island keeps its own step lengths
+and stopping test, and its blocks are factored apart from its
+batch-mates', so its solution does not depend on them. The pi-model flow is written once (``model.LineBlock``,
 one per network, from which the batches and the residual check pick
 their lines), and each iterate evaluates its trigonometric terms once,
 for the flows, their partials and their Hessians alike.
@@ -52,8 +54,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import GridRestoreError
 from .model import LineTerms, Network
@@ -389,19 +389,34 @@ class _Point(NamedTuple):
 
 
 class _IslandKkt:
-    """One island's rows and KKT pattern, in the island's own numbering.
+    """One island's rows and KKT layout, in the island's own numbering.
 
     h stacks the thermal rows at the from and to ends, the soft voltage
     floor, the angle difference above and below, and the upper and lower
     bounds of the free variables. The KKT matrix
     ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` over the free variables
-    and the balance rows keeps one sparsity pattern: its CSC slots are
-    built once, and ``s_*`` give the slot of each entry that
-    ``_Batch.kkt_values`` lists, section by section (0: an entry on a
-    held variable, which the matrix drops).
+    and the balance rows couples a bus only to itself and to its parent
+    on the feeder tree, so it is laid out in groups, one per bus: the
+    bus's P and Q balance rows, then its free variables among its v,
+    theta and v_t, its demands' x and its units' p and q, in KKT order.
+    The rows go first because a block's LU pivots down its columns in
+    order: a unit pressed against a bound has a huge barrier weight mu/z,
+    and eliminating it before its balance row leaves the row the tiny
+    pivot -z/mu, which the block's later updates round away (an
+    infeasible island's late steps then came out wrong in every digit).
+    Each group is padded with identity rows to ``size``, the largest
+    group the network allows, and owns one row of ``_Batch.fill``: its
+    diagonal block (size x size), its rows in its parent's columns with
+    the right-hand side as one more column (size x size + 1), and its
+    parent's rows in its columns (size x size). The ``s_*`` give the
+    layout slot of each entry that ``_Batch.kkt_values`` lists, section
+    by section, and of each right-hand side and padding one (-1: an
+    entry on a held variable, which the layout drops); ``x_at`` is each
+    KKT row's place in the step's groups.
     """
 
-    def __init__(self, nlp: _IslandNlp):
+    def __init__(self, nlp: _IslandNlp, size: int, tree_rank: dict[int, int]):
+        """``tree_rank``: each bus's position in ``Network.radial_tree.order``."""
         self.nlp = nlp
         nb, nl = nlp.nb, nlp.nl
         self.c = nlp.objective_vector()
@@ -410,7 +425,7 @@ class _IslandKkt:
         self.free = free = np.flatnonzero(self.lo < self.hi)
         self.nf = nf = len(free)
         self.m = m = 2 * nb
-        self.n_kkt = n = nf + m
+        n = nf + m
         n_linear = len(nlp.linear_cols)
         self.linear_rows = nlp.balance_rows[:n_linear]
         self.flow_rows = nlp.balance_rows[n_linear:].reshape(4, nl)
@@ -422,9 +437,54 @@ class _IslandKkt:
         self.r_upper = 4 * nl + nb + np.arange(nf)
         self.r_lower = self.r_upper + nf
 
+        # each bus's parent on the feeder tree (-1 at the island's root),
+        # and its height above the deepest bus below it
+        rank = np.array([tree_rank[b] for b in nlp.island.buses], dtype=np.int64)
+        i, j = nlp.block.i, nlp.block.j
+        below = rank[i] > rank[j]  # the from end hangs below the to end
+        self.parent = parent = np.full(nb, -1, dtype=np.int64)
+        parent[np.where(below, i, j)] = np.where(below, j, i)
+        assert np.count_nonzero(parent >= 0) == nl, "an island's lines must form a tree"
+        height = [0] * nb
+        up = parent.tolist()
+        for b in np.argsort(rank)[::-1].tolist():
+            if up[b] >= 0:
+                height[up[b]] = max(height[up[b]], height[b] + 1)
+        self.height = np.array(height, dtype=np.int64)
+
+        # each KKT row's group (its bus) and place within the group: the
+        # balance rows first, then the free variables, each in KKT order
+        bus_of = np.empty(nlp.n_var, dtype=np.int64)
+        bus_of[nlp.iv] = bus_of[nlp.ith] = bus_of[nlp.ivt] = np.arange(nb)
+        bus_of[nlp.linear_cols] = self.linear_rows % nb
+        group = np.concatenate([bus_of[free], np.arange(nb), np.arange(nb)])
+        count = np.bincount(group, minlength=nb)
+        assert count.max() <= size
+        order = np.r_[nf:n, :nf]
+        order = order[np.argsort(group[order], kind="stable")]
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n) - (np.cumsum(count) - count)[group[order]]
+        self.size = size
+        self.width = width = size * (3 * size + 1)
+        at_coupling = size * size  # where a group's coupling to its parent starts
+        at_parent = size * (2 * size + 1)  # where its parent's coupling to it starts
+
+        def slot(rows, cols):
+            """The layout slot of each entry at KKT ``rows`` and ``cols`` (-1: held)."""
+            held = (rows < 0) | (cols < 0)
+            rows, cols = np.where(held, 0, rows), np.where(held, 0, cols)
+            gr, gc, pr, pc = group[rows], group[cols], place[rows], place[cols]
+            inside, down, up = gr == gc, parent[gr] == gc, parent[gc] == gr
+            assert np.all(held | inside | down | up), "a KKT entry couples buses that are not parent and child"
+            return np.where(held, -1, np.select(
+                [inside, down],
+                [gr * width + pr * size + pc, gr * width + at_coupling + pr * (size + 1) + pc],
+                gc * width + at_parent + pr * size + pc,
+            ))
+
         # KKT entries in the order kkt_values() lists them: the line
         # blocks, the soft floor's (v, v_t) blocks, the free diagonal,
-        # Jg and its transpose, the constraint block's diagonal
+        # Jg and its transpose
         pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
         pos[free] = np.arange(nf)
         quad = pos[nlp.line_vars]
@@ -432,46 +492,82 @@ class _IslandKkt:
         soft_cols = pos[np.array([nlp.iv, nlp.ivt, nlp.iv, nlp.ivt])].ravel()
         g_rows = nf + np.concatenate([self.linear_rows, np.repeat(self.flow_rows.ravel(), 4)])
         g_cols = pos[np.concatenate([nlp.linear_cols, np.tile(nlp.line_vars, (4, 1)).ravel()])]
-        rows = np.concatenate([
-            np.repeat(quad, 4, axis=1).ravel(), soft_rows, np.arange(nf),
-            g_rows, g_cols, nf + np.arange(m),
-        ])
-        cols = np.concatenate([
-            np.tile(quad, (1, 4)).ravel(), soft_cols, np.arange(nf),
-            g_cols, g_rows, nf + np.arange(m),
-        ])
-        # entries on held variables go to slot 0, which the matrix drops
-        key = np.where((rows < 0) | (cols < 0), -1, cols * n + rows)
-        keys = np.sort(key)
-        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-        keys = keys[keys >= 0]
-        slot = np.searchsorted(keys, key) + (key >= 0)
-        self.n_data = len(keys)
-        indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        self.kkt = sparse.csc_matrix((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
-        at = np.cumsum([0, 16 * nl, 4 * nb, nf, n_linear, 16 * nl, n_linear, 16 * nl, m])
+        entries = slot(
+            np.concatenate([
+                np.repeat(quad, 4, axis=1).ravel(), soft_rows, np.arange(nf), g_rows, g_cols,
+            ]),
+            np.concatenate([
+                np.tile(quad, (1, 4)).ravel(), soft_cols, np.arange(nf), g_cols, g_rows,
+            ]),
+        )
+        at = np.cumsum([0, 16 * nl, 4 * nb, nf, n_linear, 16 * nl, n_linear, 16 * nl])
         (self.s_block, s_soft, self.s_diag, self.s_jg_linear, s_jg_flow, self.s_jgt_linear,
-         s_jgt_flow, self.s_shift) = (slot[a:b] for a, b in zip(at[:-1], at[1:]))
+         s_jgt_flow) = (entries[a:b] for a, b in zip(at[:-1], at[1:]))
         self.s_soft = s_soft.reshape(4, nb)
         self.s_jg_flow, self.s_jgt_flow = s_jg_flow.reshape(4, nl, 4), s_jgt_flow.reshape(4, nl, 4)
+        # the constraint block's diagonal, which only a singular matrix's retry fills
+        self.s_shift = group[nf:] * width + place[nf:] * (size + 1)
+        self.s_rhs = group * width + at_coupling + place * (size + 1) + size
+        pad_group, pad_place = np.nonzero(np.arange(size) >= count[:, None])
+        self.s_pad = pad_group * width + pad_place * (size + 1)
+        self.x_at = group * size + place
 
-    def shift(self) -> None:
-        """Put -_DELTA_C on the filled matrix's constraint diagonal."""
-        self.kkt.data[self.s_shift - 1] = -_DELTA_C
+
+def _island_kkts(nlps: Sequence[_IslandNlp]) -> list[_IslandKkt]:
+    """The KKT layouts of islands of one network, padded to the network's
+    largest group: five rows per bus, one per demand and two per unit."""
+    net = nlps[0].net
+    size = 5 + max(
+        len(net.demands_at.get(b.id, ())) + 2 * len(net.generators_at.get(b.id, ()))
+        for b in net.buses
+    )
+    rank = {bus: k for k, bus in enumerate(net.radial_tree.order)}
+    return [_IslandKkt(nlp, size, rank) for nlp in nlps]
+
+
+class _Level(NamedTuple):
+    """The groups of one height: those with a parent first, ``n`` of them,
+    sorted by parent, with their parents ``above``, each parent's first
+    child at ``starts`` and the parents once each in ``parents``; then the
+    islands' roots."""
+
+    nodes: np.ndarray
+    n: int
+    above: np.ndarray
+    starts: np.ndarray
+    parents: np.ndarray
+
+
+def _levels(parent: np.ndarray, height: np.ndarray, groups: np.ndarray) -> list[_Level]:
+    """The elimination order of ``groups``: one level per height, leaves
+    first, each parent's children in island order."""
+    root = parent[groups] < 0
+    groups = groups[np.lexsort((groups, parent[groups], root, height[groups]))]
+    ends = np.searchsorted(height[groups], np.arange(height.max() + 1), side="right")
+    levels = []
+    for nodes in np.split(groups, ends[:-1]):
+        if not len(nodes):
+            continue
+        above = parent[nodes]
+        n = int(np.count_nonzero(above >= 0))
+        above = above[:n]
+        starts = np.flatnonzero(np.r_[True, above[1:] != above[:-1]]) if n else above
+        levels.append(_Level(nodes, n, above, starts, above[starts]))
+    return levels
 
 
 class _Batch:
     """Several islands' problems, stacked island by island.
 
-    The variables, balance rows, inequality rows, free variables, KKT
-    rows and KKT entries each keep every island's own order in one
-    segment (``at_*`` lists where each segment starts and the last one
-    ends), so a sum over an island's segment adds the same numbers in the
-    same order as the island alone. The lines, the Jacobian terms and
-    the KKT entries go section by section, island by island within a
-    section: each row, column and KKT entry then receives its terms in
-    the island's own order, and ``np.bincount``, which adds them in
-    input order, sums them as the island alone would.
+    The variables, balance rows, inequality rows, free variables and
+    KKT groups each keep every island's own order in one segment
+    (``at_*`` lists where each segment starts and the last one ends), so
+    a sum over an island's segment adds the same numbers in the same
+    order as the island alone. The lines, the Jacobian terms and the KKT
+    entries go section by section, island by island within a section:
+    each row, column and KKT slot then receives its terms in the
+    island's own order, and ``np.bincount``, which adds them in input
+    order, sums them as the island alone would.
     """
 
     def __init__(self, parts: list[_IslandKkt]):
@@ -483,14 +579,13 @@ class _Batch:
             return np.cumsum([0] + sizes)
 
         self.at_var = at_var = starts([n.n_var for n in nlps])
-        at_bus = starts([n.nb for n in nlps])
+        self.at_bus = at_bus = starts([n.nb for n in nlps])
         self.at_row = at_row = starts([p.m for p in parts])
         self.at_ineq = at_ineq = starts([p.n_ineq for p in parts])
         self.at_free = starts([p.nf for p in parts])
-        self.at_kkt = at_kkt = starts([p.n_kkt for p in parts])
-        self.at_data = at_data = starts([p.n_data for p in parts])
         self.n_var, self.m, self.n_ineq = at_var[-1], at_row[-1], at_ineq[-1]
-        self.n_kkt, self.n_data = at_kkt[-1], at_data[-1]
+        self.size, self.width = size, width = parts[0].size, parts[0].width
+        self.n_fill = at_bus[-1] * width
 
         def stack(arrays, at=None, axis=0):
             """The islands' arrays, each past the ``at`` of the islands before it."""
@@ -503,9 +598,12 @@ class _Batch:
             return out
 
         def slots(arrays, axis=0):
-            """Each island's slots, past the slots of the islands before it; 0 stays 0."""
+            """Each island's layout slots, past the groups of the islands
+            before it; a held entry's -1 goes to the last slot, which is dropped."""
             arrays = list(arrays)
-            return np.where(np.concatenate(arrays, axis=axis) > 0, stack(arrays, at_data, axis), 0)
+            return np.where(
+                np.concatenate(arrays, axis=axis) >= 0, stack(arrays, at_bus * width, axis), self.n_fill
+            )
 
         self.c, lo, hi, self.start = (
             stack([getattr(p, name) for p in parts]) for name in ("c", "lo", "hi", "start")
@@ -554,10 +652,9 @@ class _Batch:
         one_l, one_f = np.ones(nl), np.ones(nf)
         self.h_vals0 = np.concatenate([-np.ones(2 * nb), one_l, -one_l, -one_l, one_l, one_f, -one_f])
 
-        # each free variable's and balance row's place in the stacked KKT rows
-        self.k_free = stack([np.arange(p.nf) for p in parts], at_kkt)
-        self.k_row = stack([p.nf + np.arange(p.m) for p in parts], at_kkt)
-        self.slot = np.concatenate([
+        # each KKT entry's, right-hand side's and padding one's slot in
+        # the fill, in the order of the values fill() is given
+        self.fill_slot = np.concatenate([
             slots(p.s_block for p in parts),
             slots((p.s_soft for p in parts), axis=1).ravel(),
             slots(p.s_diag for p in parts),
@@ -565,8 +662,22 @@ class _Batch:
             slots((p.s_jg_flow for p in parts), axis=1).ravel(),
             slots(p.s_jgt_linear for p in parts),
             slots((p.s_jgt_flow for p in parts), axis=1).ravel(),
-            slots(p.s_shift for p in parts),
+            stack([p.s_rhs[: p.nf] for p in parts], at_bus * width),
+            stack([p.s_rhs[p.nf :] for p in parts], at_bus * width),
+            stack([p.s_pad for p in parts], at_bus * width),
         ])
+        self.pad_ones = np.ones(sum(len(p.s_pad) for p in parts))
+        self.s_shift = stack([p.s_shift for p in parts], at_bus * width)
+        # each free variable's and balance row's place in the step's groups
+        self.x_free = stack([p.x_at[: p.nf] for p in parts], at_bus * size)
+        self.x_row = stack([p.x_at[p.nf :] for p in parts], at_bus * size)
+        # the feeder tree over the groups: each group's parent, height and island
+        self.parent = np.where(
+            np.concatenate([p.parent for p in parts]) >= 0, stack([p.parent for p in parts], at_bus), -1
+        )
+        self.height = np.concatenate([p.height for p in parts])
+        self.island = np.repeat(np.arange(len(parts)), np.diff(at_bus))
+        self.levels = _levels(self.parent, self.height, np.arange(at_bus[-1]))
 
     def evaluate(self, u: np.ndarray) -> _Point:
         """g, h and the values of their Jacobians at ``u``."""
@@ -604,7 +715,7 @@ class _Batch:
         )
 
     def kkt_values(self, pt: _Point, lam, mu, d) -> np.ndarray:
-        """The KKT entries' values, in the order of ``self.slot``.
+        """The KKT entries' values, in the order of ``self.fill_slot``'s first sections.
 
         ``d`` is mu/z, the weight of each inequality row in Jh' d Jh.
         """
@@ -631,15 +742,75 @@ class _Batch:
             d[self.r_upper] + d[self.r_lower],
             pt.g_vals,
             pt.g_vals,
-            np.zeros(self.m),
         ])
 
-    def kkt_matrices(self, vals: np.ndarray) -> list[sparse.csc_matrix]:
-        """Each island's KKT matrix holding ``vals``, refilled in place."""
-        data = np.bincount(self.slot, vals, minlength=self.n_data + 1)[1:]
-        for part, a, b in zip(self.parts, self.at_data[:-1], self.at_data[1:]):
-            part.kkt.data[:] = data[a:b]
-        return [part.kkt for part in self.parts]
+    def fill(self, vals: np.ndarray, rhs_free: np.ndarray, rhs_rows: np.ndarray) -> np.ndarray:
+        """The KKT layout of every group (see ``_IslandKkt``), one row per
+        group, holding the entries ``vals`` and the right-hand sides of the
+        free variables and of the balance rows."""
+        weights = np.concatenate([vals, rhs_free, rhs_rows, self.pad_ones])
+        return np.bincount(self.fill_slot, weights, minlength=self.n_fill + 1)[:-1].reshape(-1, self.width)
+
+    def shift(self, fill: np.ndarray, islands: np.ndarray) -> None:
+        """Put -_DELTA_C on the constraint diagonal of the marked islands' groups."""
+        fill.reshape(-1)[self.s_shift[np.repeat(islands, np.diff(self.at_row))]] = -_DELTA_C
+
+    def tree_solve(self, fill: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step of each island ``keep`` marks, one row of values per
+        group, and the islands met with an exactly singular block.
+
+        Block elimination down the feeder tree, leaves first, then back
+        substitution from the roots; ``fill`` is overwritten. The tree is
+        the elimination tree of every island's matrix, so nothing fills
+        in. Each level solves its blocks against their couplings and
+        right-hand sides in one stacked ``np.linalg.solve`` (one LAPACK
+        call per block, of one size for the whole network, so its bits do
+        not depend on the other blocks), and adds the Schur complements
+        of each parent's children in island order.
+        """
+        s = self.size
+        levels = self.levels if keep.all() else _levels(
+            self.parent, self.height, np.flatnonzero(keep[self.island])
+        )
+        diagonal = fill[:, : s * s].reshape(-1, s, s)
+        coupled = fill[:, s * s : s * (2 * s + 1)].reshape(-1, s, s + 1)
+        parents_rows = fill[:, s * (2 * s + 1) :].reshape(-1, s, s)
+        singular = np.zeros(len(keep), dtype=bool)
+        solved = []
+        for level in levels:
+            x = self._solve_blocks(
+                diagonal[level.nodes], coupled[level.nodes], level.nodes, singular
+            )
+            solved.append(x)
+            if level.n:
+                schur = np.add.reduceat(parents_rows[level.nodes[: level.n]] @ x[: level.n], level.starts)
+                diagonal[level.parents] -= schur[:, :, :s]
+                coupled[level.parents, :, s] -= schur[:, :, s]
+        step = np.zeros((len(fill), s))
+        for level, x in zip(reversed(levels), reversed(solved)):
+            step[level.nodes] = x[:, :, s]
+            step[level.nodes[: level.n]] -= (x[: level.n, :, :s] @ step[level.above, :, None])[:, :, 0]
+        return step, singular
+
+    def _solve_blocks(self, a, b, nodes, singular) -> np.ndarray:
+        """``np.linalg.solve(a, b)``, except that an exactly singular block
+        marks its island in ``singular`` and solves to zero."""
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            bad = [k for k in range(len(a)) if not _solves(a[k], b[k])]
+            singular[self.island[nodes[bad]]] = True
+            a[bad], b[bad] = np.eye(self.size), 0.0
+            return np.linalg.solve(a, b)
+
+
+def _solves(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``np.linalg.solve(a, b)`` goes through."""
+    try:
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class _BatchIpm:
@@ -657,20 +828,21 @@ class _BatchIpm:
     Every lockstep iterate evaluates the flows, the rows and the KKT
     entries of all the islands still in the batch at once (``_Batch``).
     Each island keeps its own barrier parameter, dual scale, stopping
-    test and step lengths, and its own KKT matrix, filled by one
-    ``np.bincount`` and factored alone by one ``splu``. A singular matrix
-    is factored again with ``-_DELTA_C`` on the constraint block's
-    diagonal, as in Ipopt's regularization (Waechter and Biegler, Math.
-    Programming 106, 2006). So an island's iterates do not depend on its
-    batch-mates: a factorization of the stacked matrix would let the
-    ordering interleave islands. An island that converges or fails
-    leaves the batch, and the others go on without it.
+    test and step lengths. One ``np.bincount`` fills the KKT blocks of
+    every island, and one block elimination down the feeder tree
+    (``_Batch.tree_solve``) solves them all; it factors each island's
+    blocks apart from its batch-mates', so an island's iterates do not
+    depend on them. An island met with an exactly singular block is
+    solved again with ``-_DELTA_C`` on the constraint block's diagonal,
+    as in Ipopt's regularization (Waechter and Biegler, Math.
+    Programming 106, 2006). An island that converges or fails leaves the
+    batch, and the others go on without it.
     """
 
     def __init__(self, nlps: Sequence[_IslandNlp]):
         """``nlps``: islands of one network."""
-        self.parts = [_IslandKkt(nlp) for nlp in nlps]
-        # per island: the Newton steps taken and the LU factorizations
+        self.parts = _island_kkts(nlps)
+        # per island: the Newton steps taken and the block eliminations
         self.iterations = np.zeros(len(self.parts), dtype=np.int64)
         self.factorizations = np.zeros(len(self.parts), dtype=np.int64)
 
@@ -684,18 +856,6 @@ class _BatchIpm:
         """
         with np.errstate(all="ignore"):
             return self._iterate(tol)
-
-    def _factor_solve(self, k: int, kkt: sparse.csc_matrix, rhs: np.ndarray):
-        """The step of island ``k``, or None when its matrix stays singular."""
-        for shifted in (False, True):
-            if shifted:
-                self.parts[k].shift()
-            self.factorizations[k] += 1
-            try:
-                return splu(kkt, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-            except RuntimeError:  # exactly singular
-                continue
-        return None
 
     def _least_violating(self, k: int, iterates: list[np.ndarray]) -> np.ndarray:
         part = self.parts[k]
@@ -767,22 +927,26 @@ class _BatchIpm:
 
             d = mu / z
             barrier_rows = np.repeat(barrier, n_ineq_each)
-            rhs = np.empty(batch.n_kkt)
-            rhs[batch.k_free] = -batch.lagrangian_gradient(
-                pt, lam, mu + d * pt.h + barrier_rows / z
-            )[batch.free]
-            rhs[batch.k_row] = -pt.g
-            step = np.zeros(batch.n_kkt)
-            kkts = batch.kkt_matrices(batch.kkt_values(pt, lam, mu, d))
-            for k in np.flatnonzero(going):
-                at = slice(batch.at_kkt[k], batch.at_kkt[k + 1])
-                x = self._factor_solve(ids[k], kkts[k], rhs[at])
-                if x is None or not np.all(np.isfinite(x)):
-                    going[k] = False
-                else:
-                    step[at] = x
+            kkt = (
+                batch.kkt_values(pt, lam, mu, d),
+                -batch.lagrangian_gradient(pt, lam, mu + d * pt.h + barrier_rows / z)[batch.free],
+                -pt.g,
+            )
+            step, singular = batch.tree_solve(batch.fill(*kkt), going)
+            self.factorizations[ids[going]] += 1
+            if singular.any():
+                # once more, with the constraint block shifted
+                fill = batch.fill(*kkt)
+                batch.shift(fill, singular)
+                retry = singular
+                shifted, singular = batch.tree_solve(fill, retry)
+                self.factorizations[ids[retry]] += 1
+                step[retry[batch.island]] = shifted[retry[batch.island]]
+                going &= ~singular
+            going &= np.logical_and.reduceat(np.isfinite(step).all(axis=1), batch.at_bus[:-1])
+            step = step.ravel()
             dx = np.zeros(batch.n_var)
-            dx[batch.free] = step[batch.k_free]
+            dx[batch.free] = step[batch.x_free]
             dz = -pt.h - z - np.bincount(
                 batch.h_rows, pt.h_vals * dx[batch.h_cols], minlength=batch.n_ineq
             )
@@ -795,7 +959,7 @@ class _BatchIpm:
             alpha_d = np.minimum(1.0, tau * np.minimum.reduceat(to_mu, at_ineq[:-1]))
             going &= ~(alpha_p < _ALPHA_MIN)
             z = z + np.repeat(alpha_p, n_ineq_each) * dz
-            lam = lam + np.repeat(alpha_d, m_each) * step[batch.k_row]
+            lam = lam + np.repeat(alpha_d, m_each) * step[batch.x_row]
             mu = mu + np.repeat(alpha_d, n_ineq_each) * dmu
             u = u + np.repeat(alpha_p, np.diff(at_var)) * dx
             for k in np.flatnonzero(~(going | done)):

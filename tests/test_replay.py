@@ -29,8 +29,8 @@ from gridrestore.model import (
 from gridrestore.replay import (
     _Batch,
     _BatchIpm,
-    _IslandKkt,
     _IslandNlp,
+    _island_kkts,
     build_rip_step,
     residuals,
     simulate_plan,
@@ -680,7 +680,7 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     # without lines only the unit and demand terms remain
     for island in (replace(island, lines=()), island):
         nlp = _IslandNlp(case.network, island)
-        ipm = _Batch([_IslandKkt(nlp)])  # a batch of one
+        ipm = _Batch(_island_kkts([nlp]))  # a batch of one
         assert len({g.bus for g in nlp.gens}) < nlp.ng  # some bus hosts several units
         # the unit and demand columns; without lines, every column
         linear = np.r_[nlp.ix, nlp.ipg, nlp.iqg] if nlp.nl else np.arange(nlp.n_var)
@@ -778,14 +778,47 @@ def test_flow_hessians_match_central_differences_of_partials():
             np.testing.assert_allclose(h, h_fd, rtol=0, atol=1e-7 * np.abs(h).max())
 
 
+def _island_kkt(batch, fill, k):
+    """Island ``k``'s KKT matrix and right-hand side in its own numbering
+    (free variables, then balance rows), read back from the block layout
+    ``fill``; the padding must be identity rows with zero right-hand sides."""
+    s = batch.size
+    first, last = batch.at_bus[k], batch.at_bus[k + 1]
+    n = (last - first) * s
+    dense, rhs = np.zeros((n, n)), np.zeros(n)
+
+    def at(g):
+        return slice((g - first) * s, (g - first + 1) * s)
+
+    for g in range(first, last):
+        diagonal, coupled, parents_rows = np.split(fill[g], [s * s, s * (2 * s + 1)])
+        coupled = coupled.reshape(s, s + 1)
+        dense[at(g), at(g)] = diagonal.reshape(s, s)
+        rhs[at(g)] = coupled[:, s]
+        parent = batch.parent[g]
+        if parent < 0:
+            assert not coupled[:, :s].any() and not parents_rows.any()
+        else:
+            assert first <= parent < last
+            dense[at(g), at(parent)] = coupled[:, :s]
+            dense[at(parent), at(g)] = parents_rows.reshape(s, s)
+    free = slice(batch.at_free[k], batch.at_free[k + 1])
+    rows = slice(batch.at_row[k], batch.at_row[k + 1])
+    kkt = np.r_[batch.x_free[free], batch.x_row[rows]] - first * s
+    pad = np.setdiff1d(np.arange(n), kkt)
+    np.testing.assert_array_equal(dense[np.ix_(pad, pad)], np.eye(len(pad)))
+    assert not dense[np.ix_(pad, kkt)].any() and not dense[np.ix_(kkt, pad)].any()
+    assert not rhs[pad].any()
+    return dense[np.ix_(kkt, kkt)], rhs[kkt]
+
+
 def test_kkt_blocks_match_finite_differences():
     net = _shunted_feeder(8)
     case = apply_der_mode(net, DerPlacement("der", (3, 5, 7)), DerMode.COMMUNITY_MICROGRID)
     damaged = sorted(l.id for l in net.lines if l.damaged)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
     nlp = _IslandNlp(case.network, island)
-    part = _IslandKkt(nlp)
-    ipm = _Batch([part])  # a batch of one
+    ipm = _Batch(_island_kkts([nlp]))  # a batch of one
     free, nf, m = ipm.free, len(ipm.free), ipm.m
     assert nlp.nl and nlp.ng > 1 and nf < nlp.n_var  # the reference angle is held
     rng = np.random.default_rng(8)
@@ -817,8 +850,9 @@ def test_kkt_blocks_match_finite_differences():
         lxx = _central_differences(
             lambda w: ipm.lagrangian_gradient(ipm.evaluate(w), lam, mu)[free], u, free
         )
-        (matrix,) = ipm.kkt_matrices(ipm.kkt_values(pt, lam, mu, d))
-        kkt = matrix.toarray()
+        rhs_free, rhs_rows = rng.normal(size=nf), rng.normal(size=m)
+        fill = ipm.fill(ipm.kkt_values(pt, lam, mu, d), rhs_free, rhs_rows)
+        kkt, rhs = _island_kkt(ipm, fill, 0)
         hessian = lxx + jh[:, free].T @ (d[:, None] * jh[:, free])
         np.testing.assert_allclose(
             kkt[:nf, :nf], hessian, rtol=0, atol=1e-7 * np.abs(hessian).max()
@@ -826,9 +860,134 @@ def test_kkt_blocks_match_finite_differences():
         np.testing.assert_array_equal(kkt[nf:, :nf], jg[:, free])
         np.testing.assert_array_equal(kkt[:nf, nf:], jg[:, free].T)
         np.testing.assert_array_equal(kkt[nf:, nf:], np.zeros((m, m)))
-        part.shift()
-        np.testing.assert_array_equal(matrix.toarray()[nf:, nf:], -replay._DELTA_C * np.eye(m))
-        np.testing.assert_array_equal(matrix.toarray()[:, :nf], kkt[:, :nf])
+        np.testing.assert_array_equal(rhs, np.r_[rhs_free, rhs_rows])
+        ipm.shift(fill, np.array([True]))
+        shifted, _ = _island_kkt(ipm, fill, 0)
+        np.testing.assert_array_equal(shifted[nf:, nf:], -replay._DELTA_C * np.eye(m))
+        np.testing.assert_array_equal(shifted[:, :nf], kkt[:, :nf])
+
+
+def _tree_solves(monkeypatch, nlps):
+    """Every tree solve of one batch run over ``nlps``: the batch, its
+    fill before the solve, the islands kept and the step found."""
+    calls = []
+    tree_solve = _Batch.tree_solve
+
+    def logged(self, fill, keep):
+        before = fill.copy()
+        step, singular = tree_solve(self, fill, keep)
+        calls.append((self, before, keep.copy(), step))
+        return step, singular
+
+    monkeypatch.setattr(_Batch, "tree_solve", logged)
+    _BatchIpm(nlps).run(replay.DEFAULT_RESIDUAL_TOL)
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_tree_step_is_dense_step(batch, fill, keep, step, rtol=None):
+    """Each kept island's step solves its assembled KKT system as well as a
+    dense solve does: a backward error below 1e-15, and the dense step to
+    ``rtol`` relative, by default to 1e-10 or, where the matrix's condition
+    number allows no more, to cond * eps (late iterates reach 1e16)."""
+    step = step.ravel()
+    for k in np.flatnonzero(keep):
+        kkt, rhs = _island_kkt(batch, fill, k)
+        free = slice(batch.at_free[k], batch.at_free[k + 1])
+        rows = slice(batch.at_row[k], batch.at_row[k + 1])
+        found = np.r_[step[batch.x_free[free]], step[batch.x_row[rows]]]
+        scale = np.abs(kkt).sum(axis=1).max() * np.abs(found).max() + np.abs(rhs).max()
+        assert np.abs(kkt @ found - rhs).max() <= 1e-15 * scale
+        dense = np.linalg.solve(kkt, rhs)
+        bound = rtol or max(1e-10, np.linalg.cond(kkt) * np.finfo(float).eps)
+        assert np.linalg.norm(found - dense) <= bound * np.linalg.norm(dense), k
+
+
+def _chain_feeder(n):
+    """n buses in a line from the substation, each past the first with a
+    demand, every third with a DER unit; the middle line is damaged."""
+    return Network(
+        buses=tuple(Bus(b, is_reference=b == 1) for b in range(1, n + 1)),
+        lines=tuple(
+            simple_line(b - 1, b - 1, b, damaged=b == n // 2, thermal=8.0) for b in range(2, n + 1)
+        ),
+        generators=(substation(),) + tuple(
+            Generator(b, b, 0.0, 0.3, -0.15, 0.15, kind="customer_der") for b in range(3, n + 1, 3)
+        ),
+        demands=tuple(Demand(b, b, 0.2, 0.2 * PF_Q) for b in range(2, n + 1)),
+    )
+
+
+def _crowded_bus_feeder():
+    """Four buses in a line; bus 3 holds three units and two demands."""
+    return Network(
+        buses=tuple(Bus(b, is_reference=b == 1) for b in range(1, 5)),
+        lines=(
+            simple_line(1, 1, 2, thermal=8.0),
+            simple_line(2, 2, 3, damaged=True, thermal=8.0),
+            simple_line(3, 3, 4, thermal=8.0),
+        ),
+        generators=(
+            substation(),
+            Generator(2, 3, 0.0, 0.2, -0.1, 0.1, kind="customer_der"),
+            Generator(3, 3, 0.0, 0.3, -0.1, 0.2, kind="utility_der"),
+            Generator(4, 3, 0.05, 0.1, 0.0, 0.0, kind="utility_der"),
+        ),
+        demands=(
+            Demand(1, 2, 0.3, 0.3 * PF_Q),
+            Demand(2, 3, 0.2, 0.2 * PF_Q),
+            Demand(3, 3, 0.4, 0.1),
+            Demand(4, 4, 0.3, 0.3 * PF_Q),
+        ),
+    )
+
+
+def _replay_islands(case, plan):
+    """The distinct live islands of every period of ``plan`` over ``case``."""
+    return list(dict.fromkeys(
+        island
+        for t in range(plan.n_periods)
+        for island in build_rip_step(case, plan, t).islands
+        if island.live
+    ))
+
+
+@pytest.mark.parametrize("feeder", ["random", "chain", "crowded"])
+def test_tree_step_matches_dense_solve_of_the_island_kkt(monkeypatch, feeder):
+    if feeder == "random":
+        rng = np.random.RandomState(17)
+        nets = [random_der_feeder(rng) for _ in range(5)]
+    else:
+        nets = [_chain_feeder(14) if feeder == "chain" else _crowded_bus_feeder()]
+    for net in nets:
+        case = apply_der_mode(net, NO_DER, DerMode.BASE)
+        damaged = sorted(l.id for l in net.lines if l.damaged)
+        islands = _replay_islands(case, fixed_plan(damaged))
+        calls = _tree_solves(monkeypatch, [_IslandNlp(case.network, i) for i in islands])
+        batch = calls[0][0]
+        if feeder == "chain":
+            assert batch.height.max() == 13  # the whole feeder, once repaired
+        if feeder == "crowded":
+            assert batch.size == 5 + 2 + 2 * 3
+        _assert_tree_step_is_dense_step(*calls[0], rtol=1e-10)  # the start point
+        for call in calls:
+            _assert_tree_step_is_dense_step(*call)
+
+
+def test_tree_step_matches_dense_solve_on_the_study_islands(
+    monkeypatch, storm_network, clustered_placement
+):
+    # the bundled clustered/base plan replayed under community microgrids
+    assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
+    plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
+    case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
+    islands = _replay_islands(case, plan)
+    assert len(islands) == 25
+    calls = _tree_solves(monkeypatch, [_IslandNlp(case.network, i) for i in islands])
+    start, middle = calls[0], calls[len(calls) // 2]
+    assert start[2].all() and 0 < middle[2].sum() < len(middle[2])
+    _assert_tree_step_is_dense_step(*start, rtol=1e-10)
+    _assert_tree_step_is_dense_step(*middle)
 
 
 class _TrigLog:
@@ -924,7 +1083,7 @@ def test_infeasible_island_is_a_non_converged_period():
 
 
 def _batch_solve(net, islands, tol=replay.DEFAULT_RESIDUAL_TOL):
-    """Each island's solution, iteration count and LU count, from one batch."""
+    """Each island's solution, iteration count and factorization count, from one batch."""
     ipm = _BatchIpm([_IslandNlp(net, island) for island in islands])
     solutions = ipm.run(tol)
     return {
@@ -1002,3 +1161,41 @@ def test_infeasible_island_in_a_batch_holds_up_no_other():
     for island in others:
         assert _IslandNlp(case.network, island).violation(batch[island][0]) <= 1e-6
     assert batch[infeasible][1] < max(batch[island][1] for island in others)
+
+
+def test_singular_island_alone_takes_the_shifted_retry():
+    # bus 2: a unit that cannot move its reactive power and a demand that
+    # draws none, so its island's reactive balance row is empty and each
+    # block elimination meets an exactly singular block until the
+    # constraint block is shifted; bus 5: a unit that serves its own
+    # demand; the rest: the substation's island
+    net = Network(
+        buses=tuple(Bus(b, is_reference=b == 1) for b in range(1, 6)),
+        lines=(
+            simple_line(1, 1, 2, damaged=True, thermal=8.0),
+            simple_line(2, 1, 3, thermal=8.0),
+            simple_line(3, 3, 4, thermal=8.0),
+            simple_line(4, 1, 5, damaged=True, thermal=8.0),
+        ),
+        generators=(
+            substation(),
+            Generator(2, 2, -0.01, 0.05, 0.0, 0.0, kind="utility_der"),
+            Generator(3, 5, 0.0, 0.2, -0.1, 0.1, kind="utility_der"),
+        ),
+        demands=(Demand(1, 2, 0.1, 0.0),) + tuple(
+            Demand(k, b, 0.1, 0.1 * PF_Q) for k, b in enumerate((3, 4, 5), 2)
+        ),
+    )
+    case = apply_der_mode(net, NO_DER, DerMode.BASE)
+    islands = build_rip_step(case, fixed_plan([1, 4]), 0).islands
+    assert [i.buses for i in islands] == [(1, 3, 4), (2,), (5,)]
+    singular = islands[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _batch_solve(case.network, islands)
+        for island in islands:
+            _assert_same_solves(_batch_solve(case.network, [island]), {island: batch[island]})
+    for island, (u, n, lus) in batch.items():
+        # one block elimination per Newton step, two for the singular island
+        assert lus == (2 * n if island == singular else n), island.buses
+        assert _IslandNlp(case.network, island).violation(u) <= 1e-6
