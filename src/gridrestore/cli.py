@@ -228,6 +228,9 @@ def cmd_simulate(config: RunConfig, plan_path: str, actual_mode_text: str) -> in
     result = simulate_plan(case, plan, tol=config.tol)
     result.save(out / "rip_result.json")
     result.write_served_csv(out / "served.csv")
+    failed = [t for t, s in enumerate(result.states) if not s.converged]
+    for t in failed:
+        print(f"simulate: period {t}: {result.states[t].message}", file=sys.stderr)
     _write_json(
         out / "rip_summary.json",
         {
@@ -236,10 +239,8 @@ def cmd_simulate(config: RunConfig, plan_path: str, actual_mode_text: str) -> in
             "served_mwh": result.served_mwh,
             "ens_mwh": result.ens_mwh,
             "converged": result.converged,
-            "max_residual": max(s.max_residual for s in result.states),
-            "periods_not_converged": [
-                t for t, s in enumerate(result.states) if not s.converged
-            ],
+            "max_residual": result.max_residual,
+            "periods_not_converged": failed,
         },
     )
     print(f"simulate: {placement.name}/{mode.value} RIP ENS {result.ens_mwh:.3f} MWh "

@@ -10,8 +10,8 @@ feeder tree, refused when meshed or disconnected), ``damage`` (the
 damaged components) and ``gates`` (what each element waits for). The
 ordering model, the AC replay and the reconnection times read them.
 The AC replay also reads ``line_block``, the pi-model flows of every
-line (:class:`LineBlock`), from which its islands and its residual
-check pick their lines by position.
+line (:class:`LineBlock`), and ``arrays``, the data of the buses, units
+and demands in network order (:class:`NetworkArrays`).
 """
 
 from __future__ import annotations
@@ -230,6 +230,21 @@ class LineBlock:
         ], axis=-1).reshape(k.shape + (4, 4))
 
 
+class NetworkArrays(NamedTuple):
+    """The ids and data of a network's buses, units and demands, each in
+    the order of ``buses``, ``generators`` and ``demands``."""
+
+    bus_ids: np.ndarray
+    v_min: np.ndarray
+    v_max: np.ndarray
+    gen_ids: np.ndarray
+    gen_bus: np.ndarray  # the position of each unit's bus in ``buses``
+    demand_ids: np.ndarray
+    demand_bus: np.ndarray  # the position of each demand's bus in ``buses``
+    p_demand: np.ndarray
+    q_demand: np.ndarray
+
+
 def component_key(kind: str, ident: int) -> str:
     return f"{kind}:{ident}"
 
@@ -266,22 +281,6 @@ class Network:
     base_mva: float = 1.0
 
     @cached_property
-    def bus_by_id(self) -> dict[int, Bus]:
-        return {b.id: b for b in self.buses}
-
-    @cached_property
-    def line_by_id(self) -> dict[int, Line]:
-        return {l.id: l for l in self.lines}
-
-    @cached_property
-    def generator_by_id(self) -> dict[int, Generator]:
-        return {g.id: g for g in self.generators}
-
-    @cached_property
-    def demand_by_id(self) -> dict[int, Demand]:
-        return {d.id: d for d in self.demands}
-
-    @cached_property
     def bus_position(self) -> dict[int, int]:
         """Each bus's position in ``buses``, by id."""
         return {b.id: k for k, b in enumerate(self.buses)}
@@ -290,6 +289,33 @@ class Network:
     def line_position(self) -> dict[int, int]:
         """Each line's position in ``lines``, by id."""
         return {l.id: k for k, l in enumerate(self.lines)}
+
+    @cached_property
+    def generator_position(self) -> dict[int, int]:
+        """Each unit's position in ``generators``, by id."""
+        return {g.id: k for k, g in enumerate(self.generators)}
+
+    @cached_property
+    def demand_position(self) -> dict[int, int]:
+        """Each demand's position in ``demands``, by id."""
+        return {d.id: k for k, d in enumerate(self.demands)}
+
+    @cached_property
+    def arrays(self) -> NetworkArrays:
+        """The buses', units' and demands' ids and data as arrays."""
+        at = self.bus_position
+        buses, gens, demands = self.buses, self.generators, self.demands
+        return NetworkArrays(
+            bus_ids=np.array([b.id for b in buses], dtype=np.int64),
+            v_min=np.array([b.v_min for b in buses], dtype=float),
+            v_max=np.array([b.v_max for b in buses], dtype=float),
+            gen_ids=np.array([g.id for g in gens], dtype=np.int64),
+            gen_bus=np.array([at[g.bus] for g in gens], dtype=np.int64),
+            demand_ids=np.array([d.id for d in demands], dtype=np.int64),
+            demand_bus=np.array([at[d.bus] for d in demands], dtype=np.int64),
+            p_demand=np.array([d.p for d in demands], dtype=float),
+            q_demand=np.array([d.q for d in demands], dtype=float),
+        )
 
     @cached_property
     def line_block(self) -> LineBlock:
@@ -451,11 +477,11 @@ def _radiality_violations(network: Network) -> list[str]:
         )
     refs = [b.id for b in network.buses if b.is_reference]
     if len(refs) != 1 or any(
-        l.from_bus not in network.bus_by_id or l.to_bus not in network.bus_by_id
+        l.from_bus not in network.bus_position or l.to_bus not in network.bus_position
         for l in network.lines
     ):
         return v  # reachability is meaningless until references resolve
-    missing = sorted(set(network.bus_by_id) - set(network.tree.order))
+    missing = sorted(set(network.bus_position) - set(network.tree.order))
     if missing:
         v.append(f"radiality: buses unreachable from reference bus: {missing}")
     return v
@@ -464,7 +490,7 @@ def _radiality_violations(network: Network) -> list[str]:
 def apply_damage(network: Network, damaged_line_ids) -> Network:
     """Return a copy with exactly the given lines flagged damaged."""
     wanted = set(damaged_line_ids)
-    unknown = wanted - set(network.line_by_id)
+    unknown = wanted - set(network.line_position)
     if unknown:
         raise UnknownIdError(f"unknown line ids: {sorted(unknown)}")
     lines = tuple(replace(l, damaged=(l.id in wanted)) for l in network.lines)

@@ -20,10 +20,16 @@ the whole batch at once and solves every island's KKT system by one
 block elimination down the feeder tree, which is the elimination tree
 of a radial island's matrix. Every island keeps its own step lengths
 and stopping test, and its blocks are factored apart from its
-batch-mates', so its solution does not depend on them. The pi-model flow is written once (``model.LineBlock``,
-one per network, from which the batches and the residual check pick
-their lines), and each iterate evaluates its trigonometric terms once,
-for the flows, their partials and their Hessians alike.
+batch-mates', so its solution does not depend on them. The pi-model
+flow is written once (``model.LineBlock``, one per network, from which
+the batches pick their lines), and each iterate evaluates its
+trigonometric terms once, for the flows, their partials and their
+Hessians alike.
+
+A period's state holds one array per quantity, in network order, and
+each island's solution is written into it by position. The residual
+check evaluates the whole network's line block from the state's V and
+theta, and masks the de-energized and dead elements.
 
 ``simulate_plans`` replays several plans over one actual case and
 solves each distinct island once per call: with one repair per period
@@ -75,119 +81,131 @@ class Island:
     reference: int
 
 
-@dataclass
+@dataclass(eq=False)
 class AcOpfProblem:
     """One period of the implementation problem, statuses fixed.
 
     ``energized`` holds the keys of the damaged components back in service.
-    A meshed or disconnected network raises ``CaseValidationError``.
+    The ``energized_*`` masks, in network order, mark the elements that
+    work (``Network.gates``), and ``live_buses`` the buses of islands with
+    a working unit. A meshed or disconnected network raises
+    ``CaseValidationError``.
     """
 
     case: EffectiveCase
     energized: set[str]
     period: int
 
-    energized_bus_ids: frozenset[int] = field(init=False)
-    energized_line_ids: frozenset[int] = field(init=False)
-    energized_gen_ids: frozenset[int] = field(init=False)
-    energized_demand_ids: frozenset[int] = field(init=False)
+    energized_buses: np.ndarray = field(init=False)
+    energized_lines: np.ndarray = field(init=False)
+    energized_gens: np.ndarray = field(init=False)
+    energized_demands: np.ndarray = field(init=False)
     islands: tuple[Island, ...] = field(init=False)
+    live_buses: np.ndarray = field(init=False)
 
     def __post_init__(self):
         net = self.case.network
         waits = net.gates
 
-        def working(kind, elements) -> frozenset[int]:
-            return frozenset(
-                e.id for e in elements if self.energized.issuperset(waits[(kind, e.id)])
+        def working(kind, elements) -> np.ndarray:
+            return np.array(
+                [self.energized.issuperset(waits[(kind, e.id)]) for e in elements], dtype=bool
             )
 
-        self.energized_bus_ids = working("bus", net.buses)
-        self.energized_line_ids = working("line", net.lines)
-        self.energized_gen_ids = working("gen", net.generators)
-        self.energized_demand_ids = working("demand", net.demands)
-        self.islands = _split_islands(net, self)
+        self.energized_buses = working("bus", net.buses)
+        self.energized_lines = working("line", net.lines)
+        self.energized_gens = working("gen", net.generators)
+        self.energized_demands = working("demand", net.demands)
+        self.islands, self.live_buses = _split_islands(net, self)
 
 
-def _split_islands(net: Network, p: AcOpfProblem) -> tuple[Island, ...]:
-    """Energized buses grouped into islands by one walk down the feeder tree.
+def _split_islands(net: Network, p: AcOpfProblem) -> tuple[tuple[Island, ...], np.ndarray]:
+    """Energized buses grouped into islands by one walk down the feeder
+    tree, and the mask of the buses in live islands.
 
     An energized bus joins its parent's island when the line between
     them is energized, and otherwise starts an island of its own.
     Islands come in the order of their smallest bus.
     """
     tree = net.radial_tree
-    island_of: dict[int, int] = {}
-    buses: list[list[int]] = []
-    lines: list[list[int]] = []
+    at = net.bus_position
+    island = np.full(len(net.buses), -1)  # each bus's island; -1: de-energized
+    roots: list[int] = []
     for bid, parent, line in zip(tree.order, tree.parent, tree.up):
-        if bid not in p.energized_bus_ids:
+        if not p.energized_buses[at[bid]]:
             continue
-        if line is not None and line.id in p.energized_line_ids:
-            k = island_of[tree.order[parent]]
-            lines[k].append(line.id)
+        if line is not None and p.energized_lines[net.line_position[line.id]]:
+            island[at[bid]] = island[at[tree.order[parent]]]
         else:
-            k = len(buses)
-            buses.append([])
-            lines.append([])
-        island_of[bid] = k
-        buses[k].append(bid)
-    ref_bus = tree.order[0]
+            island[at[bid]] = len(roots)
+            roots.append(bid)
+    # an energized line, unit or demand has its buses energized
+    arrays, block = net.arrays, net.line_block
+    line_island = np.where(p.energized_lines, island[block.i], -1)
+    gen_island = np.where(p.energized_gens, island[arrays.gen_bus], -1)
+    demand_island = np.where(p.energized_demands, island[arrays.demand_bus], -1)
     islands = []
-    for k, (members, island_lines) in enumerate(zip(buses, lines)):
-        gens = tuple(
-            g.id for g in net.generators if g.id in p.energized_gen_ids and island_of[g.bus] == k
-        )
-        demands = tuple(
-            d.id for d in net.demands if d.id in p.energized_demand_ids and island_of[d.bus] == k
-        )
+    for k, root in enumerate(roots):
+        buses = sorted(arrays.bus_ids[island == k].tolist())
+        gens = tuple(arrays.gen_ids[gen_island == k].tolist())
         islands.append(
             Island(
-                buses=tuple(sorted(members)),
-                lines=tuple(sorted(island_lines)),
+                buses=tuple(buses),
+                lines=tuple(sorted(block.ids[line_island == k].tolist())),
                 generators=gens,
-                demands=demands,
+                demands=tuple(arrays.demand_ids[demand_island == k].tolist()),
                 live=bool(gens),
-                reference=ref_bus if members[0] == ref_bus else min(members),
+                reference=root if root == tree.order[0] else buses[0],
             )
         )
-    return tuple(sorted(islands, key=lambda island: island.buses[0]))
+    live = np.isin(island, gen_island[p.energized_gens])
+    return tuple(sorted(islands, key=lambda island: island.buses[0])), live
 
 
-@dataclass
+@dataclass(eq=False)
 class AcState:
-    """Solution of one period: voltages, flows, dispatch and shed."""
+    """Solution of one period: voltages, flows, dispatch and shed.
 
-    v: dict[int, float]
-    theta: dict[int, float]
-    v_violation: dict[int, float]
-    served: dict[int, float]
-    p_gen: dict[int, float]
-    q_gen: dict[int, float]
-    p_flow_fr: dict[int, float]
-    p_flow_to: dict[int, float]
-    q_flow_fr: dict[int, float]
-    q_flow_to: dict[int, float]
+    Each quantity is one array in network order: ``v``, ``theta`` and
+    ``v_violation`` (the voltage floor's slack) follow ``network.buses``,
+    ``served`` (each demand's served fraction) ``network.demands``,
+    ``p_gen`` and ``q_gen`` ``network.generators``, and the four flows
+    ``network.lines``. ``to_dict`` keys every quantity by element id.
+    """
+
+    network: Network
+    v: np.ndarray
+    theta: np.ndarray
+    v_violation: np.ndarray
+    served: np.ndarray
+    p_gen: np.ndarray
+    q_gen: np.ndarray
+    p_flow_fr: np.ndarray
+    p_flow_to: np.ndarray
+    q_flow_fr: np.ndarray
+    q_flow_to: np.ndarray
     objective: float
     converged: bool
     max_residual: float
     message: str = ""
 
     def to_dict(self) -> dict:
-        def fmt(d):
-            return {str(k): float(v) for k, v in sorted(d.items())}
+        arrays, lines = self.network.arrays, self.network.line_block.ids
+
+        def fmt(ids, values):
+            return {str(k): x for k, x in sorted(zip(ids.tolist(), values.tolist()))}
 
         return {
-            "v": fmt(self.v),
-            "theta": fmt(self.theta),
-            "v_violation": fmt(self.v_violation),
-            "served": fmt(self.served),
-            "p_gen": fmt(self.p_gen),
-            "q_gen": fmt(self.q_gen),
-            "p_flow_fr": fmt(self.p_flow_fr),
-            "p_flow_to": fmt(self.p_flow_to),
-            "q_flow_fr": fmt(self.q_flow_fr),
-            "q_flow_to": fmt(self.q_flow_to),
+            "v": fmt(arrays.bus_ids, self.v),
+            "theta": fmt(arrays.bus_ids, self.theta),
+            "v_violation": fmt(arrays.bus_ids, self.v_violation),
+            "served": fmt(arrays.demand_ids, self.served),
+            "p_gen": fmt(arrays.gen_ids, self.p_gen),
+            "q_gen": fmt(arrays.gen_ids, self.q_gen),
+            "p_flow_fr": fmt(lines, self.p_flow_fr),
+            "p_flow_to": fmt(lines, self.p_flow_to),
+            "q_flow_fr": fmt(lines, self.q_flow_fr),
+            "q_flow_to": fmt(lines, self.q_flow_to),
             "objective": self.objective,
             "converged": self.converged,
             "max_residual": self.max_residual,
@@ -204,6 +222,11 @@ class RipResult:
     step_hours: float
     converged: bool
 
+    @property
+    def max_residual(self) -> float:
+        """The largest residual of any period."""
+        return max(s.max_residual for s in self.states)
+
     def to_dict(self) -> dict:
         return {
             "periods": [s.to_dict() for s in self.states],
@@ -211,7 +234,7 @@ class RipResult:
             "ens_mwh": self.ens_mwh,
             "step_hours": self.step_hours,
             "converged": self.converged,
-            "max_residual": max(s.max_residual for s in self.states),
+            "max_residual": self.max_residual,
         }
 
     def save(self, path) -> None:
@@ -234,20 +257,27 @@ class _IslandNlp:
     def __init__(self, net: Network, island: Island):
         self.net = net
         self.island = island
-        self.buses = [net.bus_by_id[b] for b in island.buses]
+
+        def at(position, ids) -> np.ndarray:
+            return np.array([position[e] for e in ids], dtype=np.int64)
+
+        # the island's elements' positions in the network, in island order
+        self.bus_rows = at(net.bus_position, island.buses)
+        self.line_rows = at(net.line_position, island.lines)
+        self.gen_rows = at(net.generator_position, island.generators)
+        self.demand_rows = at(net.demand_position, island.demands)
         self.bus_index = {b: k for k, b in enumerate(island.buses)}
-        self.lines = [net.line_by_id[l] for l in island.lines]
-        self.gens = [net.generator_by_id[g] for g in island.generators]
-        self.demands = [net.demand_by_id[d] for d in island.demands]
+        self.lines = [net.lines[k] for k in self.line_rows]
+        self.gens = [net.generators[k] for k in self.gen_rows]
+        self.demands = [net.demands[k] for k in self.demand_rows]
         # the island's lines, picked from the network's block by position
-        self.line_rows = np.array([net.line_position[l] for l in island.lines], dtype=np.int64)
         self.block = block = net.line_block.take(
             self.line_rows,
             np.array([self.bus_index[l.from_bus] for l in self.lines], dtype=np.int64),
             np.array([self.bus_index[l.to_bus] for l in self.lines], dtype=np.int64),
         )
 
-        nb, nl = len(self.buses), len(self.lines)
+        nb, nl = len(self.bus_rows), len(self.lines)
         nd, ng = len(self.demands), len(self.gens)
         self.nb, self.nl, self.nd, self.ng = nb, nl, nd, ng
         self.iv = np.arange(nb)
@@ -262,18 +292,19 @@ class _IslandNlp:
             self.iv[block.i], self.iv[block.j], self.ith[block.i], self.ith[block.j],
         ])
 
-        self.pd = np.array([d.p for d in self.demands])
-        self.qd = np.array([d.q for d in self.demands])
-        self.v_min = np.array([b.v_min for b in self.buses])
-        self.v_max = np.array([b.v_max for b in self.buses])
+        arrays = net.arrays
+        self.pd = arrays.p_demand[self.demand_rows]
+        self.qd = arrays.q_demand[self.demand_rows]
+        self.v_min = arrays.v_min[self.bus_rows]
+        self.v_max = arrays.v_max[self.bus_rows]
 
         # The balance rows' terms, each at its bus's row: the units' P and
         # Q, the demands' served P and Q, then the flows pfr, pto, qfr, qto
         # at their ends. The units and demands are linear in one variable each.
-        gen_rows = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
-        demand_rows = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
+        gen_at = np.array([self.bus_index[g.bus] for g in self.gens], dtype=np.int64)
+        demand_at = np.array([self.bus_index[d.bus] for d in self.demands], dtype=np.int64)
         self.balance_rows = np.concatenate([
-            gen_rows, nb + gen_rows, demand_rows, nb + demand_rows,
+            gen_at, nb + gen_at, demand_at, nb + demand_at,
             block.i, block.j, nb + block.i, nb + block.j,
         ])
         self.linear_cols = np.concatenate([self.ipg, self.iqg, self.ix, self.ix])
@@ -995,18 +1026,13 @@ def build_rip_step(case: EffectiveCase, plan: RestorationPlan, t: int) -> AcOpfP
 
 
 class _IslandSolution(NamedTuple):
-    """One live island's part of a period state, keyed like ``AcState``'s fields."""
+    """One live island's part of a period state: the positions in the
+    network of its buses, demands, units and lines (``_IslandNlp``'s
+    ``*_rows``), and their values: v, theta and v_violation (3, buses),
+    served (demands), p and q (2, units), and the four flows (4, lines)."""
 
-    v: dict[int, float]
-    theta: dict[int, float]
-    v_violation: dict[int, float]
-    served: dict[int, float]
-    p_gen: dict[int, float]
-    q_gen: dict[int, float]
-    p_flow_fr: dict[int, float]
-    p_flow_to: dict[int, float]
-    q_flow_fr: dict[int, float]
-    q_flow_to: dict[int, float]
+    rows: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
 
 
 def _solve_batch(net: Network, islands: Sequence[Island], tol: float) -> list[_IslandSolution]:
@@ -1016,18 +1042,15 @@ def _solve_batch(net: Network, islands: Sequence[Island], tol: float) -> list[_I
 
 
 def _island_solution(nlp: _IslandNlp, u: np.ndarray) -> _IslandSolution:
-    """The values of the island solution ``u``, by element id."""
-    buses = nlp.island.buses
-    gens = nlp.island.generators
-    lines = nlp.block.ids.tolist()
+    """The values of the island solution ``u``, with their network positions."""
     return _IslandSolution(
-        dict(zip(buses, u[nlp.iv].tolist())),
-        dict(zip(buses, u[nlp.ith].tolist())),
-        dict(zip(buses, u[nlp.ivt].tolist())),
-        dict(zip(nlp.island.demands, np.clip(u[nlp.ix], 0.0, 1.0).tolist())),
-        dict(zip(gens, u[nlp.ipg].tolist())),
-        dict(zip(gens, u[nlp.iqg].tolist())),
-        *(dict(zip(lines, f)) for f in nlp.flows(u).tolist()),
+        (nlp.bus_rows, nlp.demand_rows, nlp.gen_rows, nlp.line_rows),
+        (
+            u[np.array([nlp.iv, nlp.ith, nlp.ivt])],
+            np.clip(u[nlp.ix], 0.0, 1.0),
+            u[np.array([nlp.ipg, nlp.iqg])],
+            nlp.flows(u),
+        ),
     )
 
 
@@ -1041,156 +1064,103 @@ def solve_ac_opf(
 
     ``_solved`` maps islands to solutions already found in the same
     replay (same case and tolerance); it is read and extended. The
-    islands not in it are solved as one batch.
+    islands not in it are solved as one batch. A period that misses
+    ``tol`` names its worst residual family in ``message``.
     """
     solved = {} if _solved is None else _solved
     net = problem.case.network
-    v: dict[int, float] = {}
-    theta: dict[int, float] = {}
-    vt: dict[int, float] = {}
-    served: dict[int, float] = {}
-    p_gen: dict[int, float] = {}
-    q_gen: dict[int, float] = {}
-    pfr: dict[int, float] = {}
-    pto: dict[int, float] = {}
-    qfr: dict[int, float] = {}
-    qto: dict[int, float] = {}
-
-    # structural zeros for everything de-energized or dead
-    for b in net.buses:
-        v[b.id] = 0.0
-        theta[b.id] = 0.0
-        vt[b.id] = 0.0 if (b.damaged and b.id not in problem.energized_bus_ids) else b.v_min
-    for l in net.lines:
-        pfr[l.id] = pto[l.id] = qfr[l.id] = qto[l.id] = 0.0
-    for g in net.generators:
-        p_gen[g.id] = q_gen[g.id] = 0.0
-    for d in net.demands:
-        served[d.id] = 0.0
-
     live = [island for island in problem.islands if island.live]
     missing = [island for island in live if island not in solved]
     if missing:
         solved.update(zip(missing, _solve_batch(net, missing, tol)))
-    parts = (v, theta, vt, served, p_gen, q_gen, pfr, pto, qfr, qto)
-    for island in live:
-        for part, values in zip(parts, solved[island]):
-            part.update(values)
 
-    objective = sum(served[d.id] * d.p for d in net.demands) - PENALTY_WEIGHT * sum(vt.values())
+    # structural zeros for everything de-energized or dead; the voltage
+    # floor's slack is v_min at a dead bus and 0 at a bus that is down
+    buses, served, gens, flows = parts = (
+        np.zeros((3, len(net.buses))),
+        np.zeros(len(net.demands)),
+        np.zeros((2, len(net.generators))),
+        np.zeros((4, len(net.lines))),
+    )
+    buses[2] = np.where(problem.energized_buses, net.arrays.v_min, 0.0)
+    for island in live:
+        for part, rows, values in zip(parts, *solved[island]):
+            part[..., rows] = values
+
+    # Python's sum, in network order: numpy's pairwise sum rounds differently
+    objective = sum((served * net.arrays.p_demand).tolist())
+    objective -= PENALTY_WEIGHT * sum(buses[2].tolist())
     state = AcState(
-        v=v,
-        theta=theta,
-        v_violation=vt,
-        served=served,
-        p_gen=p_gen,
-        q_gen=q_gen,
-        p_flow_fr=pfr,
-        p_flow_to=pto,
-        q_flow_fr=qfr,
-        q_flow_to=qto,
-        objective=float(objective),
-        converged=True,
-        max_residual=0.0,
+        net, *buses, served, *gens, *flows,
+        objective=float(objective), converged=True, max_residual=0.0,
     )
     rep = residuals(state, problem)
-    worst = max(rep.values()) if rep else 0.0
-    state.max_residual = float(worst)
-    state.converged = worst <= tol
+    family = max(rep, key=rep.__getitem__)
+    state.max_residual = rep[family]
+    state.converged = state.max_residual <= tol
     if not state.converged:
-        state.message = f"constraint residual {worst:.3e} above tolerance {tol:.1e}"
+        state.message = (
+            f"constraint residual {state.max_residual:.3e} ({family}) above tolerance {tol:.1e}"
+        )
     return state
 
 
 def residuals(state: AcState, problem: AcOpfProblem) -> dict[str, float]:
-    """Max absolute violation per constraint family, recomputed from scratch."""
+    """Max absolute violation per constraint family, recomputed from scratch.
+
+    The flows are recomputed from the state's V and theta over the whole
+    network's line block. A line is in service when it is energized and
+    its island is live. The flows of every other line, the output of every
+    unit that does not work, the service of every demand that does not
+    work or sits on a bus that is not live, and the voltage of every bus
+    that is not live must be exactly zero.
+    """
     net = problem.case.network
-    v = np.array([state.v[b.id] for b in net.buses])
-    th = np.array([state.theta[b.id] for b in net.buses])
-    bus_index = net.bus_position
-    live = {b for isl in problem.islands if isl.live for b in isl.buses}
-    flows = (state.p_flow_fr, state.p_flow_to, state.q_flow_fr, state.q_flow_to)
-
-    on, off = [], []
-    for l in net.lines:
-        (on if l.id in problem.energized_line_ids and l.from_bus in live else off).append(l)
-    # de-energized or dead-island lines: flows must be exactly zero
-    flow_err = max((abs(f[l.id]) for l in off for f in flows), default=0.0)
-
-    lines = net.line_block
-    rows = np.array([net.line_position[l.id] for l in on], dtype=np.int64)
-    block = lines.take(rows, lines.i[rows], lines.j[rows])
-    pfr, pto, qfr, qto = (np.array([f[l.id] for l in on]) for f in flows)
-    for recomputed, stated in zip(block.flows(block.terms(v, th)), (pfr, pto, qfr, qto)):
-        flow_err = max(flow_err, float(np.max(np.abs(recomputed - stated), initial=0.0)))
+    arrays = net.arrays
+    block = net.line_block
+    live = problem.live_buses
+    on = problem.energized_lines & live[block.i]
+    v, served = state.v, state.served
+    stated = np.array([state.p_flow_fr, state.p_flow_to, state.q_flow_fr, state.q_flow_to])
+    recomputed = np.where(on, block.flows(block.terms(v, state.theta)), 0.0)
+    flow = np.max(np.abs(recomputed - stated), initial=0.0)
     # math.hypot, not np.hypot: the two differ in the last digit
-    apparent = np.array([math.hypot(p, q) for p, q in zip(np.r_[pfr, pto], np.r_[qfr, qto])])
-    thermal = float(np.max(apparent - np.tile(block.t_lim, 2), initial=0.0))
-    diff = th[block.i] - th[block.j]
-    angle = float(np.max(np.r_[diff - block.a_max, block.a_min - diff], initial=0.0))
+    p, q = stated[:2].ravel().tolist(), stated[2:].ravel().tolist()
+    apparent = np.array(list(map(math.hypot, p, q))).reshape(2, -1)
+    thermal = np.max((apparent - block.t_lim)[:, on], initial=0.0)
+    diff = (state.theta[block.i] - state.theta[block.j])[on]
+    angle = np.max(np.r_[diff - block.a_max[on], block.a_min[on] - diff], initial=0.0)
 
-    # stated flows leave each line's from end, then its to end, in line order
-    ends = np.column_stack([block.i, block.j]).ravel()
-    inj_p = np.zeros(len(net.buses))
-    inj_q = np.zeros(len(net.buses))
-    np.subtract.at(inj_p, ends, np.column_stack([pfr, pto]).ravel())
-    np.subtract.at(inj_q, ends, np.column_stack([qfr, qto]).ravel())
-    for g in net.generators:
-        if g.id in problem.energized_gen_ids and g.bus in live:
-            inj_p[bus_index[g.bus]] += state.p_gen[g.id]
-            inj_q[bus_index[g.bus]] += state.q_gen[g.id]
+    # Each bus's injections, added in this order: the stated flows leaving
+    # it, line by line (from end, then to end), its working units, then
+    # every demand at it, in network order. A working unit's bus is live.
+    units = problem.energized_gens
+    rows = np.concatenate([
+        np.column_stack([block.i, block.j])[on].ravel(), arrays.gen_bus[units], arrays.demand_bus,
+    ])
 
-    balance_p = 0.0
-    balance_q = 0.0
-    voltage = 0.0
-    # de-energized units and demands must sit at exactly zero
-    shed = max(
-        (
-            max(abs(state.p_gen[g.id]), abs(state.q_gen[g.id]))
-            for g in net.generators
-            if g.id not in problem.energized_gen_ids
-        ),
-        default=0.0,
+    def balance(flows, gen, demand) -> float:
+        injections = np.concatenate([-flows[:, on].T.ravel(), gen[units], -served * demand])
+        return np.max(np.abs(np.bincount(rows, injections, minlength=len(live))[live]), initial=0.0)
+
+    voltage = np.where(
+        live, np.maximum(v - arrays.v_max, (arrays.v_min - state.v_violation) - v), np.abs(v)
     )
-    shed = max(
-        shed,
-        max(
-            (
-                abs(state.served[d.id])
-                for d in net.demands
-                if d.id not in problem.energized_demand_ids
-            ),
-            default=0.0,
-        ),
-    )
-    for b in net.buses:
-        k = bus_index[b.id]
-        for d in net.demands_at.get(b.id, ()):
-            inj_p[k] -= state.served[d.id] * d.p
-            inj_q[k] -= state.served[d.id] * d.q
-            shed = max(shed, -state.served[d.id], state.served[d.id] - 1.0, 0.0)
-        if b.id in live:
-            balance_p = max(balance_p, abs(inj_p[k]))
-            balance_q = max(balance_q, abs(inj_q[k]))
-            voltage = max(
-                voltage,
-                v[k] - b.v_max,
-                (b.v_min - state.v_violation[b.id]) - v[k],
-                0.0,
-            )
-        else:
-            # dead or de-energized: no voltage, no service
-            voltage = max(voltage, abs(v[k]))
-            for d in net.demands_at.get(b.id, ()):
-                shed = max(shed, abs(state.served[d.id]))
+    off = ~units
+    dead = ~(problem.energized_demands & live[arrays.demand_bus])
+    shed = np.concatenate([
+        np.abs(state.p_gen[off]), np.abs(state.q_gen[off]), np.abs(served[dead]),
+        # the distance outside [0, 1], which unlike -served is never -0.0
+        np.abs(np.clip(served, 0.0, 1.0) - served),
+    ])
     return {
-        "balance_p": float(balance_p),
-        "balance_q": float(balance_q),
-        "flow": float(flow_err),
-        "voltage": float(voltage),
+        "balance_p": float(balance(stated[:2], state.p_gen, arrays.p_demand)),
+        "balance_q": float(balance(stated[2:], state.q_gen, arrays.q_demand)),
+        "flow": float(flow),
+        "voltage": float(np.max(voltage, initial=0.0)),
         "thermal": float(thermal),
         "angle": float(angle),
-        "shed": float(shed),
+        "shed": float(np.max(shed, initial=0.0)),
     }
 
 
@@ -1299,17 +1269,14 @@ def simulate_plan(
 
 def _aggregate(net: Network, states: list[AcState], step_hours: float) -> RipResult:
     """The served fractions and energies of one replay's period states."""
-    demand_ids = tuple(d.id for d in net.demands)
-    x = np.array(
-        [[s.served[did] for s in states] for did in demand_ids], dtype=float
-    )
-    p = np.array([d.p for d in net.demands])
+    x = np.stack([s.served for s in states], axis=1)
+    p = net.arrays.p_demand
     base = net.base_mva
     served_mwh = float((x * p[:, None]).sum() * step_hours * base)
     total_mwh = float(p.sum() * len(states) * step_hours * base)
     return RipResult(
         states=tuple(states),
-        demand_ids=demand_ids,
+        demand_ids=tuple(net.arrays.demand_ids.tolist()),
         served_fraction=x,
         served_mwh=served_mwh,
         ens_mwh=total_mwh - served_mwh,

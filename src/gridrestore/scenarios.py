@@ -100,7 +100,7 @@ def apply_der_mode(network: Network, placement: DerPlacement, mode: DerMode) -> 
             "apply_der_mode expects a plain Network; an EffectiveCase cannot "
             "be transformed again"
         )
-    unknown = set(placement.der_nodes) - set(network.bus_by_id)
+    unknown = set(placement.der_nodes) - set(network.bus_position)
     if unknown:
         raise UnknownIdError(f"placement references unknown buses: {sorted(unknown)}")
 

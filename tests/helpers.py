@@ -56,6 +56,31 @@ def two_bus(damaged=False, load=1.0):
     )
 
 
+# The element tuple of a ``Network`` whose order each ``AcState`` array follows.
+STATE_ELEMENTS = {
+    "v": "buses",
+    "theta": "buses",
+    "v_violation": "buses",
+    "served": "demands",
+    "p_gen": "generators",
+    "q_gen": "generators",
+    "p_flow_fr": "lines",
+    "p_flow_to": "lines",
+    "q_flow_fr": "lines",
+    "q_flow_to": "lines",
+}
+
+
+def by_id(state, field: str) -> dict[int, float]:
+    """One quantity of a period state, keyed by element id.
+
+    ``AcState`` holds each quantity as an array in network order, so an id
+    used as an index would read the wrong element without an error.
+    """
+    elements = getattr(state.network, STATE_ELEMENTS[field])
+    return dict(zip([e.id for e in elements], getattr(state, field).tolist()))
+
+
 def random_radial(rng: np.random.RandomState, n_buses=None, max_damaged=3) -> Network:
     """Random tree feeder with ample thermal margins and ample substation."""
     n = int(n_buses if n_buses is not None else rng.randint(4, 11))

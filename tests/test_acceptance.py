@@ -12,11 +12,13 @@ import pytest
 
 from gridrestore.metrics import energy_not_served, reconnection_times
 from gridrestore.model import time_grid_for
+from gridrestore.replay import build_rip_step, residuals
 from gridrestore.rop import build_rop, check_plan, solve_rop
 from gridrestore.scenarios import DerMode, apply_der_mode, home_microgrid_load
 from gridrestore.study import ALL_MODES, run_study
 
-from helpers import permutation_oracle, random_radial
+import residuals_reference
+from helpers import by_id, permutation_oracle, random_radial
 
 ENS_TARGETS_MWH = {
     ("uniform", DerMode.BASE): 27.7,
@@ -194,19 +196,22 @@ def test_criterion_7_invariant_suites(study):
     for key, result in study.replays.items():
         if not result.converged:
             problems.append(f"{key}: period not converged")
-        worst_resid = max(worst_resid, max(s.max_residual for s in result.states))
+        worst_resid = max(worst_resid, result.max_residual)
         pname, assumed, actual = key
         case = study.cases[(pname, actual)]
         plan = study.plans[(pname, assumed)]
         for t, state in enumerate(result.states):
             energized = plan.energized_at(t)
+            pfr, pto, qfr, qto = (
+                by_id(state, f) for f in ("p_flow_fr", "p_flow_to", "q_flow_fr", "q_flow_to")
+            )
             for line in case.network.lines:
                 if line.damaged and f"line:{line.id}" not in energized:
                     if (
-                        state.p_flow_fr[line.id] != 0.0
-                        or state.p_flow_to[line.id] != 0.0
-                        or state.q_flow_fr[line.id] != 0.0
-                        or state.q_flow_to[line.id] != 0.0
+                        pfr[line.id] != 0.0
+                        or pto[line.id] != 0.0
+                        or qfr[line.id] != 0.0
+                        or qto[line.id] != 0.0
                     ):
                         problems.append(f"{key} t={t}: flow on de-energized line {line.id}")
         if result.served_fraction.min() < -1e-9 or result.served_fraction.max() > 1 + 1e-9:
@@ -218,6 +223,23 @@ def test_criterion_7_invariant_suites(study):
         f"exactly zero, worst AC residual {worst_resid:.2e}"
         + ("" if not problems else f"; problems: {problems[:3]}"),
     )
+
+
+def test_residuals_match_loop_reference_on_every_replayed_period(study):
+    # every period of all 18 replays: each actual DER mode, each plan
+    checked = 0
+    for (pname, assumed, actual), result in study.replays.items():
+        case, plan = study.cases[(pname, actual)], study.plans[(pname, assumed)]
+        for t, state in enumerate(result.states):
+            problem = build_rip_step(case, plan, t)
+            found = {family: value.hex() for family, value in residuals(state, problem).items()}
+            reference = residuals_reference.residuals(state, problem)
+            assert found == {family: value.hex() for family, value in reference.items()}, (
+                pname, assumed, actual, t,
+            )
+            assert max(reference.values()) == state.max_residual
+            checked += 1
+    assert checked == 18 * 19
 
 
 def test_criterion_8_formula_unit_tests():

@@ -214,6 +214,46 @@ def test_simulate_roundtrip(toy_dir):
     assert len(served) == 4
 
 
+def test_simulate_names_the_failing_family_of_each_period(tmp_path, capsys):
+    # a must-run 0.5 MW unit alone with a 0.1 MW demand until line 1 is back
+    case = {
+        "base_mva": 1.0,
+        "buses": [{"id": 1, "is_reference": True}, {"id": 2}],
+        "lines": [{"id": 1, "from_bus": 1, "to_bus": 2, "g": 50.0, "b": -50.0,
+                   "thermal_limit": 8.0}],
+        "generators": [
+            {"id": 1, "bus": 1, "p_min": -10, "p_max": 10, "q_min": -5, "q_max": 5,
+             "kind": "substation"},
+            {"id": 2, "bus": 2, "p_min": 0.5, "p_max": 1.0, "q_min": 0, "q_max": 0,
+             "kind": "utility_der"},
+        ],
+        "demands": [{"id": 1, "bus": 2, "p": 0.1, "q": 0.03}],
+    }
+    files = {
+        "case.json": case,
+        "damage.json": {"damaged_line_ids": [1]},
+        "scen.json": {"placement": {"name": "none", "der_nodes": []}},
+        "plan.json": {"schedule": [[], ["line:1"]], "energization": {"line:1": 1},
+                      "objective_mwh": 0.0},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    code = main([
+        "simulate", "--case", str(tmp_path / "case.json"),
+        "--damage", str(tmp_path / "damage.json"),
+        "--scenario", str(tmp_path / "scen.json"),
+        "--plan", str(tmp_path / "plan.json"), "--out", str(out),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "simulate: period 0: constraint residual 4.000e-01 (balance_p) above tolerance 1.0e-06"
+    ]
+    summary = json.loads((out / "rip_summary.json").read_text())
+    assert summary["periods_not_converged"] == [0]
+
+
 SWEEP_OUTPUTS = (
     "ens_summary.csv",
     "reconnection.csv",

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -39,8 +40,18 @@ from gridrestore.replay import (
 from gridrestore.rop import RestorationPlan, build_rop, rop_ens_mwh, solve_rop
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
+import residuals_reference
 import slsqp_reference
-from helpers import PF_Q, chain3, random_der_feeder, simple_line, substation, two_bus
+from helpers import (
+    PF_Q,
+    STATE_ELEMENTS,
+    by_id,
+    chain3,
+    random_der_feeder,
+    simple_line,
+    substation,
+    two_bus,
+)
 
 NO_DER = DerPlacement("none", ())
 
@@ -58,8 +69,8 @@ def test_two_bus_full_service():
     case = apply_der_mode(two_bus(), NO_DER, DerMode.BASE)
     state = solve_ac_opf(build_rip_step(case, fixed_plan([]), 0))
     assert state.converged
-    assert state.served[1] == pytest.approx(1.0, abs=1e-7)
-    assert 0.9 <= state.v[2] <= 1.1
+    assert by_id(state, "served")[1] == pytest.approx(1.0, abs=1e-7)
+    assert 0.9 <= by_id(state, "v")[2] <= 1.1
     rep = residuals(state, build_rip_step(case, fixed_plan([]), 0))
     assert max(rep.values()) <= 1e-6
 
@@ -68,9 +79,9 @@ def test_isolated_bus_sheds_and_pays_penalty():
     case = apply_der_mode(two_bus(damaged=True), NO_DER, DerMode.BASE)
     problem = build_rip_step(case, fixed_plan([1]), 0)
     state = solve_ac_opf(problem)
-    assert state.served[1] == 0.0
-    assert state.v[2] == 0.0
-    assert state.v_violation[2] == pytest.approx(0.9)
+    assert by_id(state, "served")[1] == 0.0
+    assert by_id(state, "v")[2] == 0.0
+    assert by_id(state, "v_violation")[2] == pytest.approx(0.9)
     # objective carries exactly the lower-bound penalty for the dead bus
     assert state.objective == pytest.approx(-0.9, abs=1e-5)
 
@@ -80,22 +91,24 @@ def test_gating_is_structural(storm_network):
     damaged = sorted(l.id for l in storm_network.lines if l.damaged)
     plan = fixed_plan(damaged)
     problem = build_rip_step(case, plan, 0)
-    assert set(problem.energized_line_ids) == {
+    assert {l.id for l, on in zip(storm_network.lines, problem.energized_lines) if on} == {
         l.id for l in storm_network.lines if not l.damaged
     }
     state = solve_ac_opf(problem)
+    flows = [by_id(state, f) for f in ("p_flow_fr", "p_flow_to", "q_flow_fr", "q_flow_to")]
     for lid in damaged:
-        assert state.p_flow_fr[lid] == 0.0
-        assert state.p_flow_to[lid] == 0.0
-        assert state.q_flow_fr[lid] == 0.0
-        assert state.q_flow_to[lid] == 0.0
+        assert flows[0][lid] == 0.0
+        assert flows[1][lid] == 0.0
+        assert flows[2][lid] == 0.0
+        assert flows[3][lid] == 0.0
     # islands without the substation serve nothing in the base scenario
     live = {1, 2, 4, 5, 6}
+    served = by_id(state, "served")
     for d in storm_network.demands:
         if d.bus not in live:
-            assert state.served[d.id] == 0.0
+            assert served[d.id] == 0.0
         else:
-            assert state.served[d.id] == pytest.approx(1.0, abs=1e-6)
+            assert served[d.id] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_final_period_serves_all(storm_network):
@@ -106,9 +119,10 @@ def test_final_period_serves_all(storm_network):
     assert len(problem.islands) == 1 and problem.islands[0].live
     state = solve_ac_opf(problem)
     assert state.converged
+    served, v = by_id(state, "served"), by_id(state, "v")
     for d in storm_network.demands:
-        assert state.served[d.id] == pytest.approx(1.0, abs=1e-6)
-    assert min(state.v[b.id] for b in storm_network.buses) >= 0.9
+        assert served[d.id] == pytest.approx(1.0, abs=1e-6)
+    assert min(v[b.id] for b in storm_network.buses) >= 0.9
 
 
 def test_der_island_capacity_bound():
@@ -124,7 +138,8 @@ def test_der_island_capacity_bound():
     )
     case = apply_der_mode(net, DerPlacement("one", (2,)), DerMode.COMMUNITY_MICROGRID)
     state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
-    served = state.served[1] * 0.04 + state.served[2] * 0.06
+    x = by_id(state, "served")
+    served = x[1] * 0.04 + x[2] * 0.06
     assert served <= 0.075 + 1e-9
     assert served >= 0.070  # nearly the full unit rating, net of losses
     assert state.converged
@@ -134,9 +149,83 @@ def test_residuals_flag_perturbed_state():
     case = apply_der_mode(two_bus(), NO_DER, DerMode.BASE)
     problem = build_rip_step(case, fixed_plan([]), 0)
     state = solve_ac_opf(problem)
-    state.v[2] += 0.1
+    state.v[case.network.bus_position[2]] += 0.1
     rep = residuals(state, problem)
     assert rep["flow"] > 1e-3 or rep["balance_p"] > 1e-3
+
+
+def _bits(rep):
+    return {family: value.hex() for family, value in rep.items()}
+
+
+def _perturbed(state, changes):
+    """A copy of ``state`` holding ``changes[field, ident]`` at each element."""
+    values = {}
+    for (field, ident), value in changes.items():
+        array = values.setdefault(field, getattr(state, field).copy())
+        array[[e.id for e in getattr(state.network, STATE_ELEMENTS[field])].index(ident)] = value
+    return replace(state, **values)
+
+
+def test_residuals_match_loop_reference_on_perturbed_states(storm_network):
+    # period 0 of the storm in the base scenario: one live island
+    # {1, 2, 4, 5, 6} around the substation (unit 1), dead islands such
+    # as {3} and {8, 9, 10}, and the 18 damaged lines de-energized
+    case = apply_der_mode(storm_network, NO_DER, DerMode.BASE)
+    damaged = sorted(l.id for l in storm_network.lines if l.damaged)
+    storm = build_rip_step(case, fixed_plan(damaged), 0)
+    live = {i.buses: i.live for i in storm.islands}
+    assert live[(1, 2, 4, 5, 6)] and not live[(3,)] and not live[(8, 9, 10)]
+    live_line = next(l for l in storm_network.lines if {l.from_bus, l.to_bus} == {1, 2})
+    dead_line = next(l for l in storm_network.lines if {l.from_bus, l.to_bus} == {8, 9})
+    live_demand = next(d for d in storm_network.demands if d.bus == 2)
+    dead_demand = next(d for d in storm_network.demands if d.bus == 3)
+    # a unit and a demand that wait for their own repair, in period 0
+    gated = apply_der_mode(Network(
+        buses=(Bus(1, is_reference=True), Bus(2)),
+        lines=(simple_line(1, 1, 2, thermal=8.0),),
+        generators=(
+            substation(),
+            Generator(2, 2, 0.0, 0.05, -0.02, 0.02, kind="utility_der", damaged=True),
+        ),
+        demands=(Demand(1, 2, 1.0, 1.0 * PF_Q, damaged=True),),
+    ), NO_DER, DerMode.BASE)
+    gating = build_rip_step(gated, RestorationPlan(
+        schedule=((), ("demand:1", "gen:2")),
+        energization={"demand:1": 1, "gen:2": 1},
+        objective_mwh=0.0,
+    ), 0)
+    # a thermal violation at which math.hypot and np.hypot round apart
+    p, q = 20.804, 5.918
+    assert math.hypot(p, q) != np.hypot(p, q)
+    cases = [
+        (storm, "balance_p", {("p_gen", 1): 5.0}),
+        (storm, "balance_q", {("q_gen", 1): 2.0}),
+        (storm, "flow", {("p_flow_fr", live_line.id): 5.0}),
+        (storm, "flow", {("q_flow_to", damaged[0]): 0.1}),  # a de-energized line
+        (storm, "flow", {("p_flow_to", dead_line.id): 0.1}),  # a line of a dead island
+        (storm, "voltage", {("v_violation", 2): -0.2}),
+        (storm, "voltage", {("v", 3): 0.1}),  # a dead bus
+        (storm, "thermal", {("p_flow_fr", live_line.id): 2 * live_line.thermal_limit}),
+        (storm, "thermal", {("p_flow_fr", live_line.id): p, ("q_flow_fr", live_line.id): q}),
+        (storm, "angle", {("theta", 2): 1.0}),
+        (storm, "shed", {("served", live_demand.id): 1.5}),
+        (storm, "shed", {("served", dead_demand.id): 0.5}),  # a demand on a dead bus
+        (gating, "shed", {("p_gen", 2): 0.01}),  # a unit not yet repaired
+        (gating, "shed", {("q_gen", 2): -0.01}),
+        (gating, "shed", {("served", 1): 0.5}),  # a demand not yet repaired
+    ]
+    tol = replay.DEFAULT_RESIDUAL_TOL
+    states = {}
+    for problem in (storm, gating):
+        states[problem] = state = solve_ac_opf(problem, tol)
+        assert state.converged
+        assert _bits(residuals(state, problem)) == _bits(residuals_reference.residuals(state, problem))
+    for problem, family, changes in cases:
+        state = _perturbed(states[problem], changes)
+        rep = residuals(state, problem)
+        assert rep[family] > tol, (family, changes)
+        assert _bits(rep) == _bits(residuals_reference.residuals(state, problem)), changes
 
 
 def test_energy_accounting_closes():
@@ -154,8 +243,8 @@ def test_period_separability():
     forward = [solve_ac_opf(build_rip_step(case, plan, t)) for t in range(3)]
     backward = [solve_ac_opf(build_rip_step(case, plan, t)) for t in (2, 1, 0)]
     for f, b in zip(forward, reversed(backward)):
-        assert f.served == b.served
-        assert f.v == b.v
+        assert by_id(f, "served") == by_id(b, "served")
+        assert by_id(f, "v") == by_id(b, "v")
 
 
 def test_zero_load_plan_has_zero_ens():
@@ -204,10 +293,10 @@ def test_damaged_demand_and_generator_gating():
         objective_mwh=0.0,
     )
     early = solve_ac_opf(build_rip_step(case, plan, 0))
-    assert early.served[1] == 0.0
-    assert early.p_gen[2] == 0.0
+    assert by_id(early, "served")[1] == 0.0
+    assert by_id(early, "p_gen")[2] == 0.0
     late = solve_ac_opf(build_rip_step(case, plan, 1))
-    assert late.served[1] == pytest.approx(1.0, abs=1e-6)
+    assert by_id(late, "served")[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_dead_island_penalty_counts_dead_bus_periods():
@@ -215,7 +304,7 @@ def test_dead_island_penalty_counts_dead_bus_periods():
     case = apply_der_mode(net, NO_DER, DerMode.BASE)
     result = simulate_plan(case, fixed_plan([1, 2]))
     # two dead buses in period 0, one in period 1, none in period 2
-    dead_penalty = sum(sum(s.v_violation.values()) for s in result.states)
+    dead_penalty = sum(sum(by_id(s, "v_violation").values()) for s in result.states)
     assert dead_penalty == pytest.approx(0.9 * 3, abs=1e-5)
 
 
@@ -334,7 +423,7 @@ def test_island_with_zero_capacity_generator():
     case = apply_der_mode(net, NO_DER, DerMode.BASE)
     state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
     # the island counts as live but cannot serve anything
-    assert state.served[1] == pytest.approx(0.0, abs=1e-7)
+    assert by_id(state, "served")[1] == pytest.approx(0.0, abs=1e-7)
     assert state.converged
 
 
@@ -351,8 +440,8 @@ def test_island_with_an_empty_balance_row_converges():
     case = apply_der_mode(net, NO_DER, DerMode.BASE)
     state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
     assert state.converged
-    assert state.served[1] == pytest.approx(0.5, abs=1e-7)
-    assert state.p_gen[2] == pytest.approx(0.05, abs=1e-7)
+    assert by_id(state, "served")[1] == pytest.approx(0.5, abs=1e-7)
+    assert by_id(state, "p_gen")[2] == pytest.approx(0.05, abs=1e-7)
 
 
 def test_rip_result_serialization(tmp_path):
@@ -1079,7 +1168,7 @@ def test_infeasible_island_is_a_non_converged_period():
         state = solve_ac_opf(build_rip_step(case, fixed_plan([1]), 0))
     assert not state.converged
     assert state.max_residual == pytest.approx(0.4)
-    assert state.message == "constraint residual 4.000e-01 above tolerance 1.0e-06"
+    assert state.message == "constraint residual 4.000e-01 (balance_p) above tolerance 1.0e-06"
 
 
 def _batch_solve(net, islands, tol=replay.DEFAULT_RESIDUAL_TOL):

@@ -73,7 +73,7 @@ def test_home_mode_nets_hundred_kw_toy():
     demands = (net.demands[0], replace(net.demands[1], p=0.100, q=0.0329))
     net = replace(net, demands=demands)
     case = apply_der_mode(net, placement, DerMode.HOME_MICROGRID)
-    netted = case.network.demand_by_id[2]
+    netted = case.network.demands[case.network.demand_position[2]]
     assert netted.p == pytest.approx(0.025, abs=1e-12)
     # reactive scales with the same ratio
     assert netted.q == pytest.approx(0.0329 * 0.25, abs=1e-12)
