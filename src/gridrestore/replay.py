@@ -18,7 +18,9 @@ in batches (``_BatchIpm``): the islands of a batch iterate in lockstep,
 and each iterate evaluates the flows, the rows and the KKT entries of
 the whole batch at once and solves every island's KKT system by one
 block elimination down the feeder tree, which is the elimination tree
-of a radial island's matrix. Every island keeps its own step lengths
+of a radial island's matrix. The batch's KKT layout is built once, in
+the batch's own numbering, and built again over the islands that remain
+when one leaves (``_Batch``). Every island keeps its own step lengths
 and stopping test, and its blocks are factored apart from its
 batch-mates', so its solution does not depend on them. The pi-model
 flow is written once (``model.LineBlock``, one per network, from which
@@ -310,6 +312,12 @@ class _IslandNlp:
         self.linear_cols = np.concatenate([self.ipg, self.iqg, self.ix, self.ix])
         self.linear_coef = np.concatenate([np.ones(2 * ng), -self.pd, -self.qd])
 
+        # what the interior point needs of the island, in any batch
+        self.c = self.objective_vector()
+        self.lo, self.hi = self.bounds()
+        self.start = np.clip(self.start_point(), self.lo, self.hi)
+        self.free = np.flatnonzero(self.lo < self.hi)  # the variables not held
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(self.n_var)
         hi = np.empty(self.n_var)
@@ -419,143 +427,6 @@ class _Point(NamedTuple):
     df: np.ndarray  # (4, nl, 4), over (v_i, v_j, th_i, th_j)
 
 
-class _IslandKkt:
-    """One island's rows and KKT layout, in the island's own numbering.
-
-    h stacks the thermal rows at the from and to ends, the soft voltage
-    floor, the angle difference above and below, and the upper and lower
-    bounds of the free variables. The KKT matrix
-    ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` over the free variables
-    and the balance rows couples a bus only to itself and to its parent
-    on the feeder tree, so it is laid out in groups, one per bus: the
-    bus's P and Q balance rows, then its free variables among its v,
-    theta and v_t, its demands' x and its units' p and q, in KKT order.
-    The rows go first because a block's LU pivots down its columns in
-    order: a unit pressed against a bound has a huge barrier weight mu/z,
-    and eliminating it before its balance row leaves the row the tiny
-    pivot -z/mu, which the block's later updates round away (an
-    infeasible island's late steps then came out wrong in every digit).
-    Each group is padded with identity rows to ``size``, the largest
-    group the network allows, and owns one row of ``_Batch.fill``: its
-    diagonal block (size x size), its rows in its parent's columns with
-    the right-hand side as one more column (size x size + 1), and its
-    parent's rows in its columns (size x size). The ``s_*`` give the
-    layout slot of each entry that ``_Batch.kkt_values`` lists, section
-    by section, and of each right-hand side and padding one (-1: an
-    entry on a held variable, which the layout drops); ``x_at`` is each
-    KKT row's place in the step's groups.
-    """
-
-    def __init__(self, nlp: _IslandNlp, size: int, tree_rank: dict[int, int]):
-        """``tree_rank``: each bus's position in ``Network.radial_tree.order``."""
-        self.nlp = nlp
-        nb, nl = nlp.nb, nlp.nl
-        self.c = nlp.objective_vector()
-        self.lo, self.hi = nlp.bounds()
-        self.start = np.clip(nlp.start_point(), self.lo, self.hi)
-        self.free = free = np.flatnonzero(self.lo < self.hi)
-        self.nf = nf = len(free)
-        self.m = m = 2 * nb
-        n = nf + m
-        n_linear = len(nlp.linear_cols)
-        self.linear_rows = nlp.balance_rows[:n_linear]
-        self.flow_rows = nlp.balance_rows[n_linear:].reshape(4, nl)
-        self.n_ineq = 4 * nl + nb + 2 * nf
-        self.r_thermal = np.arange(2 * nl).reshape(2, nl)
-        self.r_soft = 2 * nl + np.arange(nb)
-        self.r_above = 2 * nl + nb + np.arange(nl)
-        self.r_below = self.r_above + nl
-        self.r_upper = 4 * nl + nb + np.arange(nf)
-        self.r_lower = self.r_upper + nf
-
-        # each bus's parent on the feeder tree (-1 at the island's root),
-        # and its height above the deepest bus below it
-        rank = np.array([tree_rank[b] for b in nlp.island.buses], dtype=np.int64)
-        i, j = nlp.block.i, nlp.block.j
-        below = rank[i] > rank[j]  # the from end hangs below the to end
-        self.parent = parent = np.full(nb, -1, dtype=np.int64)
-        parent[np.where(below, i, j)] = np.where(below, j, i)
-        assert np.count_nonzero(parent >= 0) == nl, "an island's lines must form a tree"
-        height = [0] * nb
-        up = parent.tolist()
-        for b in np.argsort(rank)[::-1].tolist():
-            if up[b] >= 0:
-                height[up[b]] = max(height[up[b]], height[b] + 1)
-        self.height = np.array(height, dtype=np.int64)
-
-        # each KKT row's group (its bus) and place within the group: the
-        # balance rows first, then the free variables, each in KKT order
-        bus_of = np.empty(nlp.n_var, dtype=np.int64)
-        bus_of[nlp.iv] = bus_of[nlp.ith] = bus_of[nlp.ivt] = np.arange(nb)
-        bus_of[nlp.linear_cols] = self.linear_rows % nb
-        group = np.concatenate([bus_of[free], np.arange(nb), np.arange(nb)])
-        count = np.bincount(group, minlength=nb)
-        assert count.max() <= size
-        order = np.r_[nf:n, :nf]
-        order = order[np.argsort(group[order], kind="stable")]
-        place = np.empty(n, dtype=np.int64)
-        place[order] = np.arange(n) - (np.cumsum(count) - count)[group[order]]
-        self.size = size
-        self.width = width = size * (3 * size + 1)
-        at_coupling = size * size  # where a group's coupling to its parent starts
-        at_parent = size * (2 * size + 1)  # where its parent's coupling to it starts
-
-        def slot(rows, cols):
-            """The layout slot of each entry at KKT ``rows`` and ``cols`` (-1: held)."""
-            held = (rows < 0) | (cols < 0)
-            rows, cols = np.where(held, 0, rows), np.where(held, 0, cols)
-            gr, gc, pr, pc = group[rows], group[cols], place[rows], place[cols]
-            inside, down, up = gr == gc, parent[gr] == gc, parent[gc] == gr
-            assert np.all(held | inside | down | up), "a KKT entry couples buses that are not parent and child"
-            return np.where(held, -1, np.select(
-                [inside, down],
-                [gr * width + pr * size + pc, gr * width + at_coupling + pr * (size + 1) + pc],
-                gc * width + at_parent + pr * size + pc,
-            ))
-
-        # KKT entries in the order kkt_values() lists them: the line
-        # blocks, the soft floor's (v, v_t) blocks, the free diagonal,
-        # Jg and its transpose
-        pos = np.full(nlp.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
-        pos[free] = np.arange(nf)
-        quad = pos[nlp.line_vars]
-        soft_rows = pos[np.array([nlp.iv, nlp.iv, nlp.ivt, nlp.ivt])].ravel()
-        soft_cols = pos[np.array([nlp.iv, nlp.ivt, nlp.iv, nlp.ivt])].ravel()
-        g_rows = nf + np.concatenate([self.linear_rows, np.repeat(self.flow_rows.ravel(), 4)])
-        g_cols = pos[np.concatenate([nlp.linear_cols, np.tile(nlp.line_vars, (4, 1)).ravel()])]
-        entries = slot(
-            np.concatenate([
-                np.repeat(quad, 4, axis=1).ravel(), soft_rows, np.arange(nf), g_rows, g_cols,
-            ]),
-            np.concatenate([
-                np.tile(quad, (1, 4)).ravel(), soft_cols, np.arange(nf), g_cols, g_rows,
-            ]),
-        )
-        at = np.cumsum([0, 16 * nl, 4 * nb, nf, n_linear, 16 * nl, n_linear, 16 * nl])
-        (self.s_block, s_soft, self.s_diag, self.s_jg_linear, s_jg_flow, self.s_jgt_linear,
-         s_jgt_flow) = (entries[a:b] for a, b in zip(at[:-1], at[1:]))
-        self.s_soft = s_soft.reshape(4, nb)
-        self.s_jg_flow, self.s_jgt_flow = s_jg_flow.reshape(4, nl, 4), s_jgt_flow.reshape(4, nl, 4)
-        # the constraint block's diagonal, which only a singular matrix's retry fills
-        self.s_shift = group[nf:] * width + place[nf:] * (size + 1)
-        self.s_rhs = group * width + at_coupling + place * (size + 1) + size
-        pad_group, pad_place = np.nonzero(np.arange(size) >= count[:, None])
-        self.s_pad = pad_group * width + pad_place * (size + 1)
-        self.x_at = group * size + place
-
-
-def _island_kkts(nlps: Sequence[_IslandNlp]) -> list[_IslandKkt]:
-    """The KKT layouts of islands of one network, padded to the network's
-    largest group: five rows per bus, one per demand and two per unit."""
-    net = nlps[0].net
-    size = 5 + max(
-        len(net.demands_at.get(b.id, ())) + 2 * len(net.generators_at.get(b.id, ()))
-        for b in net.buses
-    )
-    rank = {bus: k for k, bus in enumerate(net.radial_tree.order)}
-    return [_IslandKkt(nlp, size, rank) for nlp in nlps]
-
-
 class _Level(NamedTuple):
     """The groups of one height: those with a parent first, ``n`` of them,
     sorted by parent, with their parents ``above``, each parent's first
@@ -588,7 +459,8 @@ def _levels(parent: np.ndarray, height: np.ndarray, groups: np.ndarray) -> list[
 
 
 class _Batch:
-    """Several islands' problems, stacked island by island.
+    """Several islands' problems and the layout of their KKT systems,
+    stacked island by island.
 
     The variables, balance rows, inequality rows, free variables and
     KKT groups each keep every island's own order in one segment
@@ -599,24 +471,39 @@ class _Batch:
     each row, column and KKT slot then receives its terms in the
     island's own order, and ``np.bincount``, which adds them in input
     order, sums them as the island alone would.
+
+    An island's h stacks the thermal rows at the from and to ends, the
+    soft voltage floor, the angle difference above and below, and the
+    upper and lower bounds of the free variables. Its KKT matrix
+    ``[[Lxx + Jh' diag(mu/z) Jh, Jg'], [Jg, 0]]`` over the free variables
+    and the balance rows couples a bus only to itself and to its parent
+    on the feeder tree, so it is laid out in groups, one per bus of each
+    island: the bus's P and Q balance rows, then its free variables
+    among its v, theta and v_t, its demands' x and its units' p and q,
+    in KKT order. The rows go first because a block's LU pivots down its
+    columns in order: a unit pressed against a bound has a huge barrier
+    weight mu/z, and eliminating it before its balance row leaves the
+    row the tiny pivot -z/mu, which the block's later updates round away
+    (an infeasible island's late steps then came out wrong in every
+    digit). Each group is padded with identity rows to ``size``, the
+    largest group the network allows, whatever the batch holds, so that
+    an island's blocks do not depend on its batch-mates. Each group owns
+    one row of ``fill``: its diagonal block (size x size), its rows
+    in its parent's columns with the right-hand side as one more column
+    (size x size + 1), and its parent's rows in its columns (size x
+    size). ``fill_slot`` gives the slot of each entry that
+    ``kkt_values`` lists, section by section, then of each right-hand
+    side and padding one; an entry on a held variable goes to one more
+    slot, which ``fill`` drops. ``x_free`` and ``x_row`` give each free
+    variable's and balance row's place in the step's groups.
     """
 
-    def __init__(self, parts: list[_IslandKkt]):
-        self.parts = parts
-        nlps = [p.nlp for p in parts]
+    def __init__(self, nlps: Sequence[_IslandNlp]):
+        """``nlps``: islands of one network."""
         net = nlps[0].net
 
         def starts(sizes):
-            return np.cumsum([0] + sizes)
-
-        self.at_var = at_var = starts([n.n_var for n in nlps])
-        self.at_bus = at_bus = starts([n.nb for n in nlps])
-        self.at_row = at_row = starts([p.m for p in parts])
-        self.at_ineq = at_ineq = starts([p.n_ineq for p in parts])
-        self.at_free = starts([p.nf for p in parts])
-        self.n_var, self.m, self.n_ineq = at_var[-1], at_row[-1], at_ineq[-1]
-        self.size, self.width = size, width = parts[0].size, parts[0].width
-        self.n_fill = at_bus[-1] * width
+            return np.concatenate([[0], np.cumsum(sizes)])
 
         def stack(arrays, at=None, axis=0):
             """The islands' arrays, each past the ``at`` of the islands before it."""
@@ -628,18 +515,26 @@ class _Batch:
                 out += np.repeat(at[:-1], [a.shape[axis] for a in arrays]).reshape(shape)
             return out
 
-        def slots(arrays, axis=0):
-            """Each island's layout slots, past the groups of the islands
-            before it; a held entry's -1 goes to the last slot, which is dropped."""
-            arrays = list(arrays)
-            return np.where(
-                np.concatenate(arrays, axis=axis) >= 0, stack(arrays, at_bus * width, axis), self.n_fill
-            )
+        def ranges(first, counts):
+            """Island by island, the ``counts[k]`` consecutive numbers from ``first[k]``."""
+            return np.repeat(first - starts(counts)[:-1], counts) + np.arange(counts.sum())
+
+        # each island's sections of h, in order: thermal at the from and
+        # to ends, soft floor, angle above and below, upper and lower bounds
+        nb_each, nl_each = np.array([n.nb for n in nlps]), np.array([n.nl for n in nlps])
+        nf_each = np.array([len(n.free) for n in nlps])
+        sections = np.array([nl_each, nl_each, nb_each, nl_each, nl_each, nf_each, nf_each])
+        self.at_var = at_var = starts([n.n_var for n in nlps])
+        self.at_bus = at_bus = starts(nb_each)
+        self.at_row = at_row = 2 * at_bus
+        self.at_ineq = at_ineq = starts(sections.sum(axis=0))
+        self.at_free = starts(nf_each)
+        self.n_var, self.m, self.n_ineq = at_var[-1], at_row[-1], at_ineq[-1]
 
         self.c, lo, hi, self.start = (
-            stack([getattr(p, name) for p in parts]) for name in ("c", "lo", "hi", "start")
+            stack([getattr(n, name) for n in nlps]) for name in ("c", "lo", "hi", "start")
         )
-        self.free = free = stack([p.free for p in parts], at_var)
+        self.free = free = stack([n.free for n in nlps], at_var)
         self.lo_free, self.hi_free = lo[free], hi[free]
         self.iv, self.ith, self.ivt = (
             stack([getattr(n, name) for n in nlps], at_var) for name in ("iv", "ith", "ivt")
@@ -654,22 +549,20 @@ class _Batch:
         line_vars = stack([n.line_vars for n in nlps], at_var)
         self.linear_cols = stack([n.linear_cols for n in nlps], at_var)
         self.linear_coef = stack([n.linear_coef for n in nlps])
-        linear_rows = stack([p.linear_rows for p in parts], at_row)
-        self.flow_rows = stack([p.flow_rows for p in parts], at_row, axis=1)
+        linear_rows = stack([n.balance_rows[: len(n.linear_cols)] for n in nlps], at_row)
+        self.flow_rows = stack(
+            [n.balance_rows[len(n.linear_cols) :].reshape(4, n.nl) for n in nlps], at_row, axis=1
+        )
         self.balance_rows = np.concatenate([linear_rows, self.flow_rows.ravel()])
         self.g_rows = np.concatenate([linear_rows, np.repeat(self.flow_rows.ravel(), 4)])
         self.g_cols = np.concatenate([self.linear_cols, np.tile(line_vars, (4, 1)).ravel()])
 
-        self.r_thermal = stack([p.r_thermal for p in parts], at_ineq, axis=1)
-        self.r_soft, self.r_above, self.r_below, self.r_upper, self.r_lower = (
-            stack([getattr(p, name) for p in parts], at_ineq)
-            for name in ("r_soft", "r_above", "r_below", "r_upper", "r_lower")
-        )
-        # where evaluate()'s sections of h go
-        self.h_order = np.concatenate([
-            self.r_thermal.ravel(), self.r_soft, self.r_above, self.r_below,
-            self.r_upper, self.r_lower,
-        ])
+        h_sections = [ranges(first, counts) for first, counts in zip(
+            at_ineq[:-1] + np.cumsum(sections, axis=0) - sections, sections
+        )]
+        self.h_order = np.concatenate(h_sections)  # where evaluate()'s sections of h go
+        self.r_thermal = np.array(h_sections[:2])
+        self.r_soft, self.r_above, self.r_below, self.r_upper, self.r_lower = h_sections[2:]
         # Jh in COO form; only the thermal entries vary
         th_i, th_j = line_vars[:, 2], line_vars[:, 3]
         self.h_rows = np.concatenate([
@@ -683,32 +576,93 @@ class _Batch:
         one_l, one_f = np.ones(nl), np.ones(nf)
         self.h_vals0 = np.concatenate([-np.ones(2 * nb), one_l, -one_l, -one_l, one_l, one_f, -one_f])
 
-        # each KKT entry's, right-hand side's and padding one's slot in
-        # the fill, in the order of the values fill() is given
+        # the feeder tree over the groups: each bus's parent (-1 at its
+        # island's root), its height above the deepest bus below it, and
+        # its island
+        tree_order = np.array([net.bus_position[b] for b in net.radial_tree.order])
+        rank = np.argsort(tree_order)[stack([n.bus_rows for n in nlps])]
+        below = rank[block.i] > rank[block.j]  # the from end hangs below the to end
+        self.parent = parent = np.full(nb, -1, dtype=np.int64)
+        parent[np.where(below, block.i, block.j)] = np.where(below, block.j, block.i)
+        assert np.count_nonzero(parent >= 0) == nl, "an island's lines must form a tree"
+        height = [0] * nb
+        up = parent.tolist()
+        for b in np.argsort(rank)[::-1].tolist():
+            if up[b] >= 0:
+                height[up[b]] = max(height[up[b]], height[b] + 1)
+        self.height = np.array(height, dtype=np.int64)
+        self.island = np.repeat(np.arange(len(nlps)), nb_each)
+        self.levels = _levels(parent, self.height, np.arange(nb))
+
+        # each KKT row's group (its bus) and place within the group: the
+        # balance rows first, then the free variables, each in KKT order;
+        # the KKT rows are the free variables, then the balance rows
+        n = nf + self.m
+        row_bus = ranges(np.repeat(at_bus[:-1], 2), np.repeat(nb_each, 2))
+        bus_of = np.empty(self.n_var, dtype=np.int64)
+        bus_of[self.iv] = bus_of[self.ith] = bus_of[self.ivt] = np.arange(nb)
+        bus_of[self.linear_cols] = row_bus[linear_rows]
+        group = np.concatenate([bus_of[free], row_bus])
+        count = np.bincount(group, minlength=nb)
+        # five rows per bus, one per demand and two per unit
+        arrays, buses = net.arrays, len(net.buses)
+        self.size = size = 5 + int(np.max(
+            np.bincount(arrays.demand_bus, minlength=buses)
+            + 2 * np.bincount(arrays.gen_bus, minlength=buses)
+        ))
+        assert count.max() <= size
+        order = np.r_[nf:n, :nf]
+        order = order[np.argsort(group[order], kind="stable")]
+        place = np.empty(n, dtype=np.int64)
+        place[order] = np.arange(n) - (np.cumsum(count) - count)[group[order]]
+        self.width = width = size * (3 * size + 1)
+        self.n_fill = nb * width
+        at_coupling = size * size  # where a group's coupling to its parent starts
+        at_parent = size * (2 * size + 1)  # where its parent's coupling to it starts
+
+        def slot(rows, cols):
+            """The fill slot of each entry at KKT ``rows`` and ``cols``; an
+            entry on a held variable (-1) goes to ``n_fill``, which fill() drops."""
+            # one more KKT row and group, at -1, for the held entries
+            g, p, above = np.append(group, -1), np.append(place, 0), np.append(parent, -2)
+            gr, gc = g[rows], g[cols]
+            down, up = above[gr] == gc, above[gc] == gr
+            held = (gr < 0) | (gc < 0)
+            assert np.all(held | (gr == gc) | down | up), "a KKT entry couples buses that are not parent and child"
+            # the block: the row's group's own, or its rows in its parent's
+            # columns, or its parent's rows in its columns, which the
+            # column's group holds
+            out = np.where(up, gc * width + at_parent, gr * width + down * at_coupling)
+            out += p[rows] * (size + down) + p[cols]
+            out[held] = self.n_fill
+            return out
+
+        # the KKT entries in the order kkt_values() lists them: the line
+        # blocks, the soft floor's (v, v_t) blocks, the free diagonal, Jg
+        # and its transpose; then the right-hand sides and the padding
+        pos = np.full(self.n_var, -1, dtype=np.int64)  # place in the step, or -1 if held
+        pos[free] = np.arange(nf)
+        quad = pos[line_vars]
+        soft_rows = pos[np.array([self.iv, self.iv, self.ivt, self.ivt])].ravel()
+        soft_cols = pos[np.array([self.iv, self.ivt, self.iv, self.ivt])].ravel()
+        jg_rows, jg_cols = nf + self.g_rows, pos[self.g_cols]
+        pad_group, pad_place = np.nonzero(np.arange(size) >= count[:, None])
         self.fill_slot = np.concatenate([
-            slots(p.s_block for p in parts),
-            slots((p.s_soft for p in parts), axis=1).ravel(),
-            slots(p.s_diag for p in parts),
-            slots(p.s_jg_linear for p in parts),
-            slots((p.s_jg_flow for p in parts), axis=1).ravel(),
-            slots(p.s_jgt_linear for p in parts),
-            slots((p.s_jgt_flow for p in parts), axis=1).ravel(),
-            stack([p.s_rhs[: p.nf] for p in parts], at_bus * width),
-            stack([p.s_rhs[p.nf :] for p in parts], at_bus * width),
-            stack([p.s_pad for p in parts], at_bus * width),
+            slot(
+                np.concatenate([
+                    np.repeat(quad, 4, axis=1).ravel(), soft_rows, np.arange(nf), jg_rows, jg_cols,
+                ]),
+                np.concatenate([
+                    np.tile(quad, (1, 4)).ravel(), soft_cols, np.arange(nf), jg_cols, jg_rows,
+                ]),
+            ),
+            group * width + at_coupling + place * (size + 1) + size,
+            pad_group * width + pad_place * (size + 1),
         ])
-        self.pad_ones = np.ones(sum(len(p.s_pad) for p in parts))
-        self.s_shift = stack([p.s_shift for p in parts], at_bus * width)
-        # each free variable's and balance row's place in the step's groups
-        self.x_free = stack([p.x_at[: p.nf] for p in parts], at_bus * size)
-        self.x_row = stack([p.x_at[p.nf :] for p in parts], at_bus * size)
-        # the feeder tree over the groups: each group's parent, height and island
-        self.parent = np.where(
-            np.concatenate([p.parent for p in parts]) >= 0, stack([p.parent for p in parts], at_bus), -1
-        )
-        self.height = np.concatenate([p.height for p in parts])
-        self.island = np.repeat(np.arange(len(parts)), np.diff(at_bus))
-        self.levels = _levels(self.parent, self.height, np.arange(at_bus[-1]))
+        self.pad_ones = np.ones(len(pad_group))
+        # the constraint block's diagonal, which only a singular matrix's retry fills
+        self.s_shift = group[nf:] * width + place[nf:] * (size + 1)
+        self.x_free, self.x_row = np.split(group * size + place, [nf])
 
     def evaluate(self, u: np.ndarray) -> _Point:
         """g, h and the values of their Jacobians at ``u``."""
@@ -776,9 +730,9 @@ class _Batch:
         ])
 
     def fill(self, vals: np.ndarray, rhs_free: np.ndarray, rhs_rows: np.ndarray) -> np.ndarray:
-        """The KKT layout of every group (see ``_IslandKkt``), one row per
-        group, holding the entries ``vals`` and the right-hand sides of the
-        free variables and of the balance rows."""
+        """The KKT layout of every group (see the class docstring), one row
+        per group, holding the entries ``vals`` and the right-hand sides of
+        the free variables and of the balance rows."""
         weights = np.concatenate([vals, rhs_free, rhs_rows, self.pad_ones])
         return np.bincount(self.fill_slot, weights, minlength=self.n_fill + 1)[:-1].reshape(-1, self.width)
 
@@ -872,10 +826,10 @@ class _BatchIpm:
 
     def __init__(self, nlps: Sequence[_IslandNlp]):
         """``nlps``: islands of one network."""
-        self.parts = _island_kkts(nlps)
+        self.nlps = list(nlps)
         # per island: the Newton steps taken and the block eliminations
-        self.iterations = np.zeros(len(self.parts), dtype=np.int64)
-        self.factorizations = np.zeros(len(self.parts), dtype=np.int64)
+        self.iterations = np.zeros(len(self.nlps), dtype=np.int64)
+        self.factorizations = np.zeros(len(self.nlps), dtype=np.int64)
 
     def run(self, tol: float) -> list[np.ndarray]:
         """Each island's first iterate whose KKT residuals are all below
@@ -889,16 +843,16 @@ class _BatchIpm:
             return self._iterate(tol)
 
     def _least_violating(self, k: int, iterates: list[np.ndarray]) -> np.ndarray:
-        part = self.parts[k]
-        clipped = [np.clip(u, part.lo, part.hi) for u in iterates]
-        return min(clipped, key=part.nlp.violation)
+        nlp = self.nlps[k]
+        clipped = [np.clip(u, nlp.lo, nlp.hi) for u in iterates]
+        return min(clipped, key=nlp.violation)
 
     def _iterate(self, tol: float) -> list[np.ndarray]:
         stop = _ACCURACY * tol
-        out: list = [None] * len(self.parts)
-        iterates: list[list[np.ndarray]] = [[] for _ in self.parts]
-        ids = np.arange(len(self.parts))  # the islands still in the batch
-        batch = _Batch(self.parts)
+        out: list = [None] * len(self.nlps)
+        iterates: list[list[np.ndarray]] = [[] for _ in self.nlps]
+        ids = np.arange(len(self.nlps))  # the islands still in the batch
+        batch = _Batch(self.nlps)
         u = batch.start
         for t in range(IPM_MAX_ITER + 1):
             pt = batch.evaluate(u)
@@ -938,8 +892,8 @@ class _BatchIpm:
             )
             done = ~broken & (np.maximum(np.maximum(primal, dual), comp_sum / scale) <= stop)
             for k in np.flatnonzero(done):
-                part = self.parts[ids[k]]
-                out[ids[k]] = np.clip(u[at_var[k] : at_var[k + 1]], part.lo, part.hi)
+                nlp = self.nlps[ids[k]]
+                out[ids[k]] = np.clip(u[at_var[k] : at_var[k + 1]], nlp.lo, nlp.hi)
             going = ~(broken | done)
             # lower each barrier parameter once its subproblem is solved
             mu_min = stop / (10 * n_ineq_each)
@@ -1002,7 +956,7 @@ class _BatchIpm:
                 z, mu = (a[np.repeat(going, n_ineq_each)] for a in (z, mu))
                 lam = lam[np.repeat(going, m_each)]
                 barrier, ids = barrier[going], ids[going]
-                batch = _Batch([self.parts[k] for k in ids])
+                batch = _Batch([self.nlps[k] for k in ids])
         for island in ids:
             out[island] = self._least_violating(island, iterates[island])
         return out

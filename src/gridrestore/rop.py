@@ -87,7 +87,8 @@ class RestorationPlan:
     @classmethod
     def from_dict(cls, raw: dict) -> "RestorationPlan":
         """Parse a saved plan; missing or ill-typed keys raise CaseFormatError,
-        and so does a schedule that is not the energization grouped by period."""
+        and so do an empty schedule and a schedule that is not the
+        energization grouped by period."""
         try:
             schedule, energization = raw["schedule"], raw["energization"]
             if not isinstance(schedule, list) or not all(
@@ -108,6 +109,8 @@ class RestorationPlan:
             raise CaseFormatError(f"plan is missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CaseFormatError(f"plan has an ill-typed value: {exc}") from exc
+        if not plan.n_periods:
+            raise CaseFormatError("plan has no periods")
         for key, t in plan.energization.items():
             if not 0 <= t < plan.n_periods:
                 raise CaseFormatError(f"plan energizes {key} in period {t}, outside its schedule")

@@ -109,6 +109,13 @@ def _plan_schedule_disagrees_with_energization(d, env):
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
+def _plan_without_periods(d, env):
+    (d / "damage.json").write_text(json.dumps({"damaged_line_ids": []}))
+    plan = {"schedule": [], "energization": {}, "objective_mwh": 0.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
 def _zero_horizon(d, env):
     return ["plan", "--horizon", "0"]
 
@@ -153,6 +160,7 @@ def _tol_variable_not_float(d, env):
         _plan_with_string_schedule,
         _plan_energizes_outside_schedule,
         _plan_schedule_disagrees_with_energization,
+        _plan_without_periods,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,
         _line_without_susceptance,

@@ -31,7 +31,6 @@ from gridrestore.replay import (
     _Batch,
     _BatchIpm,
     _IslandNlp,
-    _island_kkts,
     build_rip_step,
     residuals,
     simulate_plan,
@@ -623,12 +622,7 @@ def test_pooled_replay_matches_in_process_replay(
     assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
     plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
     case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
-    islands = dict.fromkeys(
-        island
-        for t in range(plan.n_periods)
-        for island in build_rip_step(case, plan, t).islands
-        if island.live
-    )
+    islands = _replay_islands(case, plan)
     take_solves = _record_island_solves(monkeypatch, tmp_path / "solves")
     results = {}
     for cpus in (2, 1):
@@ -769,7 +763,7 @@ def test_island_balance_matches_loop_reference(storm_network, uniform_placement)
     # without lines only the unit and demand terms remain
     for island in (replace(island, lines=()), island):
         nlp = _IslandNlp(case.network, island)
-        ipm = _Batch(_island_kkts([nlp]))  # a batch of one
+        ipm = _Batch([nlp])  # a batch of one
         assert len({g.bus for g in nlp.gens}) < nlp.ng  # some bus hosts several units
         # the unit and demand columns; without lines, every column
         linear = np.r_[nlp.ix, nlp.ipg, nlp.iqg] if nlp.nl else np.arange(nlp.n_var)
@@ -907,7 +901,7 @@ def test_kkt_blocks_match_finite_differences():
     damaged = sorted(l.id for l in net.lines if l.damaged)
     (island,) = build_rip_step(case, fixed_plan(damaged), len(damaged)).islands
     nlp = _IslandNlp(case.network, island)
-    ipm = _Batch(_island_kkts([nlp]))  # a batch of one
+    ipm = _Batch([nlp])  # a batch of one
     free, nf, m = ipm.free, len(ipm.free), ipm.m
     assert nlp.nl and nlp.ng > 1 and nf < nlp.n_var  # the reference angle is held
     rng = np.random.default_rng(8)
@@ -1058,6 +1052,9 @@ def test_tree_step_matches_dense_solve_of_the_island_kkt(monkeypatch, feeder):
             assert batch.height.max() == 13  # the whole feeder, once repaired
         if feeder == "crowded":
             assert batch.size == 5 + 2 + 2 * 3
+            # the network's largest group, also in a batch without bus 3
+            (upstream,) = [i for i in islands if i.buses == (1, 2)]
+            assert _Batch([_IslandNlp(case.network, upstream)]).size == 5 + 2 + 2 * 3
         _assert_tree_step_is_dense_step(*calls[0], rtol=1e-10)  # the start point
         for call in calls:
             _assert_tree_step_is_dense_step(*call)
@@ -1139,7 +1136,7 @@ def test_interior_point_matches_slsqp_reference_on_every_island(
     case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
     tol = replay.DEFAULT_RESIDUAL_TOL
     problems = [build_rip_step(case, plan, t) for t in range(plan.n_periods)]
-    islands = dict.fromkeys(i for p in problems for i in p.islands if i.live)
+    islands = _replay_islands(case, plan)
     assert len(islands) == 25
     assert {(36, 40), (41, 42)} <= {i.buses for i in islands}
     nlps = [_IslandNlp(case.network, island) for island in islands]
@@ -1193,12 +1190,7 @@ def test_batch_solutions_do_not_depend_on_the_batch(storm_network, clustered_pla
     assumed = apply_der_mode(storm_network, clustered_placement, DerMode.BASE)
     plan = solve_rop(build_rop(assumed, time_grid_for(storm_network)))
     case = apply_der_mode(storm_network, clustered_placement, DerMode.COMMUNITY_MICROGRID)
-    islands = list(dict.fromkeys(
-        island
-        for t in range(plan.n_periods)
-        for island in build_rip_step(case, plan, t).islands
-        if island.live
-    ))
+    islands = _replay_islands(case, plan)
     assert len(islands) == 25
     net = case.network
     batch = _batch_solve(net, islands)
