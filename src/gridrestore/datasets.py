@@ -39,8 +39,12 @@ def load_damage_file(path) -> list[int]:
     """Damaged line ids from a damage file (see ``CASE_SCHEMA.md``)."""
     raw = read_json(path, "damage")
     try:
-        return [int(i) for i in raw["damaged_line_ids"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        ids = raw["damaged_line_ids"]
+        # a bool is an int to Python, but not an id
+        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+            raise TypeError(f"not a list of integers: {ids!r}")
+    except (KeyError, TypeError) as exc:
         raise CaseFormatError(
-            f"damage file {path}: expected a 'damaged_line_ids' list of ids ({exc!r})"
+            f"damage file {path}: expected a 'damaged_line_ids' list of integer ids ({exc!r})"
         ) from exc
+    return ids

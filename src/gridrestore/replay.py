@@ -18,11 +18,12 @@ in batches (``_BatchIpm``): the islands of a batch iterate in lockstep,
 and each iterate evaluates the flows, the rows and the KKT entries of
 the whole batch at once and solves every island's KKT system by one
 block elimination down the feeder tree, which is the elimination tree
-of a radial island's matrix. The batch's KKT layout is built once, in
-the batch's own numbering, and built again over the islands that remain
-when one leaves (``_Batch``). Every island keeps its own step lengths
-and stopping test, and its blocks are factored apart from its
-batch-mates', so its solution does not depend on them. The pi-model
+of a radial island's matrix. The batch's KKT layout is built once per
+solve, in the batch's own numbering (``_Batch``); an island that
+converges or fails holds its last iterate there, and the tree solve
+skips its blocks. Every island keeps its own step lengths and stopping
+test, and its blocks are factored apart from its batch-mates', so its
+solution does not depend on them. The pi-model
 flow is written once (``model.LineBlock``, one per network, from which
 the batches pick their lines), and each iterate evaluates its
 trigonometric terms once, for the flows, their partials and their
@@ -811,17 +812,18 @@ class _BatchIpm:
     zero-width bounds) are held out of the step.
 
     Every lockstep iterate evaluates the flows, the rows and the KKT
-    entries of all the islands still in the batch at once (``_Batch``).
-    Each island keeps its own barrier parameter, dual scale, stopping
-    test and step lengths. One ``np.bincount`` fills the KKT blocks of
-    every island, and one block elimination down the feeder tree
-    (``_Batch.tree_solve``) solves them all; it factors each island's
-    blocks apart from its batch-mates', so an island's iterates do not
-    depend on them. An island met with an exactly singular block is
-    solved again with ``-_DELTA_C`` on the constraint block's diagonal,
-    as in Ipopt's regularization (Waechter and Biegler, Math.
-    Programming 106, 2006). An island that converges or fails leaves the
-    batch, and the others go on without it.
+    entries of all the batch's islands at once (``_Batch``, built once
+    per ``run``). Each island keeps its own barrier parameter, dual
+    scale, stopping test and step lengths. One ``np.bincount`` fills the
+    KKT blocks of every island, and one block elimination down the
+    feeder tree (``_Batch.tree_solve``) solves those of the islands
+    still iterating; it factors each island's blocks apart from its
+    batch-mates', so an island's iterates do not depend on them. An
+    island met with an exactly singular block is solved again with
+    ``-_DELTA_C`` on the constraint block's diagonal, as in Ipopt's
+    regularization (Waechter and Biegler, Math. Programming 106, 2006).
+    An island that converges or fails stops: it holds its last iterate,
+    with zero step lengths, and the tree solve leaves its blocks out.
     """
 
     def __init__(self, nlps: Sequence[_IslandNlp]):
@@ -851,28 +853,27 @@ class _BatchIpm:
         stop = _ACCURACY * tol
         out: list = [None] * len(self.nlps)
         iterates: list[list[np.ndarray]] = [[] for _ in self.nlps]
-        ids = np.arange(len(self.nlps))  # the islands still in the batch
         batch = _Batch(self.nlps)
+        at_var, at_row, at_ineq = batch.at_var, batch.at_row, batch.at_ineq
+        m_each, n_ineq_each = np.diff(at_row), np.diff(at_ineq)
+        going = np.ones(len(self.nlps), dtype=bool)  # the islands still iterating
         u = batch.start
         for t in range(IPM_MAX_ITER + 1):
             pt = batch.evaluate(u)
-            at_var, at_row, at_ineq = batch.at_var, batch.at_row, batch.at_ineq
-            m_each, n_ineq_each = np.diff(at_row), np.diff(at_ineq)
             if t == 0:
                 z = np.maximum(-pt.h, 1.0)
                 mu = np.ones(batch.n_ineq)
                 lam = np.zeros(batch.m)
-                barrier = np.full(len(ids), _MU_INIT)
-                broken = np.zeros(len(ids), dtype=bool)
+                barrier = np.full(len(self.nlps), _MU_INIT)
+                broken = np.zeros(len(self.nlps), dtype=bool)
             else:
-                self.iterations[ids] += 1
+                self.iterations[going] += 1
                 broken = ~(
                     np.logical_and.reduceat(np.isfinite(pt.g), at_row[:-1])
                     & np.logical_and.reduceat(np.isfinite(pt.h), at_ineq[:-1])
                 )
-            for k, island in enumerate(ids):
-                if not broken[k]:
-                    iterates[island].append(u[at_var[k] : at_var[k + 1]])
+            for k in np.flatnonzero(going & ~broken):
+                iterates[k].append(u[at_var[k] : at_var[k + 1]])
             if t == IPM_MAX_ITER:
                 break
             # KKT residuals, the dual ones scaled as in Ipopt; the sums are
@@ -890,14 +891,13 @@ class _BatchIpm:
                 np.maximum.reduceat(np.abs(pt.g), at_row[:-1]),
                 np.maximum.reduceat(np.abs(pt.h + z), at_ineq[:-1]),
             )
-            done = ~broken & (np.maximum(np.maximum(primal, dual), comp_sum / scale) <= stop)
+            done = going & ~broken & (np.maximum(np.maximum(primal, dual), comp_sum / scale) <= stop)
             for k in np.flatnonzero(done):
-                nlp = self.nlps[ids[k]]
-                out[ids[k]] = np.clip(u[at_var[k] : at_var[k + 1]], nlp.lo, nlp.hi)
-            going = ~(broken | done)
+                out[k] = np.clip(u[at_var[k] : at_var[k + 1]], self.nlps[k].lo, self.nlps[k].hi)
+            stepping = going & ~(broken | done)
             # lower each barrier parameter once its subproblem is solved
             mu_min = stop / (10 * n_ineq_each)
-            lowering = going.copy()
+            lowering = stepping.copy()
             while True:
                 off = np.abs(comp - np.repeat(barrier, n_ineq_each))
                 lowering &= (barrier > mu_min) & (
@@ -917,18 +917,18 @@ class _BatchIpm:
                 -batch.lagrangian_gradient(pt, lam, mu + d * pt.h + barrier_rows / z)[batch.free],
                 -pt.g,
             )
-            step, singular = batch.tree_solve(batch.fill(*kkt), going)
-            self.factorizations[ids[going]] += 1
+            step, singular = batch.tree_solve(batch.fill(*kkt), stepping)
+            self.factorizations[stepping] += 1
             if singular.any():
                 # once more, with the constraint block shifted
                 fill = batch.fill(*kkt)
                 batch.shift(fill, singular)
                 retry = singular
                 shifted, singular = batch.tree_solve(fill, retry)
-                self.factorizations[ids[retry]] += 1
+                self.factorizations[retry] += 1
                 step[retry[batch.island]] = shifted[retry[batch.island]]
-                going &= ~singular
-            going &= np.logical_and.reduceat(np.isfinite(step).all(axis=1), batch.at_bus[:-1])
+                stepping &= ~singular
+            stepping &= np.logical_and.reduceat(np.isfinite(step).all(axis=1), batch.at_bus[:-1])
             step = step.ravel()
             dx = np.zeros(batch.n_var)
             dx[batch.free] = step[batch.x_free]
@@ -942,23 +942,21 @@ class _BatchIpm:
             to_mu = np.where(dmu < 0, mu / -dmu, np.inf)
             alpha_p = np.minimum(1.0, tau * np.minimum.reduceat(to_z, at_ineq[:-1]))
             alpha_d = np.minimum(1.0, tau * np.minimum.reduceat(to_mu, at_ineq[:-1]))
-            going &= ~(alpha_p < _ALPHA_MIN)
+            stepping &= ~(alpha_p < _ALPHA_MIN)
+            # an island that leaves holds its state, which may turn nan (0 * inf):
+            # nothing reads it again, as its stopping test, barrier and solve are masked
+            alpha_p, alpha_d = alpha_p * stepping, alpha_d * stepping
             z = z + np.repeat(alpha_p, n_ineq_each) * dz
             lam = lam + np.repeat(alpha_d, m_each) * step[batch.x_row]
             mu = mu + np.repeat(alpha_d, n_ineq_each) * dmu
             u = u + np.repeat(alpha_p, np.diff(at_var)) * dx
-            for k in np.flatnonzero(~(going | done)):
-                out[ids[k]] = self._least_violating(ids[k], iterates[ids[k]])
+            for k in np.flatnonzero(going & ~(stepping | done)):
+                out[k] = self._least_violating(k, iterates[k])
+            going = stepping
             if not going.any():
                 return out
-            if not going.all():
-                u = u[np.repeat(going, np.diff(at_var))]
-                z, mu = (a[np.repeat(going, n_ineq_each)] for a in (z, mu))
-                lam = lam[np.repeat(going, m_each)]
-                barrier, ids = barrier[going], ids[going]
-                batch = _Batch([self.nlps[k] for k in ids])
-        for island in ids:
-            out[island] = self._least_violating(island, iterates[island])
+        for k in np.flatnonzero(going):
+            out[k] = self._least_violating(k, iterates[k])
         return out
 
 

@@ -109,6 +109,17 @@ def _plan_schedule_disagrees_with_energization(d, env):
     return ["simulate", "--plan", str(d / "plan.json")]
 
 
+def _plan_with_fractional_period(d, env):
+    plan = {"schedule": [[], ["line:2"]], "energization": {"line:2": 1.5}, "objective_mwh": 0.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _damage_with_fractional_id(d, env):
+    (d / "damage.json").write_text(json.dumps({"damaged_line_ids": [2.7]}))
+    return ["plan"]
+
+
 def _plan_without_periods(d, env):
     (d / "damage.json").write_text(json.dumps({"damaged_line_ids": []}))
     plan = {"schedule": [], "energization": {}, "objective_mwh": 0.0}
@@ -160,6 +171,8 @@ def _tol_variable_not_float(d, env):
         _plan_with_string_schedule,
         _plan_energizes_outside_schedule,
         _plan_schedule_disagrees_with_energization,
+        _plan_with_fractional_period,
+        _damage_with_fractional_id,
         _plan_without_periods,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,

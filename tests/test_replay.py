@@ -1071,6 +1071,9 @@ def test_tree_step_matches_dense_solve_on_the_study_islands(
     assert len(islands) == 25
     calls = _tree_solves(monkeypatch, [_IslandNlp(case.network, i) for i in islands])
     start, middle = calls[0], calls[len(calls) // 2]
+    # one layout for the whole run: the islands that left are held in it
+    # and left out of the solve
+    assert all(call[0] is start[0] for call in calls)
     assert start[2].all() and 0 < middle[2].sum() < len(middle[2])
     _assert_tree_step_is_dense_step(*start, rtol=1e-10)
     _assert_tree_step_is_dense_step(*middle)

@@ -204,6 +204,12 @@ def test_check_plan_rejects_two_repairs_in_one_period():
         objective_mwh=9.0,
     )
     assert check_plan(early, inst) == ["period 0: energizes a component"]
+    partial = RestorationPlan(
+        schedule=((), ("line:1",), ()),
+        energization={"line:1": 1},
+        objective_mwh=6.0,
+    )
+    assert check_plan(partial, inst) == ["plan does not cover exactly the damaged components"]
 
 
 def test_build_rop_rejects_meshed_network():
