@@ -1,8 +1,10 @@
 """Linear and mixed-integer programming layer.
 
-``solve_milp`` solves every MILP with HiGHS (``scipy.optimize.milp``)
-and re-verifies the solution against the raw constraint matrix. The
-tests keep an independent reference kernel, a revised simplex and a
+``solve_milp`` solves a MILP with HiGHS (``scipy.optimize.milp``) and
+re-verifies the solution against the raw constraint triplets with
+``verify_solution``, which ``rop`` also applies to the closed-form point
+of its subset DP. Only ``solve_milp`` imports scipy, at its first call.
+The tests keep an independent reference kernel, a revised simplex and a
 branch-and-bound over it, outside the package.
 """
 

@@ -22,9 +22,9 @@ NODE_LIMIT = 1_000_000
 
 
 def solve_milp_highs(problem: MilpProblem, rel_gap: float = 1e-6) -> Solution:
-    # imported on the first solve: scipy.optimize is about half of the
-    # package's import time, and the replay, `simulate` and `report`
-    # never solve a MILP
+    # imported on the first solve: scipy.optimize (with the scipy.sparse
+    # of lp.matrix()) would be most of the package's import time, and only
+    # an instance that the subset DP cannot order ever solves a MILP
     import scipy.optimize as sopt
 
     problem.validate()

@@ -2,15 +2,20 @@
 
 Constraints are stored as sparse triplets with two-sided row bounds:
 ``row_lower <= A x <= row_upper`` plus column bounds. Backends consume
-this canonical form directly.
+this canonical form directly. A solution is checked against the triplets
+themselves, so only a backend that asks for ``LinearProgram.matrix()``
+imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -38,6 +43,8 @@ class LinearProgram:
         return len(self.c)
 
     def matrix(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.a_vals, (self.a_rows, self.a_cols)),
             shape=(self.n_rows, self.n_cols),
@@ -101,7 +108,8 @@ def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
             float(np.max(np.maximum(x - lp.col_upper, 0.0), initial=0.0)),
         )
     if lp.n_rows:
-        ax = lp.matrix() @ x
+        # A x from the triplets; duplicate entries add, as in a sparse matrix
+        ax = np.bincount(lp.a_rows, weights=lp.a_vals * x[lp.a_cols], minlength=lp.n_rows)
         viol = max(
             viol,
             float(np.max(np.maximum(lp.row_lower - ax, 0.0), initial=0.0)),

@@ -18,23 +18,26 @@ at most ``DP_MAX_LINES`` of them, and every generator able to sit at
 zero output. With f(S) the best served DC power when the damaged-line
 set S is energized, the optimal order maximizes V(S) = f(S) +
 max_e V(S + e) from the empty set (the Held-Karp recursion), and f has a
-closed form on a tree. HiGHS then solves the MILP with every
-energization column fixed to that order, for the dispatch and the check
-against the raw matrix, and its objective must equal the DP value. Every
+closed form on a tree. The dispatch of that order is also in closed
+form, under a stated shedding rule (:func:`_shed_evenly`): the whole
+MILP point is checked against the raw rows, and its objective must
+equal the DP value. The DP path needs no LP solver and no scipy; every
 other instance is solved by HiGHS.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CaseFormatError, CaseValidationError, InfeasibleError, SolverError
-from .milp import MilpProblem, ProblemBuilder, Solution, solve_milp
+from . import milp
+from .milp import OPTIMAL, MilpProblem, ProblemBuilder, Solution, solve_milp
 from .model import DamageSets, Network, TimeGrid, component_key, read_json
 from .scenarios import EffectiveCase
 
@@ -45,8 +48,9 @@ DP_MAX_LINES = 20
 # Candidate repairs whose DP values lie this close (relative) to the best
 # tie; the lowest damaged-line index among them goes first.
 DP_TIE_REL = 1e-12
-# Relative agreement required between the DP value and the LP objective
-# of the dispatch with the DP's order fixed.
+# Relative agreement required between the DP value and the objective of
+# the closed-form MILP point of the DP's order: the two sum the same
+# served power in different orders, so they differ by rounding only.
 DP_AGREEMENT_TOL = 1e-7
 # Islands scored at once by _island_values. Its bus x island work arrays
 # peak at about 22 B per bus and island, so this bounds them (11 MB at 123
@@ -288,32 +292,61 @@ def _dp_eligible(instance: RopInstance) -> bool:
 
 
 def _solve_by_dp(instance: RopInstance) -> RestorationPlan:
-    """Order the repairs by the subset DP, then dispatch the fixed order by LP.
+    """Order the repairs by the subset DP, then dispatch the order in closed form.
 
-    The DP returns the optimal order and its value; HiGHS solves the
-    MILP with every z column fixed to that order, which yields the
-    dispatch (``served_fraction``) and re-checks the point against the
-    raw matrix. The two objectives must agree.
+    The DP returns the optimal order and its value. :func:`_dp_point`
+    builds the MILP point of that order, every z column and the dispatch
+    of the shedding rule, and ``verify_solution`` checks it against the
+    raw rows of ``build_rop``, as ``solve_milp`` checks a HiGHS point.
+    The point's objective must equal the DP value.
     """
-    lines, value = _best_order(instance.case.network, instance.time.n_periods)
+    order, value = _best_order(instance.case.network, instance.time.n_periods)
     value *= instance.time.step_hours
-    energization = {component_key("line", lid): t + 1 for t, lid in enumerate(lines)}
-    lp = instance.problem.lp
-    lower, upper = lp.col_lower.copy(), lp.col_upper.copy()
-    for (key, t), j in instance.z_col.items():
-        lower[j] = upper[j] = float(t >= energization[key])
-    fixed = MilpProblem(
-        replace(lp, col_lower=lower, col_upper=upper), instance.problem.integer_columns
-    )
-    sol = solve_milp(fixed)
-    if not sol.ok:
-        raise SolverError(f"fixed-order dispatch LP failed: {sol.status} {sol.message}")
+    x = _dp_point(instance, order)
+    sol = Solution(OPTIMAL, objective=float(instance.problem.lp.c @ x), x=x)
+    # through the module attribute, which an instrumented run wraps
+    milp.verify_solution(instance.problem, sol, milp.DEFAULT_FEAS_TOL)
     if abs(sol.objective - value) > DP_AGREEMENT_TOL * max(1.0, abs(value)):
         raise SolverError(
-            f"fixed-order dispatch LP objective {sol.objective!r} disagrees with "
+            f"closed-form dispatch objective {sol.objective!r} disagrees with "
             f"the subset DP value {value!r}"
         )
-    return _extract_plan(instance, replace(sol, gap=0.0))
+    return _extract_plan(instance, sol)
+
+
+def _dp_point(instance: RopInstance, order: list[int]) -> np.ndarray:
+    """The MILP point of a repair order: its z columns and the rule's dispatch.
+
+    Period t has the first t lines of ``order`` back, and every later
+    period all of them. :func:`_shed_evenly` dispatches all periods at
+    once; a line's flow column counts from its from bus.
+    """
+    net = instance.case.network
+    T = instance.time.n_periods
+    tree = net.tree
+    back = {lid: t + 1 for t, lid in enumerate(order)}  # first period a line works
+    periods = np.arange(T)
+    closed = periods >= np.array([0] + [back.get(l.id, 0) for l in tree.up[1:]])[:, None]
+    served, drawn, inflow = _shed_evenly(_FeederTree(net), closed)
+    pos = {bid: k for k, bid in enumerate(tree.order)}
+
+    def cols(table, ids) -> np.ndarray:
+        flat = [table[(i, t)] for i in ids for t in range(T)]
+        return np.array(flat, dtype=np.intp).reshape(len(ids), T)
+
+    x = np.zeros(instance.problem.lp.n_cols)
+    demands, units, up = net.demands, net.generators, tree.up[1:]
+    x[cols(instance.x_col, [d.id for d in demands])] = served[[pos[d.bus] for d in demands]]
+    x[cols(instance.pg_col, [g.id for g in units])] = (
+        drawn[[pos[g.bus] for g in units]] * np.array([g.p_max for g in units])[:, None]
+    )
+    sign = [1.0 if l.from_bus == tree.order[p] else -1.0 for l, p in zip(up, tree.parent[1:])]
+    x[cols(instance.pl_col, [l.id for l in up])] = np.array(sign)[:, None] * inflow[1:]
+    lines = net.damage.lines
+    x[cols(instance.z_col, [component_key("line", lid) for lid in lines])] = (
+        periods >= np.array([back[lid] for lid in lines])[:, None]
+    )
+    return x
 
 
 def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
@@ -409,12 +442,14 @@ class _FeederTree:
     line opens a new segment below its parent segment. Per bus:
     ``parent`` (``network.tree.parent``), ``seg``, ``cap`` (the thermal
     limit of the line to the parent), ``supply`` (summed ``p_max``) and
-    ``load``. Per segment: ``seg_parent``, ``seg_children`` (ascending),
-    ``seg_top``, the index of the damaged line above it (-1 at the root),
-    and the bit range ``[seg_lo, seg_lo + seg_width)`` that the segment's
-    line and every damaged line below it take when the damaged lines are
-    numbered in depth-first preorder of the segment tree (the root's
-    range is all K bits).
+    ``load``. ``levels`` holds one slice of bus positions per depth, the
+    root's first: the bus order is breadth-first. Per segment:
+    ``seg_parent``, ``seg_children`` (ascending), ``seg_top``, the index
+    of the damaged line above it (-1 at the root), and the bit range
+    ``[seg_lo, seg_lo + seg_width)`` that the segment's line and every
+    damaged line below it take when the damaged lines are numbered in
+    depth-first preorder of the segment tree (the root's range is all K
+    bits).
     """
 
     def __init__(self, network: Network):
@@ -442,12 +477,18 @@ class _FeederTree:
             for c in self.seg_children[j]:
                 self.seg_lo[c], lo = lo, lo + self.seg_width[c]
         self.cap = np.array([np.inf] + [line.thermal_limit for line in tree.up[1:]])
+        # fsum: a bus's totals do not depend on the order of its units or demands
         self.supply = np.array(
-            [sum(g.p_max for g in network.generators_at.get(b, ())) for b in tree.order]
+            [math.fsum(g.p_max for g in network.generators_at.get(b, ())) for b in tree.order]
         )
         self.load = np.array(
-            [sum(d.p for d in network.demands_at.get(b, ())) for b in tree.order]
+            [math.fsum(d.p for d in network.demands_at.get(b, ())) for b in tree.order]
         )
+        depth = [0]
+        for pos in tree.parent[1:]:
+            depth.append(depth[pos] + 1)
+        bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
+        self.levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _island_values(islands: np.ndarray, tree: _FeederTree) -> np.ndarray:
@@ -482,6 +523,63 @@ def _island_values(islands: np.ndarray, tree: _FeederTree) -> np.ndarray:
     return served
 
 
+def _shed_evenly(
+    tree: _FeederTree, closed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dispatch of the shedding rule, every period at once.
+
+    ``closed`` (bus x period) says whether each bus's line to its parent
+    conducts; an open line has capacity 0. Bottom-up, as in
+    :func:`_island_values`, each bus totals its supply (own units plus
+    its children's capped surplus) and its demand (own load plus its
+    children's capped shortfall), and passes the excess of one over the
+    other to its parent, capped at the line's limit. Top-down, each bus
+    delivers what it serves locally plus what its parent sends it, and
+    splits that over what is asked of it in proportion: its own load and
+    each child's capped shortfall get one fraction. It draws on its own
+    units and each child's capped surplus in proportion as well.
+
+    The rule: every served MW weighs the same in the paper's objective,
+    so among the optimal dispatches the objective cannot pick who is
+    shed. This one sheds every demand behind one binding limit by the
+    same fraction, after each subtree has served itself from its own
+    units; which customers lose power depends on the feeder and its
+    limits, never on where a customer sits in the matrix. The result is
+    unique and does not depend on the order of ``network.demands`` or
+    ``network.generators``.
+
+    Returns, per bus and period: the served fraction of every demand at
+    the bus, the output fraction (of ``p_max``) of every unit at the
+    bus, and the flow into the bus from its parent (0 at the root).
+    Shedding is computed as a shortfall, so a fully served bus gets a
+    fraction of exactly 1.
+    """
+    n, n_periods = closed.shape
+    parent = np.asarray(tree.parent)
+    cap = np.where(closed, tree.cap[:, None], 0.0)
+    supply = np.repeat(tree.supply[:, None], n_periods, axis=1)
+    demand = np.repeat(tree.load[:, None], n_periods, axis=1)
+    surplus, short = np.zeros((n, n_periods)), np.zeros((n, n_periods))
+    for lv in reversed(tree.levels[1:]):  # children before parents
+        gap = demand[lv] - supply[lv]
+        surplus[lv] = np.minimum(np.maximum(-gap, 0.0), cap[lv])
+        short[lv] = np.minimum(np.maximum(gap, 0.0), cap[lv])
+        np.add.at(supply, parent[lv], surplus[lv])
+        np.add.at(demand, parent[lv], short[lv])
+    served, drawn = np.ones((n, n_periods)), np.ones((n, n_periods))
+    inflow = np.zeros((n, n_periods))
+    for lv in tree.levels:  # parents before children
+        if lv.start:
+            up = parent[lv]
+            inflow[lv] = served[up] * short[lv] - drawn[up] * surplus[lv]
+        gap = demand[lv] - supply[lv]
+        shed = np.maximum(gap, 0.0) - np.maximum(inflow[lv], 0.0)
+        idle = np.maximum(-gap, 0.0) - np.maximum(-inflow[lv], 0.0)
+        served[lv] -= np.divide(shed, demand[lv], out=np.zeros_like(shed), where=demand[lv] > 0)
+        drawn[lv] -= np.divide(idle, supply[lv], out=np.zeros_like(idle), where=supply[lv] > 0)
+    return served, drawn, inflow
+
+
 def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
     T = instance.time.n_periods
     energization: dict[str, int] = {}
@@ -511,8 +609,15 @@ def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
 
 
 def rop_ens_mwh(plan: RestorationPlan, instance: RopInstance) -> float:
-    """Energy not served implied by the DC objective."""
-    return instance.total_demand_energy_mwh() - plan.objective_mwh
+    """Energy not served by the plan's dispatch, sum of p dt (1 - x), in MWh.
+
+    The same sum as ``metrics.energy_not_served``; a fully served plan
+    reads exactly 0.
+    """
+    net = instance.case.network
+    p = np.array([d.p for d in net.demands]) * net.base_mva
+    unserved = (1.0 - plan.served_fraction) * p[:, None] * instance.time.step_hours
+    return float(unserved.sum(axis=1).sum())
 
 
 def check_plan(plan: RestorationPlan, instance: RopInstance) -> list[str]:

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridrestore
 from gridrestore.cli import main
 
 
@@ -67,6 +72,49 @@ def test_no_damage_plan_exit_zero(toy_dir):
     assert code == 0
     plan = json.loads((out / "plan.json").read_text())
     assert plan["schedule"] == [[]]
+
+
+@pytest.mark.parametrize("mode", ["base", "home", "community"])
+def test_undamaged_bundled_plan_reads_exactly_zero_ens(tmp_path, capsys, mode):
+    (tmp_path / "nodmg.json").write_text(json.dumps({"damaged_line_ids": []}))
+    out = tmp_path / "out"
+    assert main(["plan", "--damage", str(tmp_path / "nodmg.json"), "--out", str(out),
+                 "--mode", mode]) == 0
+    ens = json.loads((out / "rop_ens.json").read_text())
+    assert ens["ens_mwh"] == 0.0 and not str(ens["ens_mwh"]).startswith("-")
+    assert " ENS 0.000 MWh" in capsys.readouterr().out
+
+
+# Runs in a fresh interpreter: each command must leave scipy unimported.
+NO_SCIPY_SCRIPT = """
+import sys
+
+def check(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{after} imported {loaded[:5]}"
+
+import gridrestore.cli
+check("import gridrestore.cli")
+from gridrestore.cli import main
+out = sys.argv[1]
+for mode in ("base", "community"):
+    assert main(["plan", "--mode", mode, "--out", f"{out}/{mode}"]) == 0
+    check(f"plan --mode {mode}")
+assert main(["simulate", "--plan", f"{out}/community/plan.json",
+             "--actual-mode", "community", "--out", f"{out}/simulate"]) == 0
+check("simulate")
+"""
+
+
+def test_dp_path_commands_never_import_scipy(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GRIDRESTORE_")}
+    env["PYTHONPATH"] = str(Path(gridrestore.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "simulate" / "rip_summary.json").is_file()
 
 
 def test_missing_case_exit_one(toy_dir, capsys):

@@ -6,6 +6,7 @@ from gridrestore.milp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LinearProgram,
     MilpProblem,
     ProblemBuilder,
     Solution,
@@ -202,9 +203,9 @@ def test_relaxation_sandwich_random():
             assert relaxed.objective >= integer.objective - 1e-8
 
 
-def test_backends_agree_on_random_milps():
-    rng = np.random.RandomState(42)
-    for _ in range(40):
+def random_milps(seed=42, count=40):
+    rng = np.random.RandomState(seed)
+    for _ in range(count):
         n = rng.randint(2, 6)
         b = ProblemBuilder(maximize=bool(rng.randint(2)))
         cols = []
@@ -220,7 +221,47 @@ def test_backends_agree_on_random_milps():
                 b.add_row(coeffs, upper=float(rng.randn()))
             else:
                 b.add_row(coeffs, lower=float(rng.randn()))
-        problem = b.build_milp()
+        yield b.build_milp()
+
+
+def sparse_violation(lp, x):
+    """``feasibility_violation`` through the scipy sparse product A x."""
+    ax = lp.matrix() @ x
+    return max(
+        0.0,
+        float(np.max(np.maximum(lp.col_lower - x, 0.0), initial=0.0)),
+        float(np.max(np.maximum(x - lp.col_upper, 0.0), initial=0.0)),
+        float(np.max(np.maximum(lp.row_lower - ax, 0.0), initial=0.0)),
+        float(np.max(np.maximum(ax - lp.row_upper, 0.0), initial=0.0)),
+    )
+
+
+def test_triplet_violation_equals_sparse_product():
+    rng = np.random.RandomState(6)
+    lps = [problem.lp for problem in random_milps()]
+    # row 1 holds column 0 three times and column 2 twice: duplicates add
+    lps.append(LinearProgram(
+        maximize=True, c=np.zeros(3),
+        a_rows=np.array([1, 0, 1, 1, 2, 1, 1]),
+        a_cols=np.array([0, 1, 2, 0, 2, 0, 2]),
+        a_vals=np.array([0.5, 1.0, -2.0, 1.25, 3.0, -0.75, 0.5]),
+        n_rows=3, row_lower=np.array([-1.0, 0.0, -np.inf]),
+        row_upper=np.array([1.0, 0.5, 8.0]),
+        col_lower=np.zeros(3), col_upper=np.full(3, 4.0),
+    ))
+    for lp in lps:
+        for _ in range(5):
+            x = rng.uniform(-1.0, 5.0, size=lp.n_cols)
+            assert feasibility_violation(lp, x) == pytest.approx(
+                sparse_violation(lp, x), rel=1e-12, abs=1e-12
+            )
+    lp, x = lps[-1], np.array([1.0, 0.25, 2.0])
+    # row 1: (0.5 + 1.25 - 0.75) * 1 + (-2 + 0.5) * 2 = -2, two below its lower bound
+    assert feasibility_violation(lp, x) == sparse_violation(lp, x) == 2.0
+
+
+def test_backends_agree_on_random_milps():
+    for problem in random_milps():
         s1 = solve_milp_builtin(problem)
         s2 = solve_milp(problem)
         assert s1.status == s2.status

@@ -7,7 +7,7 @@ import pytest
 from gridrestore import datasets, rop
 from gridrestore.errors import CaseValidationError, InfeasibleError, SolverError
 from gridrestore.milp import UNBOUNDED, Solution, solve_milp
-from gridrestore.model import Bus, Demand, Network, TimeGrid, time_grid_for
+from gridrestore.model import Bus, Demand, Generator, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
     _extract_plan,
@@ -174,12 +174,17 @@ def test_chain_plan_matches_hand_enumeration():
 
 
 def test_no_damage_serves_everything():
+    # a 0.7 MW unit at bus 3 covers part of its 2 MW load; the line brings the rest
     net = chain3(damage=())
+    net = replace(net, generators=net.generators + (
+        Generator(2, 3, 0.0, 0.7, -0.3, 0.3, kind="customer_der"),
+    ))
     inst = build_rop(as_case(net), TimeGrid(1))
     plan = solve_rop(inst)
     assert plan.schedule == ((),)
     assert len(inst.problem.integer_columns) == 0
-    assert rop_ens_mwh(plan, inst) == pytest.approx(0.0, abs=1e-9)
+    assert np.all(plan.served_fraction == 1.0)
+    assert rop_ens_mwh(plan, inst) == 0.0
 
 
 def test_infeasible_horizon_rejected():
