@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -121,6 +122,15 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["meta"] = _meta()
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+
+
+def _null_if_nan(hours: float) -> float | None:
+    """An empty customer group's average (nan) as JSON null: nan is not JSON."""
+    return None if math.isnan(hours) else hours
+
+
+def _hours_cell(hours: float | None) -> str:
+    return f"{'-':>10}" if hours is None else f"{hours:>10.2f}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,8 +334,8 @@ def cmd_sweep(config: RunConfig) -> int:
                 {
                     "placement": name,
                     "mode": mode.value,
-                    "der_avg_hours": recon.der_avg_hours,
-                    "non_der_avg_hours": recon.non_der_avg_hours,
+                    "der_avg_hours": _null_if_nan(recon.der_avg_hours),
+                    "non_der_avg_hours": _null_if_nan(recon.non_der_avg_hours),
                 }
                 for (name, mode), recon in study.reconnection.items()
             ],
@@ -403,7 +413,7 @@ def cmd_report(out_dir: str) -> int:
         for r in rows4:
             print(
                 f"  {r['placement']:<10} {r['mode']:<22} "
-                f"{r['der_avg_hours']:>10.2f} {r['non_der_avg_hours']:>10.2f}"
+                f"{_hours_cell(r['der_avg_hours'])} {_hours_cell(r['non_der_avg_hours'])}"
             )
     return 0
 

@@ -42,8 +42,9 @@ from .model import DamageSets, Network, TimeGrid, component_key, read_json
 from .scenarios import EffectiveCase
 
 # The subset DP holds a few 2^K arrays (f and then V, the root segment's
-# island ids, the map back to line order) and scores up to 2^K distinct
-# islands; above this many damaged lines the instance goes to HiGHS.
+# island ids, f's copy in line order) and scores up to 2^K distinct
+# islands; above this many damaged lines the instance goes to HiGHS. It
+# also keeps _served_power's (2,) * K view under numpy 1.x's 32 axes.
 DP_MAX_LINES = 20
 # Candidate repairs whose DP values lie this close (relative) to the best
 # tie; the lowest damaged-line index among them goes first.
@@ -54,7 +55,7 @@ DP_TIE_REL = 1e-12
 DP_AGREEMENT_TOL = 1e-7
 # Islands scored at once by _island_values. Its bus x island work arrays
 # peak at about 22 B per bus and island, so this bounds them (11 MB at 123
-# buses) whatever the number of distinct islands of a segment.
+# buses) whatever the number of distinct islands of the whole network.
 ISLAND_CHUNK = 4096
 
 
@@ -358,7 +359,10 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
     V(S) = f(S) + max_e V(S + e) over subsets S of the damaged lines,
     the optimum is V({}); it is folded layer by layer by popcount, and
     the order follows the argmax from {}, ties going to the lowest
-    damaged-line index.
+    damaged-line index. A layer's own entries are set to -inf while it
+    takes the maximum over every bit, so for a bit already in S the
+    entry of S + e (S itself) never wins; the layer's f is then added to
+    that maximum.
     """
     damaged = network.damage.lines
     k_lines = len(damaged)
@@ -371,11 +375,12 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
     starts = np.searchsorted(popcount[by_layer], np.arange(k_lines + 1))
     for layer in range(k_lines - 1, -1, -1):
         s = by_layer[starts[layer] : starts[layer + 1]]
+        own = values[s]
+        values[s] = -np.inf  # s | bit is s itself for a bit already in s
         best = np.full(len(s), -np.inf)
         for k in range(k_lines):
-            bit = 1 << k
-            np.maximum(best, np.where(s & bit, -np.inf, values[s | bit]), out=best)
-        values[s] += best
+            np.maximum(best, values[s | 1 << k], out=best)
+        values[s] = own + best
     order, s = [], 0
     for _ in range(k_lines):
         free = [k for k in range(k_lines) if not s >> k & 1]
@@ -401,16 +406,20 @@ def _served_power(network: Network) -> np.ndarray:
     of those bits only: one island id per subset, combined from the
     children's ids and masks by one outer product per child, so the
     distinct islands come out without a search. The island is live
-    whenever j is the root segment or the line above j is open; each
-    distinct one is scored once by :func:`_island_values`. Each
-    segment's values are added over the subsets of the other lines by
-    one broadcast, segments K down to 0, so every subset's sum is formed
-    in the same order as by a loop over all subsets. One index, built by
-    doubling, maps the result back to the ``network.lines`` bit order.
+    whenever j is the root segment or the line above j is open. The
+    distinct islands of all segments are scored by one
+    :func:`_island_values` call; an island's value does not depend on
+    the others scored with it. Each segment's values are then added over
+    the subsets of the other lines by one broadcast, segments K down to
+    0, so every subset's sum is formed in the same order as by a loop
+    over all subsets. One axis transpose of the (2,) * K view maps the
+    result back to the ``network.lines`` bit order.
     """
     tree = _FeederTree(network)
     k_lines = len(tree.seg_top) - 1
-    served = np.zeros(1 << k_lines)  # in preorder bit order
+    segments = []  # (j, ids into all islands), segments K down to 0
+    islands_of: list[np.ndarray] = []
+    offset = 0
     below: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # segment -> ids, islands
     for j in range(k_lines, -1, -1):  # children before parents
         ids = np.zeros(1, dtype=np.intp)
@@ -421,17 +430,25 @@ def _served_power(network: Network) -> np.ndarray:
             code[1::2] = 1 + c_ids  # closed: c's island joins j's
             ids = (code[:, None] * len(islands) + ids).ravel()
             islands = (np.insert(c_islands, 0, 0)[:, None] | islands).ravel()
-        values = _island_values(islands, tree)[ids]
         if j:
             below[j] = ids, islands
+        segments.append((j, ids + offset))
+        islands_of.append(islands)
+        offset += len(islands)
+    scores = _island_values(np.concatenate(islands_of), tree)
+    served = np.zeros(1 << k_lines)  # in preorder bit order
+    for j, ids in segments:
+        values = scores[ids]
+        if j:
             live, values = values, np.zeros(2 * len(values))
             values[::2] = live  # bit 0 is j's line: closed, j is in its parent's island
         lo, width = tree.seg_lo[j], tree.seg_width[j]
         served.reshape(-1, 1 << width, 1 << lo)[...] += values[:, None]
-    index = np.zeros(1, dtype=np.intp)  # network bit order -> preorder bit order
-    for j in sorted(range(1, k_lines + 1), key=tree.seg_top.__getitem__):
-        index = np.concatenate((index, index | 1 << tree.seg_lo[j]))
-    return served[index]
+    # axis a of the (2,) * K view holds bit K - 1 - a; network bit seg_top[j]
+    # is preorder bit seg_lo[j]
+    lo_of = dict(zip(tree.seg_top[1:], tree.seg_lo[1:]))
+    axes = [k_lines - 1 - lo_of[k] for k in range(k_lines - 1, -1, -1)]
+    return served.reshape((2,) * k_lines).transpose(axes).reshape(-1)
 
 
 class _FeederTree:

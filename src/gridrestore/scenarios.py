@@ -174,9 +174,13 @@ def load_scenario(path) -> DerPlacement:
     if not isinstance(p, dict):
         raise CaseFormatError(f"scenario file {path}: 'placement' must be an object")
     try:
+        nodes = p["der_nodes"]
+        # a bool is an int to Python, but not a bus id
+        if not isinstance(nodes, list) or not all(type(n) is int for n in nodes):
+            raise TypeError(f"'der_nodes' must be a list of integer bus ids: {nodes!r}")
         placement = DerPlacement(
             name=p.get("name", path.stem),
-            der_nodes=tuple(int(n) for n in p["der_nodes"]),
+            der_nodes=tuple(nodes),
             p_max=float(p.get("p_max", 0.075)),
             q_min=float(p.get("q_min", -0.05)),
             q_max=float(p.get("q_max", 0.05)),

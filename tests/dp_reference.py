@@ -1,12 +1,17 @@
-"""Reference kernel for the ordering DP's served power f(S).
+"""Reference kernels for the ordering DP: the served power f(S) and the fold.
 
 ``rop._served_power`` builds each segment's islands over the subsets of
-its own subtree's damaged lines only. This module keeps the kernel it
-replaced, which works on all 2^K subsets for every segment: the island
-mask of each segment as one 2^K array, the distinct islands found by
-``np.unique`` and looked up by ``np.searchsorted``. Both score islands
-with ``rop._island_values`` and add the segments in the same order, so
-the tests hold the two equal bit for bit.
+its own subtree's damaged lines only, and scores the islands of every
+segment in one ``rop._island_values`` call. :func:`served_power` keeps
+the kernel it replaced, which works on all 2^K subsets for every
+segment: the island mask of each segment as one 2^K array, the distinct
+islands found by ``np.unique`` and looked up by ``np.searchsorted``,
+one scoring call per segment. Both add the segments in the same order,
+so the tests hold the two equal bit for bit.
+
+``rop._best_order`` folds V(S) = f(S) + max_e V(S + e) one popcount
+layer at a time, with no per-bit mask. :func:`best_order` is the plain
+Held-Karp loop over single subsets, with the same tie rule.
 """
 
 from __future__ import annotations
@@ -35,3 +40,30 @@ def served_power(network) -> np.ndarray:
             below[parent] = below.get(parent, 0) | mask * closed
         served += values
     return served
+
+
+def best_order(f, k_lines: int, n_periods: int) -> tuple[list[int], float]:
+    """Optimal repair order (as bit indices) and its value, from f(S).
+
+    Subsets are visited in descending numeric order, so every S + e is
+    done before S. The last K..T-1 periods have every line back; each
+    other S adds f(S) to the best V(S + e) over its free bits. The order
+    follows the argmax from {}, the lowest bit winning a tie within
+    ``rop.DP_TIE_REL``.
+    """
+    full = (1 << k_lines) - 1
+    value = [0.0] * (full + 1)
+    for s in range(full, -1, -1):
+        if s == full:
+            value[s] = float(f[s]) * (n_periods - k_lines)
+            continue
+        best = max(value[s | 1 << k] for k in range(k_lines) if not s >> k & 1)
+        value[s] = float(f[s]) + best
+    order, s = [], 0
+    for _ in range(k_lines):
+        cand = {k: value[s | 1 << k] for k in range(k_lines) if not s >> k & 1}
+        top = max(cand.values())
+        k = next(k for k, v in cand.items() if v >= top - rop.DP_TIE_REL * abs(top))
+        order.append(k)
+        s |= 1 << k
+    return order, value[0]

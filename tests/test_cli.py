@@ -168,6 +168,28 @@ def _damage_with_fractional_id(d, env):
     return ["plan"]
 
 
+def _scenario_der_nodes(d, nodes):
+    placement = {"name": "toy", "der_nodes": nodes, "p_max": 0.4}
+    (d / "scen.json").write_text(json.dumps({"placement": placement}))
+    return ["plan", "--mode", "community"]
+
+
+def _scenario_with_fractional_der_bus(d, env):
+    return _scenario_der_nodes(d, [3.7])  # not bus 3
+
+
+def _scenario_with_string_der_bus(d, env):
+    return _scenario_der_nodes(d, ["4"])
+
+
+def _scenario_with_bool_der_bus(d, env):
+    return _scenario_der_nodes(d, [True])  # not bus 1
+
+
+def _scenario_with_string_der_nodes(d, env):
+    return _scenario_der_nodes(d, "34")  # not buses 3 and 4
+
+
 def _plan_without_periods(d, env):
     (d / "damage.json").write_text(json.dumps({"damaged_line_ids": []}))
     plan = {"schedule": [], "energization": {}, "objective_mwh": 0.0}
@@ -221,6 +243,10 @@ def _tol_variable_not_float(d, env):
         _plan_schedule_disagrees_with_energization,
         _plan_with_fractional_period,
         _damage_with_fractional_id,
+        _scenario_with_fractional_der_bus,
+        _scenario_with_string_der_bus,
+        _scenario_with_bool_der_bus,
+        _scenario_with_string_der_nodes,
         _plan_without_periods,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,
@@ -381,6 +407,31 @@ def test_report_summarizes_sweep(toy_dir, capsys):
     assert "ENS by case" in text
     assert "toy" in text
     assert main(["report", "--out", str(toy_dir / "empty")]) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_sweep_without_der_writes_null_and_report_prints_dash(toy_dir, capsys):
+    # no DER anywhere: the DER group of every case is empty
+    (toy_dir / "scen.json").write_text(
+        json.dumps({"placement": {"name": "none", "der_nodes": []}})
+    )
+    out = toy_dir / "sweep_none"
+    assert main(["sweep", *_args(toy_dir, out)]) == 0
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    rows = json.loads((out / "fig4_reconnection.json").read_text())["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        assert row["der_avg_hours"] is None
+        assert row["non_der_avg_hours"] == pytest.approx(1.0 / 3.0)  # one of three late
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fig4 = lines[lines.index("average reconnection time (hours):") + 2 :]
+    assert [line.split()[2:] for line in fig4] == [["-", "0.33"]] * 3
 
 
 def test_env_variable_overrides(toy_dir, monkeypatch):

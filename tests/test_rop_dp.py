@@ -4,8 +4,10 @@ The closed-form island value is checked against the reference-simplex
 load-shed LP of ``helpers.dc_shed_optimum``, the DP optimum against the
 MILP optimum of HiGHS and of the reference branch-and-bound, and the
 routing between the DP and the MILP path. The per-segment served-power
-kernel is held bit for bit to the all-subsets kernel it replaced
-(``dp_reference``), and pinned on the six bundled cases. The closed-form
+kernel, which scores the islands of every segment in one call, is held
+bit for bit to the all-subsets kernel it replaced (``dp_reference``),
+and pinned on the six bundled cases; the layered fold is held to a plain
+Held-Karp loop over single subsets with the same tie rule. The closed-form
 dispatch of the DP's order is checked for feasibility, for the optimum
 of every period, and for the conditions of its shedding rule, recomputed
 here from the network by a loop down the feeder.
@@ -300,6 +302,48 @@ def test_island_chunks_change_no_bit(monkeypatch):
     whole = rop._served_power(net)
     monkeypatch.setattr(rop, "ISLAND_CHUNK", 7)
     assert np.array_equal(rop._served_power(net), whole)
+
+
+def test_island_values_called_once_per_network(monkeypatch, storm_network, clustered_placement):
+    calls = []
+    island_values = rop._island_values
+
+    def spy(islands, tree):
+        calls.append(len(islands))
+        return island_values(islands, tree)
+
+    monkeypatch.setattr(rop, "_island_values", spy)
+    bundled = apply_der_mode(storm_network, clustered_placement, DerMode.BASE).network
+    for net in (bundled, star_feeder(10)):
+        calls.clear()
+        rop._served_power(net)
+        assert len(calls) == 1
+
+
+def fold_inputs(rng, k_lines: int):
+    """f arrays for the fold: random floats, and integers with exact ties and plateaus."""
+    n = 1 << k_lines
+    popcount = np.array([bin(s).count("1") for s in range(n)], dtype=float)
+    yield rng.uniform(0.0, 5.0, size=n)
+    yield rng.randint(0, 3, size=n).astype(float)
+    yield np.full(n, 2.0)
+    yield popcount
+    yield np.minimum(popcount, 2.0) * 3.0
+
+
+def test_fold_matches_held_karp_reference(monkeypatch):
+    rng = np.random.RandomState(23)
+    f = None
+    monkeypatch.setattr(rop, "_served_power", lambda network: f.copy())
+    for k_lines in range(11):
+        net = star_feeder(k_lines)
+        damaged = net.damage.lines
+        for f in fold_inputs(rng, k_lines):
+            n_periods = k_lines + 1 + int(rng.randint(3))
+            bits, value = dp_reference.best_order(f, k_lines, n_periods)
+            assert rop._best_order(net, n_periods) == ([damaged[k] for k in bits], value)
+            if np.all(f == f[0]):  # every order ties: lowest index first at each step
+                assert bits == list(range(k_lines))
 
 
 def test_served_power_memory_is_bounded_per_subset():
