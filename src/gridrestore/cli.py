@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import datasets
+from . import datasets, milp, replay
 from .errors import ConfigError, GridRestoreError
 from .model import Network, TimeGrid, apply_damage, load_case, time_grid_for
 from .replay import simulate_plan
@@ -52,8 +52,8 @@ class RunConfig:
     damage_path: str | None = None
     horizon: int | None = None
     out_dir: str = "out"
-    gap: float = 1e-6
-    tol: float = 1e-6
+    gap: float = milp.DEFAULT_REL_GAP
+    tol: float = replay.DEFAULT_RESIDUAL_TOL
 
     def load_network(self) -> Network:
         net = (

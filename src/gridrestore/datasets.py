@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .errors import CaseFormatError
-from .model import Network, apply_damage, load_case, read_json
+from .model import Network, apply_damage, check_json, load_case, read_json
 from .scenarios import DerPlacement, load_scenario
 
 CASE_FILE = "ieee123_1ph.json"
@@ -37,14 +37,9 @@ def bundled_damaged_case() -> Network:
 
 def load_damage_file(path) -> list[int]:
     """Damaged line ids from a damage file (see ``CASE_SCHEMA.md``)."""
-    raw = read_json(path, "damage")
-    try:
-        ids = raw["damaged_line_ids"]
-        # a bool is an int to Python, but not an id
-        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
-            raise TypeError(f"not a list of integers: {ids!r}")
-    except (KeyError, TypeError) as exc:
-        raise CaseFormatError(
-            f"damage file {path}: expected a 'damaged_line_ids' list of integer ids ({exc!r})"
-        ) from exc
-    return ids
+    raw = check_json(read_json(path, "damage"), "object", f"damage file {path}")
+    if "damaged_line_ids" not in raw:
+        raise CaseFormatError(f"damage file {path} is missing 'damaged_line_ids'")
+    return check_json(
+        raw["damaged_line_ids"], "list of integer", f"damage file {path} field 'damaged_line_ids'"
+    )

@@ -1,10 +1,14 @@
-"""Solver-agnostic linear / mixed-integer problem representation.
+"""Linear and mixed-integer programming layer.
 
 Constraints are stored as sparse triplets with two-sided row bounds:
-``row_lower <= A x <= row_upper`` plus column bounds. Backends consume
-this canonical form directly. A solution is checked against the triplets
-themselves, so only a backend that asks for ``LinearProgram.matrix()``
-imports ``scipy.sparse``.
+``row_lower <= A x <= row_upper`` plus column bounds and an integrality
+set. ``solve_milp`` hands this form to HiGHS (``scipy.optimize.milp``),
+whose interface it maps onto one-to-one, and re-checks every point it
+returns against the triplets themselves with ``verify_solution``, which
+``rop`` also applies to the closed-form point of its subset DP. Only
+``solve_milp`` and ``LinearProgram.matrix`` import scipy, at their first
+call. The tests keep an independent reference kernel, a revised simplex
+and a branch-and-bound over it, outside the package.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .errors import SolverError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -23,6 +29,12 @@ UNBOUNDED = "unbounded"
 INCUMBENT_WITH_GAP = "incumbent_with_gap"
 
 INF = float("inf")
+
+# feasibility tolerance of verify_solution on every surfaced point
+DEFAULT_FEAS_TOL = 1e-7
+# HiGHS's relative MIP gap unless a caller asks for another
+DEFAULT_REL_GAP = 1e-6
+NODE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -134,6 +146,52 @@ def verify_solution(problem, sol: Solution, tol: float) -> None:
                 raise AssertionError(
                     f"solver returned a fractional value for binary column {j}"
                 )
+
+
+def solve_milp(problem: MilpProblem, rel_gap: float = DEFAULT_REL_GAP) -> Solution:
+    """Solve with HiGHS; a returned point has passed ``verify_solution``."""
+    # imported on the first solve: scipy.optimize (with the scipy.sparse
+    # of lp.matrix()) would be most of the package's import time, and only
+    # an instance that the subset DP cannot order ever solves a MILP
+    import scipy.optimize as sopt
+
+    problem.validate()
+    lp = problem.lp
+    c = -lp.c if lp.maximize else lp.c
+    integrality = np.zeros(lp.n_cols, dtype=np.int64)
+    integrality[sorted(problem.integer_columns)] = 1
+    constraints = ()
+    if lp.n_rows:
+        constraints = sopt.LinearConstraint(lp.matrix(), lp.row_lower, lp.row_upper)
+    res = sopt.milp(
+        c,
+        constraints=constraints,
+        bounds=sopt.Bounds(lp.col_lower, lp.col_upper),
+        integrality=integrality,
+        options={"mip_rel_gap": rel_gap, "node_limit": NODE_LIMIT},
+    )
+    gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else None
+    nodes = int(res.mip_node_count or 0) if hasattr(res, "mip_node_count") else 0
+    if res.status == 2:
+        return Solution(INFEASIBLE, message=str(res.message))
+    if res.status == 3:
+        return Solution(UNBOUNDED, message=str(res.message))
+    if res.x is None:
+        raise SolverError(f"HiGHS failed: {res.message}")
+    x = np.asarray(res.x, dtype=float)
+    if res.status == 0:
+        sol = Solution(OPTIMAL, objective=float(lp.c @ x), x=x, gap=gap, n_nodes=nodes)
+    else:  # a limit stopped the search at an incumbent
+        sol = Solution(
+            INCUMBENT_WITH_GAP,
+            objective=float(lp.c @ x),
+            x=x,
+            gap=gap if gap is not None else INF,
+            n_nodes=nodes,
+            message=str(res.message),
+        )
+    verify_solution(problem, sol, DEFAULT_FEAS_TOL)
+    return sol
 
 
 class ProblemBuilder:

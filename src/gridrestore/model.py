@@ -506,6 +506,24 @@ _LINE_FIELDS = (
 )
 _GEN_FIELDS = ("id", "bus", "p_min", "p_max", "q_min", "q_max", "kind", "damaged")
 _DEMAND_FIELDS = ("id", "bus", "p", "q", "has_der", "damaged")
+# JSON type of each record field that is not a number
+_FIELD_TYPES = {
+    "id": "integer", "bus": "integer", "from_bus": "integer", "to_bus": "integer",
+    "is_reference": "boolean", "damaged": "boolean", "has_der": "boolean",
+    "kind": "string",
+}
+
+# The Python types that json.loads gives each JSON value type. The type
+# is matched exactly: a bool is an int to Python, but never an id, a
+# period or a number here.
+_JSON_TYPES = {
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+    "string": (str,),
+    "object": (dict,),
+    "list": (list,),
+}
 
 
 def read_json(path, what: str):
@@ -519,6 +537,21 @@ def read_json(path, what: str):
         raise CaseFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
+def check_json(value, kind: str, where: str):
+    """``value`` if it has the JSON type ``kind``, else a CaseFormatError
+    naming ``where``. ``kind`` is a key of ``_JSON_TYPES``, or ``"list of "``
+    and a key for a list whose items all have that type."""
+    item = kind.removeprefix("list of ")
+    types = _JSON_TYPES[item]
+    if item == kind:
+        ok = type(value) in types
+    else:
+        ok = type(value) is list and all(type(v) in types for v in value)
+    if not ok:
+        raise CaseFormatError(f"{where} must be JSON {kind}, got {value!r}")
+    return value
+
+
 def load_case(path) -> Network:
     """Parse a case file and return a validated per-unit Network."""
     network = network_from_dict(read_json(path, "case"))
@@ -528,39 +561,42 @@ def load_case(path) -> Network:
 
 def network_from_dict(raw: dict) -> Network:
     """Build a Network from parsed case-file data (physical units)."""
+    check_json(raw, "object", "case file")
     for key in ("base_mva", "buses", "lines", "generators", "demands"):
         if key not in raw:
             raise CaseFormatError(f"case file is missing required key {key!r}")
-    base = float(raw["base_mva"])
+    base = float(check_json(raw["base_mva"], "number", "case field 'base_mva'"))
     if base <= 0:
         raise CaseFormatError("base_mva must be positive")
 
-    def take(record, fields, kind, required):
-        out = {}
-        for f in fields:
-            if f in record:
-                out[f] = record[f]
-            elif f in required:
-                ident = record.get("id", "?")
-                raise CaseFormatError(f"{kind} {ident}: missing field {f!r}")
-        return out
+    def take(key, fields, kind, required):
+        for record in check_json(raw[key], "list of object", f"case field {key!r}"):
+            ident = record.get("id", "?")
+            for f in required:
+                if f not in record:
+                    raise CaseFormatError(f"{kind} {ident}: missing field {f!r}")
+            out = {f: record[f] for f in fields if f in record}
+            for f, value in out.items():
+                field_type = _FIELD_TYPES.get(f, "number")
+                # the message is formatted only for a value that fails
+                if type(value) not in _JSON_TYPES[field_type]:
+                    check_json(value, field_type, f"{kind} {ident} field {f!r}")
+            yield out
 
-    buses = tuple(
-        Bus(**take(r, _BUS_FIELDS, "bus", ("id",))) for r in raw["buses"]
-    )
+    buses = tuple(Bus(**d) for d in take("buses", _BUS_FIELDS, "bus", ("id",)))
     lines = tuple(
-        Line(**take(r, _LINE_FIELDS, "line", ("id", "from_bus", "to_bus", "b", "g")))
-        for r in raw["lines"]
+        Line(**d)
+        for d in take("lines", _LINE_FIELDS, "line", ("id", "from_bus", "to_bus", "b", "g"))
     )
     gens = []
-    for r in raw["generators"]:
-        d = take(r, _GEN_FIELDS, "generator", ("id", "bus", "p_min", "p_max", "q_min", "q_max"))
+    for d in take(
+        "generators", _GEN_FIELDS, "generator", ("id", "bus", "p_min", "p_max", "q_min", "q_max")
+    ):
         for f in ("p_min", "p_max", "q_min", "q_max"):
             d[f] = float(d[f]) / base
         gens.append(Generator(**d))
     demands = []
-    for r in raw["demands"]:
-        d = take(r, _DEMAND_FIELDS, "demand", ("id", "bus", "p"))
+    for d in take("demands", _DEMAND_FIELDS, "demand", ("id", "bus", "p")):
         d["p"] = float(d["p"]) / base
         d["q"] = float(d.get("q", 0.0)) / base
         demands.append(Demand(**d))

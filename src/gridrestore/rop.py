@@ -22,7 +22,8 @@ closed form on a tree. The dispatch of that order is also in closed
 form, under a stated shedding rule (:func:`_shed_evenly`): the whole
 MILP point is checked against the raw rows, and its objective must
 equal the DP value. The DP path needs no LP solver and no scipy; every
-other instance is solved by HiGHS.
+other instance goes to ``milp.solve_milp``, which solves it with HiGHS
+and runs the same ``verify_solution`` check on the returned point.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import CaseFormatError, CaseValidationError, InfeasibleError, SolverError
 from . import milp
 from .milp import OPTIMAL, MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import DamageSets, Network, TimeGrid, component_key, read_json
+from .model import DamageSets, Network, TimeGrid, check_json, component_key, read_json
 from .scenarios import EffectiveCase
 
 # The subset DP holds a few 2^K arrays (f and then V, the root segment's
@@ -94,29 +95,26 @@ class RestorationPlan:
         """Parse a saved plan; missing or ill-typed keys raise CaseFormatError,
         and so do an empty schedule and a schedule that is not the
         energization grouped by period."""
-        try:
-            schedule, energization = raw["schedule"], raw["energization"]
-            if not isinstance(schedule, list) or not all(
-                isinstance(p, list) and all(isinstance(k, str) for k in p)
-                for p in schedule
-            ):
-                raise TypeError("'schedule' must be a list of lists of component keys")
-            # a bool is an int to Python, but not a period
-            if not isinstance(energization, dict) or not all(
-                type(t) is int for t in energization.values()
-            ):
-                raise TypeError("'energization' must map component keys to integer periods")
-            plan = cls(
-                schedule=tuple(tuple(p) for p in schedule),
-                energization=dict(energization),
-                objective_mwh=float(raw["objective_mwh"]),
-                optimal=bool(raw.get("optimal", True)),
-                gap=float(raw.get("gap", 0.0)),
-            )
-        except KeyError as exc:
-            raise CaseFormatError(f"plan is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CaseFormatError(f"plan has an ill-typed value: {exc}") from exc
+        check_json(raw, "object", "plan")
+
+        def field(key, kind, default=None):
+            if key not in raw and default is None:
+                raise CaseFormatError(f"plan is missing key {key!r}")
+            return check_json(raw.get(key, default), kind, f"plan field {key!r}")
+
+        schedule = field("schedule", "list of list")
+        for t, period in enumerate(schedule):
+            check_json(period, "list of string", f"plan schedule period {t}")
+        energization = field("energization", "object")
+        for key, t in energization.items():
+            check_json(t, "integer", f"plan energization of {key}")
+        plan = cls(
+            schedule=tuple(tuple(p) for p in schedule),
+            energization=dict(energization),
+            objective_mwh=float(field("objective_mwh", "number")),
+            optimal=field("optimal", "boolean", True),
+            gap=float(field("gap", "number", 0.0)),
+        )
         if not plan.n_periods:
             raise CaseFormatError("plan has no periods")
         for key, t in plan.energization.items():
@@ -269,7 +267,9 @@ def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
     return inst
 
 
-def solve_rop(instance: RopInstance, rel_gap: float = 1e-6) -> RestorationPlan:
+def solve_rop(
+    instance: RopInstance, rel_gap: float = milp.DEFAULT_REL_GAP
+) -> RestorationPlan:
     """Solve for the energization schedule: by the subset DP when eligible, else HiGHS."""
     if _dp_eligible(instance):
         return _solve_by_dp(instance)
@@ -298,7 +298,8 @@ def _solve_by_dp(instance: RopInstance) -> RestorationPlan:
     The DP returns the optimal order and its value. :func:`_dp_point`
     builds the MILP point of that order, every z column and the dispatch
     of the shedding rule, and ``verify_solution`` checks it against the
-    raw rows of ``build_rop``, as ``solve_milp`` checks a HiGHS point.
+    raw rows of ``build_rop``, the check that ``solve_milp`` runs on
+    every point HiGHS returns.
     The point's objective must equal the DP value.
     """
     order, value = _best_order(instance.case.network, instance.time.n_periods)

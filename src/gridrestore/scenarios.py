@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import CaseFormatError, UnknownIdError
-from .model import CUSTOMER_DER, Generator, Network, read_json
+from .model import CUSTOMER_DER, Generator, Network, check_json, read_json
 
 HOME_LOAD_FLOOR = 0.01
 
@@ -170,21 +170,19 @@ def load_scenario(path) -> DerPlacement:
     raw = read_json(path, "scenario")
     if not isinstance(raw, dict) or "placement" not in raw:
         raise CaseFormatError(f"scenario file {path} is missing 'placement'")
-    p = raw["placement"]
-    if not isinstance(p, dict):
-        raise CaseFormatError(f"scenario file {path}: 'placement' must be an object")
+    p = check_json(raw["placement"], "object", f"scenario file {path} field 'placement'")
+    if "der_nodes" not in p:
+        raise CaseFormatError(f"scenario file {path}: placement is missing 'der_nodes'")
+    where = f"scenario file {path} placement field"
+    fields = {
+        "name": check_json(p.get("name", path.stem), "string", f"{where} 'name'"),
+        "der_nodes": tuple(check_json(p["der_nodes"], "list of integer", f"{where} 'der_nodes'")),
+    }
+    # the DER ratings default to DerPlacement's
+    for f in ("p_max", "q_min", "q_max"):
+        if f in p:
+            fields[f] = float(check_json(p[f], "number", f"{where} {f!r}"))
     try:
-        nodes = p["der_nodes"]
-        # a bool is an int to Python, but not a bus id
-        if not isinstance(nodes, list) or not all(type(n) is int for n in nodes):
-            raise TypeError(f"'der_nodes' must be a list of integer bus ids: {nodes!r}")
-        placement = DerPlacement(
-            name=p.get("name", path.stem),
-            der_nodes=tuple(nodes),
-            p_max=float(p.get("p_max", 0.075)),
-            q_min=float(p.get("q_min", -0.05)),
-            q_max=float(p.get("q_max", 0.05)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return DerPlacement(**fields)
+    except ValueError as exc:
         raise CaseFormatError(f"scenario file {path}: bad placement ({exc})") from exc
-    return placement

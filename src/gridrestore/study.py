@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import metrics, replay, rop, scenarios
+from . import metrics, milp, replay, rop, scenarios
 from .errors import GridRestoreError
 from .model import Network, TimeGrid
 from .scenarios import DerMode, DerPlacement, EffectiveCase
@@ -52,7 +52,7 @@ def run_study(
     placements: list[DerPlacement],
     grid: TimeGrid,
     *,
-    rel_gap: float = 1e-6,
+    rel_gap: float = milp.DEFAULT_REL_GAP,
     tol: float = replay.DEFAULT_RESIDUAL_TOL,
 ) -> StudyResult:
     """Solve one plan per (placement, mode) and replay it under every mode.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from gridrestore.errors import SolverError
-from gridrestore.milp.problem import (
+from gridrestore.milp import (
     INCUMBENT_WITH_GAP,
     INFEASIBLE,
     OPTIMAL,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from gridrestore.errors import SolverError
-from gridrestore.milp.problem import (
+from gridrestore.milp import (
     INF,
     INFEASIBLE,
     OPTIMAL,

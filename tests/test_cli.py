@@ -190,6 +190,76 @@ def _scenario_with_string_der_nodes(d, env):
     return _scenario_der_nodes(d, "34")  # not buses 3 and 4
 
 
+def _scenario_rating(d, field, value):
+    placement = {"name": "toy", "der_nodes": [3], "p_max": 0.4, field: value}
+    (d / "scen.json").write_text(json.dumps({"placement": placement}))
+    return ["plan", "--mode", "community"]
+
+
+def _scenario_with_bool_p_max(d, env):
+    return _scenario_rating(d, "p_max", True)  # not 1 MW per DER
+
+
+def _scenario_with_string_q_min(d, env):
+    return _scenario_rating(d, "q_min", "-0.05")
+
+
+def _plan_field(d, field, value):
+    plan = {"schedule": [[], ["line:2"]], "energization": {"line:2": 1}, "objective_mwh": 2.0,
+            field: value}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json")]
+
+
+def _plan_with_string_optimal(d, env):
+    return _plan_field(d, "optimal", "false")  # not True
+
+
+def _plan_with_bool_objective(d, env):
+    return _plan_field(d, "objective_mwh", True)
+
+
+def _plan_with_string_gap(d, env):
+    return _plan_field(d, "gap", "0.5")
+
+
+def _case_record_field(d, records, index, field, value):
+    case = json.loads((d / "case.json").read_text())
+    case[records][index][field] = value
+    (d / "case.json").write_text(json.dumps(case))
+    return ["plan"]
+
+
+def _bus_with_string_damaged(d, env):
+    return _case_record_field(d, "buses", 2, "damaged", "false")  # not damaged
+
+
+def _line_with_string_susceptance(d, env):
+    return _case_record_field(d, "lines", 0, "b", "1.0")
+
+
+def _demand_with_string_power(d, env):
+    return _case_record_field(d, "demands", 0, "p", "abc")
+
+
+def _bus_with_null_voltage_bound(d, env):
+    return _case_record_field(d, "buses", 1, "v_min", None)
+
+
+def _case_with_list_bus_record(d, env):
+    case = json.loads((d / "case.json").read_text())
+    case["buses"][1] = [2]
+    (d / "case.json").write_text(json.dumps(case))
+    return ["plan"]
+
+
+def _case_with_number_for_buses(d, env):
+    case = json.loads((d / "case.json").read_text())
+    case["buses"] = 5
+    (d / "case.json").write_text(json.dumps(case))
+    return ["plan"]
+
+
 def _plan_without_periods(d, env):
     (d / "damage.json").write_text(json.dumps({"damaged_line_ids": []}))
     plan = {"schedule": [], "energization": {}, "objective_mwh": 0.0}
@@ -247,6 +317,17 @@ def _tol_variable_not_float(d, env):
         _scenario_with_string_der_bus,
         _scenario_with_bool_der_bus,
         _scenario_with_string_der_nodes,
+        _scenario_with_bool_p_max,
+        _scenario_with_string_q_min,
+        _plan_with_string_optimal,
+        _plan_with_bool_objective,
+        _plan_with_string_gap,
+        _bus_with_string_damaged,
+        _line_with_string_susceptance,
+        _demand_with_string_power,
+        _bus_with_null_voltage_bound,
+        _case_with_list_bus_record,
+        _case_with_number_for_buses,
         _plan_without_periods,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,

@@ -293,3 +293,21 @@ def test_verify_solution_rejects_bad_point():
     with pytest.raises(AssertionError):
         verify_solution(lp, fake, tol=1e-7)
     assert feasibility_violation(lp, np.array([9.0])) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize(
+    "point", ([1.0, 1.0], [0.5, 0.5]), ids=("violates_row", "fractional_binary")
+)
+def test_solve_milp_verifies_the_highs_point(monkeypatch, point):
+    """solve_milp re-checks what HiGHS reports as optimal before returning it."""
+    import scipy.optimize
+
+    def fake_milp(c, **kwargs):
+        return scipy.optimize.OptimizeResult(
+            status=0, x=np.array(point), mip_gap=0.0, mip_node_count=1, message="faked"
+        )
+
+    monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+    problem, _, _ = knapsack()
+    with pytest.raises(AssertionError):
+        solve_milp(problem)
