@@ -1,8 +1,11 @@
 """Feeder data model, case-file I/O and structural validation.
 
-All electrical quantities on a :class:`Network` are per-unit on
-``base_mva``. Case files carry power in physical units (MW / MVAr) and
-admittances in per-unit; :func:`load_case` performs the conversion.
+The record dataclasses :class:`Bus`, :class:`Line`, :class:`Generator`
+and :class:`Demand` define the case-file format: a record must hold
+their fields without a default, may hold no other, and gives each the
+JSON type of its annotation. A :class:`Network` is per-unit on
+``base_mva``; case files carry power in physical units (MW / MVAr /
+MVA) and :func:`load_case` performs the conversion.
 
 The facts that both steps of the method read are cached on the
 immutable :class:`Network`, each computed once: ``radial_tree`` (the
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -499,20 +502,6 @@ def apply_damage(network: Network, damaged_line_ids) -> Network:
 
 # --- case file I/O ---------------------------------------------------------
 
-_BUS_FIELDS = ("id", "is_reference", "v_min", "v_max", "damaged")
-_LINE_FIELDS = (
-    "id", "from_bus", "to_bus", "b", "g", "g_fr", "b_fr", "g_to", "b_to",
-    "t_m", "t_r", "t_i", "thermal_limit", "angle_min", "angle_max", "damaged",
-)
-_GEN_FIELDS = ("id", "bus", "p_min", "p_max", "q_min", "q_max", "kind", "damaged")
-_DEMAND_FIELDS = ("id", "bus", "p", "q", "has_der", "damaged")
-# JSON type of each record field that is not a number
-_FIELD_TYPES = {
-    "id": "integer", "bus": "integer", "from_bus": "integer", "to_bus": "integer",
-    "is_reference": "boolean", "damaged": "boolean", "has_der": "boolean",
-    "kind": "string",
-}
-
 # The Python types that json.loads gives each JSON value type. The type
 # is matched exactly: a bool is an int to Python, but never an id, a
 # period or a number here.
@@ -525,12 +514,44 @@ _JSON_TYPES = {
     "list": (list,),
 }
 
+# the JSON type of a record field annotated with each Python type
+_ANNOTATION_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
+
+
+def _json_fields(cls: type) -> tuple[dict[str, str], frozenset[str]]:
+    """``cls``'s fields with their JSON types, in order, and those without a default."""
+    hints = get_type_hints(cls)
+    return (
+        {f.name: _ANNOTATION_TYPES[hints[f.name]] for f in fields(cls)},
+        frozenset(f.name for f in fields(cls) if f.default is f.default_factory is MISSING),
+    )
+
+
+# Each record array of a case file by its key in the file and on Network:
+# its name in messages, its dataclass, its fields' JSON types, its
+# required fields, and the fields held in physical units (MW, MVAr, MVA),
+# which the reader divides by base_mva and the writer multiplies back.
+_RECORD_FORMATS = {
+    key: (name, cls, *_json_fields(cls), physical)
+    for key, name, cls, physical in (
+        ("buses", "bus", Bus, ()),
+        ("lines", "line", Line, ("thermal_limit",)),
+        ("generators", "generator", Generator, ("p_min", "p_max", "q_min", "q_max")),
+        ("demands", "demand", Demand, ("p", "q")),
+    )
+}
+
 
 def read_json(path, what: str):
-    """Parse a JSON input file; an unreadable or malformed one is a CaseFormatError."""
+    """Parse a JSON input file; an unreadable or malformed one, or one that
+    holds NaN, Infinity or -Infinity (not JSON), is a CaseFormatError."""
     path = Path(path)
+
+    def refuse(constant):
+        raise CaseFormatError(f"{what} file {path} holds {constant}, which is not JSON")
+
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), parse_constant=refuse)
     except OSError as exc:
         raise CaseFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -562,77 +583,43 @@ def load_case(path) -> Network:
 def network_from_dict(raw: dict) -> Network:
     """Build a Network from parsed case-file data (physical units)."""
     check_json(raw, "object", "case file")
-    for key in ("base_mva", "buses", "lines", "generators", "demands"):
+    for key in ("base_mva", *_RECORD_FORMATS):
         if key not in raw:
             raise CaseFormatError(f"case file is missing required key {key!r}")
     base = float(check_json(raw["base_mva"], "number", "case field 'base_mva'"))
     if base <= 0:
         raise CaseFormatError("base_mva must be positive")
-
-    def take(key, fields, kind, required):
+    elements = {}
+    for key, (name, cls, types, required, physical) in _RECORD_FORMATS.items():
+        out = []
         for record in check_json(raw[key], "list of object", f"case field {key!r}"):
             ident = record.get("id", "?")
-            for f in required:
-                if f not in record:
-                    raise CaseFormatError(f"{kind} {ident}: missing field {f!r}")
-            out = {f: record[f] for f in fields if f in record}
-            for f, value in out.items():
-                field_type = _FIELD_TYPES.get(f, "number")
+            if not required <= record.keys():
+                missing = next(f for f in types if f in required and f not in record)
+                raise CaseFormatError(f"{name} {ident}: missing field {missing!r}")
+            for f, value in record.items():
+                if f not in types:
+                    raise CaseFormatError(f"{name} {ident}: unknown field {f!r}")
                 # the message is formatted only for a value that fails
-                if type(value) not in _JSON_TYPES[field_type]:
-                    check_json(value, field_type, f"{kind} {ident} field {f!r}")
-            yield out
-
-    buses = tuple(Bus(**d) for d in take("buses", _BUS_FIELDS, "bus", ("id",)))
-    lines = tuple(
-        Line(**d)
-        for d in take("lines", _LINE_FIELDS, "line", ("id", "from_bus", "to_bus", "b", "g"))
-    )
-    gens = []
-    for d in take(
-        "generators", _GEN_FIELDS, "generator", ("id", "bus", "p_min", "p_max", "q_min", "q_max")
-    ):
-        for f in ("p_min", "p_max", "q_min", "q_max"):
-            d[f] = float(d[f]) / base
-        gens.append(Generator(**d))
-    demands = []
-    for d in take("demands", _DEMAND_FIELDS, "demand", ("id", "bus", "p")):
-        d["p"] = float(d["p"]) / base
-        d["q"] = float(d.get("q", 0.0)) / base
-        demands.append(Demand(**d))
-    return Network(
-        buses=buses,
-        lines=lines,
-        generators=tuple(gens),
-        demands=tuple(demands),
-        base_mva=base,
-    )
+                if type(value) not in _JSON_TYPES[types[f]]:
+                    check_json(value, types[f], f"{name} {ident} field {f!r}")
+            values = dict(record)
+            for f in physical:
+                if f in values:
+                    values[f] /= base
+            out.append(cls(**values))
+        elements[key] = tuple(out)
+    return Network(**elements, base_mva=base)
 
 
 def network_to_dict(network: Network) -> dict:
     """Inverse of :func:`network_from_dict`: physical-unit case data."""
-    base = network.base_mva
-    out = {
-        "base_mva": base,
-        "buses": [
-            {f: getattr(b, f) for f in _BUS_FIELDS} for b in network.buses
-        ],
-        "lines": [
-            {f: getattr(l, f) for f in _LINE_FIELDS} for l in network.lines
-        ],
-        "generators": [],
-        "demands": [],
-    }
-    for g in network.generators:
-        rec = {f: getattr(g, f) for f in _GEN_FIELDS}
-        for f in ("p_min", "p_max", "q_min", "q_max"):
-            rec[f] = rec[f] * base
-        out["generators"].append(rec)
-    for d in network.demands:
-        rec = {f: getattr(d, f) for f in _DEMAND_FIELDS}
-        rec["p"] = rec["p"] * base
-        rec["q"] = rec["q"] * base
-        out["demands"].append(rec)
+    out = {"base_mva": network.base_mva}
+    for key, (_, _, types, _, physical) in _RECORD_FORMATS.items():
+        out[key] = [{f: getattr(e, f) for f in types} for e in getattr(network, key)]
+        for record in out[key]:
+            for f in physical:
+                record[f] *= network.base_mva
     return out
 
 

@@ -246,6 +246,26 @@ def _bus_with_null_voltage_bound(d, env):
     return _case_record_field(d, "buses", 1, "v_min", None)
 
 
+def _bus_with_misspelt_damaged(d, env):
+    return _case_record_field(d, "buses", 2, "damagd", True)  # not an undamaged bus
+
+
+def _generator_with_unknown_field(d, env):
+    return _case_record_field(d, "generators", 0, "cost", 1.0)
+
+
+def _demand_with_nan_power(d, env):
+    return _case_record_field(d, "demands", 0, "p", float("nan"))  # json writes NaN
+
+
+def _scenario_with_infinite_p_max(d, env):
+    return _scenario_rating(d, "p_max", float("inf"))
+
+
+def _plan_with_nan_objective(d, env):
+    return _plan_field(d, "objective_mwh", float("nan"))
+
+
 def _case_with_list_bus_record(d, env):
     case = json.loads((d / "case.json").read_text())
     case["buses"][1] = [2]
@@ -328,6 +348,11 @@ def _tol_variable_not_float(d, env):
         _bus_with_null_voltage_bound,
         _case_with_list_bus_record,
         _case_with_number_for_buses,
+        _bus_with_misspelt_damaged,
+        _generator_with_unknown_field,
+        _demand_with_nan_power,
+        _scenario_with_infinite_p_max,
+        _plan_with_nan_objective,
         _plan_without_periods,
         _zero_horizon,
         _thermal_limit_beyond_angle_bound,

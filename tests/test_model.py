@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gridrestore import model
-from gridrestore.errors import CaseValidationError, UnknownIdError
+from gridrestore.errors import CaseFormatError, CaseValidationError, UnknownIdError
 from gridrestore.metrics import reconnection_times
 from gridrestore.model import (
+    UTILITY_DER,
     Bus,
     Demand,
     Generator,
@@ -163,6 +164,61 @@ def test_round_trip_on_random_networks(tmp_path):
         assert validate(net).ok
         again = network_from_dict(network_to_dict(net))
         assert again == net
+
+
+def test_round_trip_scales_physical_fields():
+    # a power-of-two base keeps the scaling exact; every optional unit and
+    # demand field is set away from its default
+    rng = np.random.RandomState(4)
+    for _ in range(10):
+        net = random_radial(rng)
+        net = replace(
+            net,
+            generators=tuple(replace(g, kind=UTILITY_DER, damaged=True) for g in net.generators),
+            demands=tuple(replace(d, has_der=True, damaged=True) for d in net.demands),
+            base_mva=8.0,
+        )
+        raw = network_to_dict(net)
+        assert raw["demands"][0]["p"] == 8.0 * net.demands[0].p
+        assert raw["lines"][0]["thermal_limit"] == 8.0 * net.lines[0].thermal_limit
+        assert network_from_dict(raw) == net
+
+
+def test_thermal_limit_is_converted_on_load_and_save(tmp_path):
+    raw = {
+        "base_mva": 10.0,
+        "buses": [{"id": 1, "is_reference": True}, {"id": 2}],
+        "lines": [{"id": 1, "from_bus": 1, "to_bus": 2, "g": 50.0, "b": -50.0,
+                   "thermal_limit": 5.0}],
+        "generators": [{"id": 1, "bus": 1, "p_min": 0, "p_max": 5, "q_min": -2, "q_max": 2}],
+        "demands": [{"id": 1, "bus": 2, "p": 3.0}],
+    }
+    path = tmp_path / "base10.json"
+    path.write_text(json.dumps(raw))
+    net = load_case(path)
+    assert net.lines[0].thermal_limit == 0.5  # 5 MVA on a 10 MVA base
+    assert net.demands[0].p == 0.3
+    save_case(net, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text())["lines"][0]["thermal_limit"] == 5.0
+
+
+def test_unknown_record_field_is_format_error(bundled_network):
+    raw = network_to_dict(bundled_network)
+    raw["name"] = "top-level keys outside the five are ignored"
+    assert network_from_dict(raw) == bundled_network
+    bus = raw["buses"][3]
+    bus["damagd"] = True
+    with pytest.raises(CaseFormatError, match=f"bus {bus['id']}: unknown field 'damagd'"):
+        network_from_dict(raw)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_is_format_error(tmp_path, constant):
+    path = tmp_path / "case.json"
+    path.write_text(f'{{"base_mva": {constant}, "buses": []}}')
+    with pytest.raises(CaseFormatError) as err:
+        load_case(path)
+    assert f"case file {path} holds {constant}," in str(err.value)
 
 
 def test_feeder_tree_spans_every_bus(storm_network):
