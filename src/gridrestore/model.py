@@ -20,6 +20,7 @@ and demands in network order (:class:`NetworkArrays`).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
@@ -412,6 +413,15 @@ class Network:
 def validate(network: Network) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises."""
     v: list[str] = []
+    if not 0.0 < network.base_mva < math.inf:
+        v.append(f"base_mva must be positive and finite, got {network.base_mva!r}")
+    for key, (name, _, types, _, _) in _RECORD_FORMATS.items():
+        for e in getattr(network, key):
+            v.extend(
+                f"{name} {e.id}: field {f!r} must be finite, got {getattr(e, f)!r}"
+                for f, kind in types.items()
+                if kind == "number" and not math.isfinite(getattr(e, f))
+            )
     bus_ids = [b.id for b in network.buses]
     for bid, count in Counter(bus_ids).items():
         if count > 1:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gridrestore
+from gridrestore import cli
 from gridrestore.cli import main
 
 
@@ -565,3 +567,102 @@ def test_sweep_reads_scenario_variable(toy_dir, monkeypatch):
     assert main(["sweep", *args, *flags]) == 0
     rows = (out / "ens_summary.csv").read_text().strip().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["toy"] * 3
+
+
+# Each sweep table: its header, and the pattern of every row (ENS to six
+# decimals, reconnection hours to three, flags as 0/1).
+SWEEP_CSV_FORMATS = {
+    "ens_summary.csv": (
+        "placement,mode,rop_ens_mwh,rip_ens_mwh",
+        r"toy,[a-z_]+,-?\d+\.\d{6},-?\d+\.\d{6}",
+    ),
+    "reconnection.csv": (
+        "placement,mode,demand,bus,has_der,t_d_hours",
+        r"toy,[a-z_]+,\d+,\d+,[01],\d+\.\d{3}",
+    ),
+    "sensitivity.csv": (
+        "placement,assumed,actual,ens_mwh,converged",
+        r"toy,[a-z_]+,[a-z_]+,-?\d+\.\d{6},[01]",
+    ),
+}
+# Each figure file: its row list's key and the keys of every row.
+SWEEP_JSON_ROWS = {
+    "fig2_ens.json": ("cases", {"placement", "mode", "rop_ens_mwh", "rip_ens_mwh"}),
+    "fig4_reconnection.json": ("rows", {"placement", "mode", "der_avg_hours", "non_der_avg_hours"}),
+    "fig5_group_ens.json": ("rows", {"placement", "mode", "der_group_mwh", "non_der_group_mwh"}),
+    "fig6_sensitivity.json": ("rows", {"placement", "assumed", "actual", "ens_mwh"}),
+}
+
+
+def test_sweep_output_formats(toy_dir, capsys):
+    out = toy_dir / "sweep_formats"
+    assert main(["sweep", *_args(toy_dir, out)]) == 0
+    tables = {}
+    for name, (header, row) in SWEEP_CSV_FORMATS.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) > 1, name
+        for line in lines[1:]:
+            assert re.fullmatch(row, line), (name, line)
+        tables[name] = [line.split(",") for line in lines[1:]]
+    assert len(tables["reconnection.csv"]) == 3 * 3  # three modes, three demands
+    figures = {}
+    for name, (key, row_keys) in SWEEP_JSON_ROWS.items():
+        data = json.loads((out / name).read_text())
+        assert set(data) == {"description", key, "meta"}, name
+        assert data[key] and all(set(r) == row_keys for r in data[key]), name
+        figures[name] = data[key]
+    # the CSV and the figure file of a table hold the same rows
+    for name, csv_name in (("fig2_ens.json", "ens_summary.csv"),
+                           ("fig6_sensitivity.json", "sensitivity.csv")):
+        rows, csv_rows = figures[name], tables[csv_name]
+        assert len(rows) == len(csv_rows)
+        for r, cells in zip(rows, csv_rows):
+            # the row keys' order is the CSV header's; the CSV adds converged
+            values = [r[k] for k in SWEEP_CSV_FORMATS[csv_name][0].split(",") if k in r]
+            assert cells[: len(values)] == [
+                f"{v:.6f}" if isinstance(v, float) else v for v in values
+            ]
+
+
+def test_module_entry_point_runs(tmp_path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GRIDRESTORE_")}
+    env["PYTHONPATH"] = str(Path(gridrestore.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "gridrestore.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: gridrestore")
+
+
+def _benchmark_tracing(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_and_restores_every_name(toy_dir, capsys, monkeypatch):
+    """The benchmark's tracer patches names on the package's modules; each
+    must exist, be called through its module, and come back unpatched."""
+    tracing = _benchmark_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._patched)
+        out = toy_dir / "traced"
+        assert cli.main(["plan", *_args(toy_dir, out)]) == 0
+        assert cli.main(["simulate", *_args(toy_dir, out), "--plan", str(out / "plan.json")]) == 0
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
+    spans = tracer.spans
+    under_main = {s.name for s in spans if s.parent >= 0 and spans[s.parent].name == "cli.main"}
+    assert under_main >= {
+        "model.load_case", "model.apply_damage", "scenarios.apply_der_mode",
+        "rop.build_rop", "rop.solve_rop", "replay.simulate_plan",
+    }

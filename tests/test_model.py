@@ -110,6 +110,24 @@ def test_validate_reports_bad_bounds():
     assert "demand 1" in text
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_validate_refuses_non_finite_numbers(value):
+    # a Network built through the API can hold what no case file can
+    net = chain3()
+    demands = (net.demands[0], replace(net.demands[1], p=value))
+    lines = (replace(net.lines[0], b=value), net.lines[1])
+    for bad, record in (
+        (replace(net, demands=demands), "demand 2: field 'p'"),
+        (replace(net, lines=lines), "line 1: field 'b'"),
+        (replace(net, base_mva=value), "base_mva"),
+    ):
+        report = validate(bad)
+        assert any(record in v and repr(value) in v for v in report.violations), report
+        with pytest.raises(CaseValidationError, match=record):
+            report.raise_if_invalid()
+    assert validate(net).ok
+
+
 def test_customer_der_cannot_be_damaged():
     net = Network(
         buses=(Bus(1, is_reference=True), Bus(2)),
