@@ -17,7 +17,8 @@ subset dynamic program instead of the MILP search: only lines damaged,
 at most ``DP_MAX_LINES`` of them, and every generator able to sit at
 zero output. With f(S) the best served DC power when the damaged-line
 set S is energized, the optimal order maximizes V(S) = f(S) +
-max_e V(S + e) from the empty set (the Held-Karp recursion), and f has a
+max_e V(S + e) from the empty set (the Held-Karp recursion), folded in
+blocks of whole rows over the free bits of each subset, and f has a
 closed form on a tree. The dispatch of that order is also in closed
 form, under a stated shedding rule (:func:`_shed_evenly`): the whole
 MILP point is checked against the raw rows, and its objective must
@@ -58,6 +59,9 @@ DP_AGREEMENT_TOL = 1e-7
 # peak at about 22 B per bus and island, so this bounds them (11 MB at 123
 # buses) whatever the number of distinct islands of the whole network.
 ISLAND_CHUNK = 4096
+# Low bits of a subset that pick its column in _fold's table: a row of
+# 2^5 values is gathered and maxed as one contiguous run.
+FOLD_LOW_BITS = 5
 
 
 @dataclass
@@ -331,24 +335,25 @@ def _dp_point(instance: RopInstance, order: list[int]) -> np.ndarray:
     closed = periods >= np.array([0] + [back.get(l.id, 0) for l in tree.up[1:]])[:, None]
     served, drawn, inflow = _shed_evenly(_FeederTree(net), closed)
     pos = {bid: k for k, bid in enumerate(tree.order)}
-
-    def cols(table, ids) -> np.ndarray:
-        flat = [table[(i, t)] for i in ids for t in range(T)]
-        return np.array(flat, dtype=np.intp).reshape(len(ids), T)
-
     x = np.zeros(instance.problem.lp.n_cols)
     demands, units, up = net.demands, net.generators, tree.up[1:]
-    x[cols(instance.x_col, [d.id for d in demands])] = served[[pos[d.bus] for d in demands]]
-    x[cols(instance.pg_col, [g.id for g in units])] = (
+    x[_cols(instance.x_col, [d.id for d in demands], T)] = served[[pos[d.bus] for d in demands]]
+    x[_cols(instance.pg_col, [g.id for g in units], T)] = (
         drawn[[pos[g.bus] for g in units]] * np.array([g.p_max for g in units])[:, None]
     )
     sign = [1.0 if l.from_bus == tree.order[p] else -1.0 for l, p in zip(up, tree.parent[1:])]
-    x[cols(instance.pl_col, [l.id for l in up])] = np.array(sign)[:, None] * inflow[1:]
+    x[_cols(instance.pl_col, [l.id for l in up], T)] = np.array(sign)[:, None] * inflow[1:]
     lines = net.damage.lines
-    x[cols(instance.z_col, [component_key("line", lid) for lid in lines])] = (
+    x[_cols(instance.z_col, [component_key("line", lid) for lid in lines], T)] = (
         periods >= np.array([back[lid] for lid in lines])[:, None]
     )
     return x
+
+
+def _cols(table: dict, ids: list, n_periods: int) -> np.ndarray:
+    """The columns ``table[(id, t)]`` as an ids x periods index array."""
+    flat = [table[(i, t)] for i in ids for t in range(n_periods)]
+    return np.array(flat, dtype=np.intp).reshape(len(ids), n_periods)
 
 
 def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
@@ -358,30 +363,12 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
     power times periods): period 0 has nothing repaired, period t <= K
     the first t lines of the order, and every later period all K. With
     V(S) = f(S) + max_e V(S + e) over subsets S of the damaged lines,
-    the optimum is V({}); it is folded layer by layer by popcount, and
-    the order follows the argmax from {}, ties going to the lowest
-    damaged-line index. A layer's own entries are set to -inf while it
-    takes the maximum over every bit, so for a bit already in S the
-    entry of S + e (S itself) never wins; the layer's f is then added to
-    that maximum.
+    the optimum is V({}), folded by :func:`_fold`; the order follows the
+    argmax from {}, ties going to the lowest damaged-line index.
     """
     damaged = network.damage.lines
     k_lines = len(damaged)
-    values = _served_power(network)  # f, then V in place
-    values[-1] *= n_periods - k_lines  # periods K .. T-1 have every line back
-    popcount = np.zeros(1, dtype=np.uint8)  # uint8 keys: the stable sort is a radix sort
-    for _ in range(k_lines):
-        popcount = np.concatenate((popcount, popcount + 1))
-    by_layer = np.argsort(popcount, kind="stable")
-    starts = np.searchsorted(popcount[by_layer], np.arange(k_lines + 1))
-    for layer in range(k_lines - 1, -1, -1):
-        s = by_layer[starts[layer] : starts[layer + 1]]
-        own = values[s]
-        values[s] = -np.inf  # s | bit is s itself for a bit already in s
-        best = np.full(len(s), -np.inf)
-        for k in range(k_lines):
-            np.maximum(best, values[s | 1 << k], out=best)
-        values[s] = own + best
+    values = _fold(_served_power(network), k_lines, n_periods)
     order, s = [], 0
     for _ in range(k_lines):
         free = [k for k in range(k_lines) if not s >> k & 1]
@@ -391,6 +378,67 @@ def _best_order(network: Network, n_periods: int) -> tuple[list[int], float]:
         order.append(damaged[k])
         s |= 1 << k
     return order, float(values[0])
+
+
+def _fold(values: np.ndarray, k_lines: int, n_periods: int) -> np.ndarray:
+    """V(S) = f(S) + max_e V(S + e) for every damaged-line subset S, from f.
+
+    ``values`` holds f in network bit order and becomes V in place; the
+    full set keeps f times the T - K periods that have every line back.
+    V is viewed as a table of 2^h rows by 2^l columns, l =
+    min(``FOLD_LOW_BITS``, K): the high bits pick the row, the low bits
+    the column. The rows are folded one layer at a time by the popcount
+    of their high bits, fullest first. A layer's rows are copied into a
+    block, which holds f, and ``extra`` takes the elementwise maximum of
+    the whole rows ``row | bit`` over the high bits not in each row. In
+    the block the columns are folded the same way, fullest first: each
+    column adds to its f the maximum of ``extra`` and of the block's
+    columns ``column | bit`` over the low bits not in it. Only free bits
+    are visited, lowest first by ``free & -free``, so a subset never
+    meets itself. Every V(S) is f(S) plus the maximum over the same
+    successors as one element at a time, so V is the same bit for bit.
+    """
+    values[-1] *= n_periods - k_lines  # periods K .. T-1 have every line back
+    low = min(FOLD_LOW_BITS, k_lines)
+    high = k_lines - low
+    table = values.reshape(1 << high, 1 << low)
+    column_layers = _by_popcount(low)
+    for row_count, rows in reversed(list(enumerate(_by_popcount(high)))):
+        block = table[rows]
+        extra = None  # the top layer holds the full high bits alone: nothing above it
+        for succ in _successors(rows, high, high - row_count):
+            above = table[succ]
+            extra = above if extra is None else np.maximum(extra, above, out=extra)
+        for col_count, cols in reversed(list(enumerate(column_layers))):
+            if extra is None and col_count == low:
+                continue  # the full set
+            best = None if extra is None else extra[:, cols]
+            for succ in _successors(cols, low, low - col_count):
+                above = block[:, succ]
+                best = above if best is None else np.maximum(best, above, out=best)
+            block[:, cols] += best
+        table[rows] = block
+    return values
+
+
+def _by_popcount(n_bits: int) -> list[np.ndarray]:
+    """The numbers 0 .. 2^n_bits - 1 grouped by popcount: entry p holds those with p bits set."""
+    popcount = np.zeros(1, dtype=np.intp)
+    for _ in range(n_bits):
+        popcount = np.concatenate((popcount, popcount + 1))
+    return [np.flatnonzero(popcount == p) for p in range(n_bits + 1)]
+
+
+def _successors(members: np.ndarray, n_bits: int, n_free: int):
+    """``members | bit`` for each of the n_bits bits not in a member, lowest first.
+
+    Every member must have exactly ``n_free`` of its n_bits bits clear.
+    """
+    free = ~members & ((1 << n_bits) - 1)
+    for _ in range(n_free):
+        bit = free & -free
+        yield members | bit
+        free ^= bit
 
 
 def _served_power(network: Network) -> np.ndarray:
@@ -600,21 +648,14 @@ def _shed_evenly(
 
 def _extract_plan(instance: RopInstance, sol: Solution) -> RestorationPlan:
     T = instance.time.n_periods
-    energization: dict[str, int] = {}
-    for key in instance.damage.component_keys():
-        for t in range(T):
-            if sol.x[instance.z_col[(key, t)]] > 0.5:
-                energization[key] = t
-                break
+    keys = instance.damage.component_keys()
+    on = sol.x[_cols(instance.z_col, keys, T)] > 0.5
+    energization = {key: int(row.argmax()) for key, row in zip(keys, on) if row.any()}
     schedule = tuple(
         tuple(k for k, ft in energization.items() if ft == t) for t in range(T)
     )
     demands = instance.case.network.demands
-    x = np.empty((len(demands), T))
-    for di, d in enumerate(demands):
-        for t in range(T):
-            x[di, t] = sol.x[instance.x_col[(d.id, t)]]
-    x = np.clip(x, 0.0, 1.0)
+    x = np.clip(sol.x[_cols(instance.x_col, [d.id for d in demands], T)], 0.0, 1.0)
     base = instance.case.network.base_mva
     return RestorationPlan(
         schedule=schedule,

@@ -9,9 +9,13 @@ islands found by ``np.unique`` and looked up by ``np.searchsorted``,
 one scoring call per segment. Both add the segments in the same order,
 so the tests hold the two equal bit for bit.
 
-``rop._best_order`` folds V(S) = f(S) + max_e V(S + e) one popcount
-layer at a time, with no per-bit mask. :func:`best_order` is the plain
-Held-Karp loop over single subsets, with the same tie rule.
+``rop._fold`` folds V(S) = f(S) + max_e V(S + e) in row blocks over
+the free bits of each subset only. :func:`layered_fold` keeps the fold it
+replaced, which visits one popcount layer of subsets at a time, takes the
+maximum over every bit for each, and sets the layer's own entries to
+-inf so that a bit already in S never wins; the tests hold the two V
+equal bit for bit. :func:`best_order` is the plain Held-Karp loop over
+single subsets, with the same tie rule.
 """
 
 from __future__ import annotations
@@ -40,6 +44,25 @@ def served_power(network) -> np.ndarray:
             below[parent] = below.get(parent, 0) | mask * closed
         served += values
     return served
+
+
+def layered_fold(values: np.ndarray, k_lines: int, n_periods: int) -> np.ndarray:
+    """V from f, in place, one popcount layer of subsets at a time."""
+    values[-1] *= n_periods - k_lines  # periods K .. T-1 have every line back
+    popcount = np.zeros(1, dtype=np.uint8)  # uint8 keys: the stable sort is a radix sort
+    for _ in range(k_lines):
+        popcount = np.concatenate((popcount, popcount + 1))
+    by_layer = np.argsort(popcount, kind="stable")
+    starts = np.searchsorted(popcount[by_layer], np.arange(k_lines + 1))
+    for layer in range(k_lines - 1, -1, -1):
+        s = by_layer[starts[layer] : starts[layer + 1]]
+        own = values[s]
+        values[s] = -np.inf  # s | bit is s itself for a bit already in s
+        best = np.full(len(s), -np.inf)
+        for k in range(k_lines):
+            np.maximum(best, values[s | 1 << k], out=best)
+        values[s] = own + best
+    return values
 
 
 def best_order(f, k_lines: int, n_periods: int) -> tuple[list[int], float]:

@@ -6,7 +6,8 @@ MILP optimum of HiGHS and of the reference branch-and-bound, and the
 routing between the DP and the MILP path. The per-segment served-power
 kernel, which scores the islands of every segment in one call, is held
 bit for bit to the all-subsets kernel it replaced (``dp_reference``),
-and pinned on the six bundled cases; the layered fold is held to a plain
+and pinned on the six bundled cases. The row-block fold is held bit for
+bit to the layered fold it replaced, and the order it gives to a plain
 Held-Karp loop over single subsets with the same tie rule. The closed-form
 dispatch of the DP's order is checked for feasibility, for the optimum
 of every period, and for the conditions of its shedding rule, recomputed
@@ -143,6 +144,7 @@ def test_damaged_bus_takes_milp_path(solve_milp_calls):
     inst = build_rop(as_case(net), TimeGrid(4))
     plan = solve_rop(inst)
     assert solve_milp_calls == [inst.problem]
+    assert plan.energization == {"bus:2": 1, "line:1": 2, "line:2": 3}
     assert plan.objective_mwh == pytest.approx(4.0, abs=1e-7)
 
 
@@ -346,6 +348,29 @@ def test_fold_matches_held_karp_reference(monkeypatch):
                 assert bits == list(range(k_lines))
 
 
+def test_fold_matches_layered_reference():
+    rng = np.random.RandomState(29)
+    for k_lines in range(11, 15):
+        for f in fold_inputs(rng, k_lines):
+            n_periods = k_lines + 1 + int(rng.randint(3))
+            expected = dp_reference.layered_fold(f.copy(), k_lines, n_periods)
+            assert np.array_equal(rop._fold(f.copy(), k_lines, n_periods), expected)
+    k_lines = rop.DP_MAX_LINES
+    f = rng.uniform(0.0, 5.0, size=1 << k_lines)
+    expected = dp_reference.layered_fold(f.copy(), k_lines, k_lines + 2)
+    assert np.array_equal(rop._fold(f.copy(), k_lines, k_lines + 2), expected)
+
+
+def test_fold_low_bits_change_no_bit(monkeypatch):
+    k_lines = 12
+    for f in fold_inputs(np.random.RandomState(37), k_lines):
+        whole = rop._fold(f.copy(), k_lines, k_lines + 2)
+        for low in (0, 1, k_lines):
+            monkeypatch.setattr(rop, "FOLD_LOW_BITS", low)
+            assert np.array_equal(rop._fold(f.copy(), k_lines, k_lines + 2), whole)
+        monkeypatch.undo()
+
+
 def test_served_power_memory_is_bounded_per_subset():
     # 16 spurs off the root segment: 2^16 distinct islands of 17 buses,
     # 357 B per subset (23 MB) when scored in one batch, 56 B in chunks
@@ -359,6 +384,23 @@ def test_served_power_memory_is_bounded_per_subset():
     finally:
         tracemalloc.stop()
     assert peak < 128 * (1 << k)
+
+
+def test_fold_memory_is_bounded_per_subset(monkeypatch):
+    # f's copy is 8 B per subset; the layered fold it replaced peaked at
+    # 26 B, the row blocks at about 13 B
+    k = rop.DP_MAX_LINES
+    net = star_feeder(k)
+    f = np.random.RandomState(43).uniform(0.0, 5.0, size=1 << k)
+    monkeypatch.setattr(rop, "_served_power", lambda network: f.copy())
+    rop._best_order(net, k + 2)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        rop._best_order(net, k + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (1 << k)
 
 
 # sha256 of _served_power(net).tobytes() (little-endian float64), the DP's
@@ -403,8 +445,12 @@ BUNDLED_DP = {
 def test_bundled_served_power_and_order_are_pinned(storm_network, storm_grid, placement, mode):
     net = apply_der_mode(storm_network, datasets.bundled_placement(placement), mode).network
     digest, order, value = BUNDLED_DP[(placement, mode)]
-    assert hashlib.sha256(rop._served_power(net).tobytes()).hexdigest() == digest
+    f = rop._served_power(net)
+    assert hashlib.sha256(f.tobytes()).hexdigest() == digest
     assert rop._best_order(net, storm_grid.n_periods) == (order, value)
+    k_lines, n_periods = len(order), storm_grid.n_periods
+    expected = dp_reference.layered_fold(f.copy(), k_lines, n_periods)
+    assert np.array_equal(rop._fold(f, k_lines, n_periods), expected)
 
 
 def dp_point(inst):
