@@ -9,7 +9,9 @@ has no effect, so that scripts written for the former worker count keep
 running. Every flag can also be supplied through an environment variable
 named ``GRIDRESTORE_<FLAG>`` (for example ``GRIDRESTORE_CASE``); explicit
 flags win, and a malformed numeric variable is an error only for the
-commands that read it. ``sweep`` builds each result table once:
+commands that read it. ``--horizon`` must be at least 1, ``--gap`` finite
+and at least 0, ``--tol`` finite and above 0; a value outside its range
+is an error before any work. ``sweep`` builds each result table once:
 ``ens_summary.csv`` and ``fig2_ens.json`` hold the same per-case rows,
 ``sensitivity.csv`` and ``fig6_sensitivity.json`` the same per-cell rows
 (the CSV adds ``converged``). Outputs are deterministic: repeated runs
@@ -39,12 +41,15 @@ from .scenarios import DerMode, DerPlacement, apply_der_mode, load_scenario
 from .study import run_study
 
 ENV_PREFIX = "GRIDRESTORE_"
-# numeric flags: type, default and help text; each subcommand takes the
-# ones it reads, and main casts them before any work
+# numeric flags: type, default, help text and the range a given value must
+# lie in; each subcommand takes the ones it reads, and main casts and
+# checks them before any work
 NUMBER_FLAGS = {
-    "horizon": (int, None, "periods (default: 1 + damaged count)"),
-    "gap": (float, milp.DEFAULT_REL_GAP, "MILP relative gap (instances the subset DP does not solve)"),
-    "tol": (float, replay.DEFAULT_RESIDUAL_TOL, "AC residual tolerance"),
+    "horizon": (int, None, "periods (default: 1 + damaged count)", "at least 1", lambda n: n >= 1),
+    "gap": (float, milp.DEFAULT_REL_GAP, "MILP relative gap (instances the subset DP does not solve)",
+            "finite and at least 0", lambda x: 0 <= x < math.inf),
+    "tol": (float, replay.DEFAULT_RESIDUAL_TOL, "AC residual tolerance",
+            "finite and above 0", lambda x: 0 < x < math.inf),
 }
 
 
@@ -52,23 +57,24 @@ def _env_default(name: str, fallback=None):
     return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
-def _number(args, name: str, cast, fallback):
-    """A numeric flag, else its environment variable, else ``fallback``.
-
-    The variable is cast here, not while the parser is built, so a
-    malformed value fails only the commands that read it.
-    """
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    raw = _env_default(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        variable = ENV_PREFIX + name.upper()
-        raise ConfigError(f"{variable}={raw!r} is not a valid {cast.__name__}") from None
+def _number(args, name: str):
+    """A numeric flag, else its environment variable, else its default; a
+    value outside the flag's range is a ConfigError. The variable is cast
+    here, not by the parser, so a malformed one fails only its readers."""
+    cast, default, _, rule, ok = NUMBER_FLAGS[name]
+    value, source = getattr(args, name), f"--{name}"
+    if value is None:
+        source = ENV_PREFIX + name.upper()
+        raw = os.environ.get(source)
+        if raw is None:
+            return default
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ConfigError(f"{source}={raw!r} is not a valid {cast.__name__}") from None
+    if not ok(value):
+        raise ConfigError(f"{source} must be {rule}, got {value}")
+    return value
 
 
 def _network(args):
@@ -90,11 +96,7 @@ def _placements(args) -> list[DerPlacement]:
 
 
 def _time_grid(args, network) -> TimeGrid:
-    if args.horizon is None:
-        return time_grid_for(network)
-    if args.horizon < 1:
-        raise ConfigError(f"--horizon must be at least 1, got {args.horizon}")
-    return TimeGrid(args.horizon)
+    return time_grid_for(network) if args.horizon is None else TimeGrid(args.horizon)
 
 
 def _meta() -> dict:
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--damage", default=_env_default("damage"), help="damage JSON (default: bundled storm set)")
         sp.add_argument("--out", default=_env_default("out", "out"), help="output directory")
         for n in numbers:
-            cast, _, help_text = NUMBER_FLAGS[n]
+            cast, _, help_text, _, _ = NUMBER_FLAGS[n]
             sp.add_argument(f"--{n}", type=cast, help=help_text)
         sp.add_argument("--jobs", dest="unused_jobs", help="no effect: the replay uses every usable core")
         return sp
@@ -341,9 +343,9 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name, (cast, default, _) in NUMBER_FLAGS.items():
+        for name in NUMBER_FLAGS:
             if hasattr(args, name):
-                setattr(args, name, _number(args, name, cast, default))
+                setattr(args, name, _number(args, name))
         commands = {"plan": cmd_plan, "simulate": cmd_simulate, "sweep": cmd_sweep,
                     "report": cmd_report}
         return commands[args.command](args)

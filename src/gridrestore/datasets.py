@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .errors import CaseFormatError
-from .model import Network, apply_damage, check_json, load_case, read_json
+from .model import Network, apply_damage, check_record, load_case, read_json
 from .scenarios import DerPlacement, load_scenario
 
 CASE_FILE = "ieee123_1ph.json"
@@ -35,11 +34,11 @@ def bundled_damaged_case() -> Network:
     return apply_damage(bundled_case(), bundled_damage_ids())
 
 
+# A damage file's fields: their JSON types and the required ones
+_DAMAGE_FORMAT = ({"damaged_line_ids": "list of integer"}, frozenset({"damaged_line_ids"}))
+
+
 def load_damage_file(path) -> list[int]:
-    """Damaged line ids from a damage file (see ``CASE_SCHEMA.md``)."""
-    raw = check_json(read_json(path, "damage"), "object", f"damage file {path}")
-    if "damaged_line_ids" not in raw:
-        raise CaseFormatError(f"damage file {path} is missing 'damaged_line_ids'")
-    return check_json(
-        raw["damaged_line_ids"], "list of integer", f"damage file {path} field 'damaged_line_ids'"
-    )
+    """Damaged line ids of a damage file, checked by ``model.check_record`` (``CASE_SCHEMA.md``)."""
+    raw = read_json(path, "damage")
+    return check_record(raw, f"damage file {path}", *_DAMAGE_FORMAT)["damaged_line_ids"]

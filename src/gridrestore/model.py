@@ -105,8 +105,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_periods < 1:
             raise ValueError("n_periods must be at least 1")
-        if self.step_hours <= 0:
-            raise ValueError("step_hours must be positive")
+        if not 0 < self.step_hours < math.inf:
+            raise ValueError(f"step_hours must be positive and finite, got {self.step_hours}")
 
 
 @dataclass(frozen=True)
@@ -411,53 +411,61 @@ class Network:
 
 
 def validate(network: Network) -> ValidationReport:
-    """Check every structural invariant; returns a report, never raises."""
-    v: list[str] = []
-    if not 0.0 < network.base_mva < math.inf:
-        v.append(f"base_mva must be positive and finite, got {network.base_mva!r}")
-    for key, (name, _, types, _, _) in _RECORD_FORMATS.items():
-        for e in getattr(network, key):
-            v.extend(
-                f"{name} {e.id}: field {f!r} must be finite, got {getattr(e, f)!r}"
-                for f, kind in types.items()
-                if kind == "number" and not math.isfinite(getattr(e, f))
-            )
-    bus_ids = [b.id for b in network.buses]
-    for bid, count in Counter(bus_ids).items():
-        if count > 1:
-            v.append(f"duplicate bus id {bid}")
-    known = set(bus_ids)
+    """Check every structural invariant; returns a report, never raises.
 
-    refs = [b.id for b in network.buses if b.is_reference]
+    One pass over each record kind of ``_RECORD_FORMATS`` reports ill-typed
+    fields, non-finite numbers, missing buses and duplicate ids; the kind's
+    rules check its well-typed records, and radiality runs if all are."""
+    v: list[str] = []
+
+    def typed(x, kind):  # a numpy scalar has the type of the Python value it holds
+        return type(x.item() if isinstance(x, np.generic) else x) in _JSON_TYPES[kind]
+
+    if not (typed(network.base_mva, "number") and 0.0 < network.base_mva < math.inf):
+        v.append(f"base_mva must be positive and finite, got {network.base_mva!r}")
+    well_typed, bus_ids, failed = {}, set(), False
+    for key, (name, _, types, _, _) in _RECORD_FORMATS.items():
+        records = getattr(network, key)
+        ill = set()  # the positions of the records with an ill-typed field
+        # each field's JSON type and values; a record's __dict__ holds its fields in order
+        columns = list(zip(types.items(), zip(*[vars(e).values() for e in records])))
+        for (f, kind), column in columns:
+            if not set(map(type, column)) <= set(_JSON_TYPES[kind]):
+                bad = [k for k, x in enumerate(column) if not typed(x, kind)]
+                v.extend(f"{name} {records[k].id}: field {f!r} must be JSON {kind}, got {column[k]!r}"
+                         for k in bad)
+                ill.update(bad)
+        if ill:  # the checks below read the well-typed records only
+            failed, records = True, [e for k, e in enumerate(records) if k not in ill]
+            columns = list(zip(types.items(), zip(*[vars(e).values() for e in records])))
+        well_typed[key] = records
+        for (f, kind), column in columns:
+            if kind == "number" and not math.isfinite(sum(column)):  # finite only if each term is
+                v.extend(f"{name} {e.id}: field {f!r} must be finite, got {x!r}"
+                         for e, x in zip(records, column) if not math.isfinite(x))
+            elif f in ("from_bus", "to_bus", "bus") and not bus_ids.issuperset(column):
+                v.extend(f"{name} {e.id}: {f} {x} does not exist"
+                         for e, x in zip(records, column) if x not in bus_ids)
+        ids = Counter(e.id for e in records)
+        v.extend(f"duplicate {name} id {i}" for i, count in ids.items() if count > 1)
+        bus_ids = set(ids) if key == "buses" else bus_ids
+
+    refs = [b.id for b in well_typed["buses"] if b.is_reference]
     if len(refs) != 1:
         v.append(f"expected exactly one reference bus, found {len(refs)}: {refs}")
-
-    for b in network.buses:
+    for b in well_typed["buses"]:
         if not (0.0 < b.v_min < b.v_max):
             v.append(f"bus {b.id}: voltage bounds must satisfy 0 < v_min < v_max")
-
-    for lid, count in Counter(l.id for l in network.lines).items():
-        if count > 1:
-            v.append(f"duplicate line id {lid}")
-    for l in network.lines:
+    for l in well_typed["lines"]:
         if l.from_bus == l.to_bus:
             v.append(f"line {l.id}: from_bus equals to_bus ({l.from_bus})")
-        for end, name in ((l.from_bus, "from_bus"), (l.to_bus, "to_bus")):
-            if end not in known:
-                v.append(f"line {l.id}: {name} {end} does not exist")
         if abs(l.t_m**2 - (l.t_r**2 + l.t_i**2)) > 1e-9 * max(1.0, l.t_m**2):
             v.append(f"line {l.id}: tap magnitude inconsistent with components")
         if l.thermal_limit <= 0:
             v.append(f"line {l.id}: thermal limit must be positive")
         if not (l.angle_min < 0.0 < l.angle_max):
             v.append(f"line {l.id}: angle bounds must straddle zero")
-
-    for gid, count in Counter(g.id for g in network.generators).items():
-        if count > 1:
-            v.append(f"duplicate generator id {gid}")
-    for g in network.generators:
-        if g.bus not in known:
-            v.append(f"generator {g.id}: bus {g.bus} does not exist")
+    for g in well_typed["generators"]:
         if g.p_min > g.p_max:
             v.append(f"generator {g.id}: p_min greater than p_max")
         if g.q_min > g.q_max:
@@ -466,17 +474,12 @@ def validate(network: Network) -> ValidationReport:
             v.append(f"generator {g.id}: unknown kind {g.kind!r}")
         if g.damaged and g.kind not in DAMAGEABLE_GEN_KINDS:
             v.append(f"generator {g.id}: kind {g.kind} cannot be damaged")
-
-    for did, count in Counter(d.id for d in network.demands).items():
-        if count > 1:
-            v.append(f"duplicate demand id {did}")
-    for d in network.demands:
-        if d.bus not in known:
-            v.append(f"demand {d.id}: bus {d.bus} does not exist")
+    for d in well_typed["demands"]:
         if d.p < 0:
             v.append(f"demand {d.id}: active power must be non-negative")
 
-    v.extend(_radiality_violations(network))
+    if not failed:
+        v.extend(_radiality_violations(network))
     return ValidationReport(tuple(v))
 
 
@@ -572,15 +575,39 @@ def check_json(value, kind: str, where: str):
     """``value`` if it has the JSON type ``kind``, else a CaseFormatError
     naming ``where``. ``kind`` is a key of ``_JSON_TYPES``, or ``"list of "``
     and a key for a list whose items all have that type."""
-    item = kind.removeprefix("list of ")
-    types = _JSON_TYPES[item]
-    if item == kind:
-        ok = type(value) in types
-    else:
-        ok = type(value) is list and all(type(v) in types for v in value)
-    if not ok:
+    if not _is_json(value, kind):
         raise CaseFormatError(f"{where} must be JSON {kind}, got {value!r}")
     return value
+
+
+def _is_json(value, kind: str) -> bool:
+    item = kind.removeprefix("list of ")
+    if item == kind:
+        return type(value) in _JSON_TYPES[kind]
+    return type(value) is list and all(type(v) in _JSON_TYPES[item] for v in value)
+
+
+def check_record(record, name: str, types: dict[str, str], required: frozenset[str]):
+    """``record`` if it is a JSON object with every field in ``required``, none
+    outside ``types`` and each of the kind ``types`` gives it (see :func:`check_json`);
+    else a CaseFormatError, formatted only then, naming record and field."""
+    if type(record) is not dict:
+        check_json(record, "object", name)
+    if not required <= record.keys():
+        missing = next(f for f in types if f in required and f not in record)
+        raise CaseFormatError(f"{_named(record, name, types)}: missing field {missing!r}")
+    for f, value in record.items():
+        kind = types.get(f)
+        if kind is None:
+            raise CaseFormatError(f"{_named(record, name, types)}: unknown field {f!r}")
+        # the exact type settles a scalar field; a list field is checked item by item
+        if type(value) not in _JSON_TYPES.get(kind, ()) and not _is_json(value, kind):
+            check_json(value, kind, f"{_named(record, name, types)} field {f!r}")
+    return record
+
+
+def _named(record: dict, name: str, types: dict[str, str]) -> str:
+    return f"{name} {record.get('id', '?')}" if "id" in types else name
 
 
 def load_case(path) -> Network:
@@ -591,7 +618,8 @@ def load_case(path) -> Network:
 
 
 def network_from_dict(raw: dict) -> Network:
-    """Build a Network from parsed case-file data (physical units)."""
+    """Build a Network from parsed case-file data (physical units); each
+    record is checked against its format by :func:`check_record`."""
     check_json(raw, "object", "case file")
     for key in ("base_mva", *_RECORD_FORMATS):
         if key not in raw:
@@ -603,17 +631,7 @@ def network_from_dict(raw: dict) -> Network:
     for key, (name, cls, types, required, physical) in _RECORD_FORMATS.items():
         out = []
         for record in check_json(raw[key], "list of object", f"case field {key!r}"):
-            ident = record.get("id", "?")
-            if not required <= record.keys():
-                missing = next(f for f in types if f in required and f not in record)
-                raise CaseFormatError(f"{name} {ident}: missing field {missing!r}")
-            for f, value in record.items():
-                if f not in types:
-                    raise CaseFormatError(f"{name} {ident}: unknown field {f!r}")
-                # the message is formatted only for a value that fails
-                if type(value) not in _JSON_TYPES[types[f]]:
-                    check_json(value, types[f], f"{name} {ident} field {f!r}")
-            values = dict(record)
+            values = dict(check_record(record, name, types, required))
             for f in physical:
                 if f in values:
                     values[f] /= base

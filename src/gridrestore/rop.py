@@ -40,7 +40,7 @@ import numpy as np
 from .errors import CaseFormatError, CaseValidationError, InfeasibleError, SolverError
 from . import milp
 from .milp import OPTIMAL, MilpProblem, ProblemBuilder, Solution, solve_milp
-from .model import DamageSets, Network, TimeGrid, check_json, component_key, read_json
+from .model import DamageSets, Network, TimeGrid, check_json, check_record, component_key, read_json
 from .scenarios import EffectiveCase
 
 # The subset DP holds a few 2^K arrays (f and then V, the root segment's
@@ -62,6 +62,11 @@ ISLAND_CHUNK = 4096
 # Low bits of a subset that pick its column in _fold's table: a row of
 # 2^5 values is gathered and maxed as one contiguous run.
 FOLD_LOW_BITS = 5
+
+
+# A saved plan's fields: their JSON types and the required ones
+_PLAN_FORMAT = ({"schedule": "list of list", "energization": "object", "objective_mwh": "number",
+                 "optimal": "boolean", "gap": "number"}, frozenset({"schedule", "energization", "objective_mwh"}))
 
 
 @dataclass
@@ -96,39 +101,23 @@ class RestorationPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RestorationPlan":
-        """Parse a saved plan; missing or ill-typed keys raise CaseFormatError,
-        and so do an empty schedule and a schedule that is not the
-        energization grouped by period."""
-        check_json(raw, "object", "plan")
-
-        def field(key, kind, default=None):
-            if key not in raw and default is None:
-                raise CaseFormatError(f"plan is missing key {key!r}")
-            return check_json(raw.get(key, default), kind, f"plan field {key!r}")
-
-        schedule = field("schedule", "list of list")
-        for t, period in enumerate(schedule):
-            check_json(period, "list of string", f"plan schedule period {t}")
-        energization = field("energization", "object")
-        for key, t in energization.items():
-            check_json(t, "integer", f"plan energization of {key}")
-        plan = cls(
-            schedule=tuple(tuple(p) for p in schedule),
-            energization=dict(energization),
-            objective_mwh=float(field("objective_mwh", "number")),
-            optimal=field("optimal", "boolean", True),
-            gap=float(field("gap", "number", 0.0)),
-        )
-        if not plan.n_periods:
+        """Parse a saved plan, checked against ``_PLAN_FORMAT`` by
+        ``model.check_record``; an empty schedule, an ill-typed period and a
+        schedule that is not the energization grouped by period raise
+        CaseFormatError too."""
+        raw = check_record(raw, "plan", *_PLAN_FORMAT)
+        schedule, energization = raw["schedule"], raw["energization"]
+        if not schedule:
             raise CaseFormatError("plan has no periods")
-        for key, t in plan.energization.items():
-            if not 0 <= t < plan.n_periods:
+        for key, t in energization.items():
+            if not 0 <= check_json(t, "integer", f"plan energization of {key}") < len(schedule):
                 raise CaseFormatError(f"plan energizes {key} in period {t}, outside its schedule")
-        for t, listed in enumerate(plan.schedule):
-            due = sorted(k for k, first in plan.energization.items() if first == t)
-            if sorted(listed) != due:
+        for t, listed in enumerate(schedule):
+            due = sorted(k for k, first in energization.items() if first == t)
+            if sorted(check_json(listed, "list of string", f"plan schedule period {t}")) != due:
                 raise CaseFormatError(f"plan schedule period {t} lists {sorted(listed)}, not {due}")
-        return plan
+        return cls(tuple(map(tuple, schedule)), dict(energization), float(raw["objective_mwh"]),
+                   optimal=raw.get("optimal", True), gap=float(raw.get("gap", 0.0)))
 
     @classmethod
     def load(cls, path) -> "RestorationPlan":

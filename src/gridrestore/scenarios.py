@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import CaseFormatError, UnknownIdError
-from .model import CUSTOMER_DER, Generator, Network, check_json, read_json
+from .model import CUSTOMER_DER, Generator, Network, check_record, read_json
 
 HOME_LOAD_FLOOR = 0.01
 
@@ -25,12 +25,8 @@ class DerMode(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "DerMode":
-        aliases = {
-            "base": cls.BASE,
-            "home": cls.HOME_MICROGRID,
-            "home_microgrid": cls.HOME_MICROGRID,
-            "community": cls.COMMUNITY_MICROGRID,
-            "community_microgrid": cls.COMMUNITY_MICROGRID,
+        aliases = {m.value: m for m in cls} | {
+            "home": cls.HOME_MICROGRID, "community": cls.COMMUNITY_MICROGRID,
         }
         try:
             return aliases[text.strip().lower()]
@@ -53,10 +49,9 @@ class DerPlacement:
     q_max: float = 0.05
 
     def __post_init__(self):
-        if self.p_max < 0:
-            raise ValueError("per-DER active rating must be non-negative")
-        if self.q_min > self.q_max:
-            raise ValueError("per-DER reactive bounds are inverted")
+        inf = float("inf")
+        if not (0 <= self.p_max < inf and -inf < self.q_min <= self.q_max < inf):
+            raise ValueError("per-DER ratings must be finite, with p_max >= 0 and q_min <= q_max")
 
     def capacity_by_bus(self) -> dict[int, float]:
         cap: dict[int, float] = {}
@@ -81,8 +76,8 @@ class EffectiveCase:
 
 def home_microgrid_load(d_org: float, p_der: float) -> float:
     """Net load after a home DER offsets it, floored at 1% of the original."""
-    if d_org < 0 or p_der < 0:
-        raise ValueError("load and DER power must be non-negative")
+    if not (0 <= d_org < float("inf") and 0 <= p_der < float("inf")):
+        raise ValueError("load and DER power must be non-negative and finite")
     return max(HOME_LOAD_FLOOR * d_org, d_org - p_der)
 
 
@@ -164,25 +159,21 @@ def enumerate_cases(network: Network, placements, modes) -> list[EffectiveCase]:
     ]
 
 
+# A scenario file's placement: its fields' JSON types and the required ones
+_PLACEMENT_FORMAT = ({"name": "string", "der_nodes": "list of integer", "p_max": "number",
+                      "q_min": "number", "q_max": "number"}, frozenset({"der_nodes"}))
+
+
 def load_scenario(path) -> DerPlacement:
-    """The DER placement of a scenario file; the DER mode is chosen by the caller."""
+    """The DER placement of a scenario file, checked against ``_PLACEMENT_FORMAT``
+    by ``model.check_record`` (``name`` defaults to the file's stem); the file's
+    other top-level keys are ignored, and the caller chooses the DER mode."""
     path = Path(path)
     raw = read_json(path, "scenario")
     if not isinstance(raw, dict) or "placement" not in raw:
         raise CaseFormatError(f"scenario file {path} is missing 'placement'")
-    p = check_json(raw["placement"], "object", f"scenario file {path} field 'placement'")
-    if "der_nodes" not in p:
-        raise CaseFormatError(f"scenario file {path}: placement is missing 'der_nodes'")
-    where = f"scenario file {path} placement field"
-    fields = {
-        "name": check_json(p.get("name", path.stem), "string", f"{where} 'name'"),
-        "der_nodes": tuple(check_json(p["der_nodes"], "list of integer", f"{where} 'der_nodes'")),
-    }
-    # the DER ratings default to DerPlacement's
-    for f in ("p_max", "q_min", "q_max"):
-        if f in p:
-            fields[f] = float(check_json(p[f], "number", f"{where} {f!r}"))
+    p = check_record(raw["placement"], f"scenario file {path} placement", *_PLACEMENT_FORMAT)
     try:
-        return DerPlacement(**fields)
+        return DerPlacement(**{"name": path.stem, **p, "der_nodes": tuple(p["der_nodes"])})
     except ValueError as exc:
         raise CaseFormatError(f"scenario file {path}: bad placement ({exc})") from exc

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import gridrestore
-from gridrestore import cli
+from gridrestore import cli, datasets
 from gridrestore.cli import main
+from gridrestore.model import validate
+from gridrestore.rop import RestorationPlan
 
 
 @pytest.fixture()
@@ -268,6 +270,47 @@ def _plan_with_nan_objective(d, env):
     return _plan_field(d, "objective_mwh", float("nan"))
 
 
+def _scenario_with_misspelt_p_max(d, env):
+    return _scenario_rating(d, "p_mx", 0.5)  # not a 0.5 MW rating
+
+
+def _damage_with_unknown_field(d, env):
+    (d / "damage.json").write_text(json.dumps({"damaged_line_ids": [2], "damaged_bus_ids": [3]}))
+    return ["plan"]
+
+
+def _plan_with_unknown_key(d, env):
+    return _plan_field(d, "objective", 2.0)
+
+
+def _simulate_with_tol(d, tol):
+    plan = {"schedule": [[], ["line:2"]], "energization": {"line:2": 1}, "objective_mwh": 2.0}
+    (d / "plan.json").write_text(json.dumps(plan))
+    return ["simulate", "--plan", str(d / "plan.json"), "--tol", tol]
+
+
+def _infinite_tol(d, env):
+    return _simulate_with_tol(d, "inf")
+
+
+def _nan_tol(d, env):
+    return _simulate_with_tol(d, "nan")
+
+
+def _tol_variable_zero(d, env):
+    env.setenv("GRIDRESTORE_TOL", "0")
+    return _simulate_with_tol(d, "0")[:-2]
+
+
+def _negative_gap(d, env):
+    return ["plan", "--gap", "-0.01"]
+
+
+def _gap_variable_infinite(d, env):
+    env.setenv("GRIDRESTORE_GAP", "inf")
+    return ["plan"]
+
+
 def _case_with_list_bus_record(d, env):
     case = json.loads((d / "case.json").read_text())
     case["buses"][1] = [2]
@@ -362,6 +405,14 @@ def _tol_variable_not_float(d, env):
         _horizon_variable_not_int,
         _gap_variable_not_float,
         _tol_variable_not_float,
+        _scenario_with_misspelt_p_max,
+        _damage_with_unknown_field,
+        _plan_with_unknown_key,
+        _infinite_tol,
+        _nan_tol,
+        _tol_variable_zero,
+        _negative_gap,
+        _gap_variable_infinite,
     ],
 )
 def test_bad_input_exits_one(toy_dir, capsys, monkeypatch, corrupt):
@@ -369,6 +420,36 @@ def test_bad_input_exits_one(toy_dir, capsys, monkeypatch, corrupt):
     code = main([command, *_args(toy_dir, toy_dir / "out_bad"), *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--plan", "missing.json", "--tol", "inf"], "--tol must be finite and above 0, got inf"),
+        (["simulate", "--plan", "missing.json", "--tol=-1e-6"],
+         "--tol must be finite and above 0, got -1e-06"),
+        (["plan", "--gap", "nan"], "--gap must be finite and at least 0, got nan"),
+        (["sweep", "--horizon", "0"], "--horizon must be at least 1, got 0"),
+    ],
+)
+def test_number_flag_ranges_are_checked_before_any_work(toy_dir, capsys, argv, message):
+    out = toy_dir / "never_made"
+    assert main([*argv, "--case", str(toy_dir / "missing_case.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_number_flag_range_bounds_are_accepted(toy_dir):
+    out = toy_dir / "out_bounds"
+    assert main(["plan", *_args(toy_dir, out), "--gap", "0", "--horizon", "2"]) == 0
+
+
+def test_number_variable_out_of_range_names_the_variable(toy_dir, capsys, monkeypatch):
+    monkeypatch.setenv("GRIDRESTORE_GAP", "inf")
+    out = toy_dir / "never_made"
+    assert main(["plan", *_args(toy_dir, out)]) == 1
+    assert capsys.readouterr().err == "error: GRIDRESTORE_GAP must be finite and at least 0, got inf\n"
+    assert not out.exists()
 
 
 def test_malformed_number_variable_fails_only_its_readers(toy_dir, capsys, monkeypatch):
@@ -636,9 +717,9 @@ def test_module_entry_point_runs(tmp_path):
     assert run.stdout.startswith("usage: gridrestore")
 
 
-def _benchmark_tracing(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _benchmark_module(monkeypatch, name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
     spec.loader.exec_module(module)
@@ -648,7 +729,7 @@ def _benchmark_tracing(monkeypatch):
 def test_benchmark_tracer_finds_and_restores_every_name(toy_dir, capsys, monkeypatch):
     """The benchmark's tracer patches names on the package's modules; each
     must exist, be called through its module, and come back unpatched."""
-    tracing = _benchmark_tracing(monkeypatch)
+    tracing = _benchmark_module(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
@@ -666,3 +747,22 @@ def test_benchmark_tracer_finds_and_restores_every_name(toy_dir, capsys, monkeyp
         "model.load_case", "model.apply_damage", "scenarios.apply_der_mode",
         "rop.build_rop", "rop.solve_rop", "replay.simulate_plan",
     }
+
+
+def test_shipped_and_benchmark_inputs_load(tmp_path, monkeypatch):
+    """The strict readers take every input file the package ships and the
+    benchmark reads: a reader that refused one would fail every run."""
+    assert validate(datasets.bundled_case()).ok
+    placements = [datasets.bundled_placement(name) for name in ("uniform", "clustered")]
+    assert [len(p.der_nodes) for p in placements] == [29, 16]
+    assert len(datasets.bundled_damage_ids()) == 18
+    workloads = _benchmark_module(monkeypatch, "workloads")
+    plans = sorted((workloads.FROZEN / "plans").glob("plan_*.json"))
+    assert len(plans) == 6
+    for path in plans:  # read only
+        assert RestorationPlan.load(path).n_periods == 19
+    storms = workloads.StormsWorkload(seed=1, workdir=tmp_path)
+    storms.load_inputs()
+    assert storms.damage_files
+    for path, lines in zip(storms.damage_files, storms.storms):
+        assert datasets.load_damage_file(path) == lines

@@ -128,6 +128,45 @@ def test_validate_refuses_non_finite_numbers(value):
     assert validate(net).ok
 
 
+def test_validate_reports_ill_typed_fields_and_never_raises():
+    # what no case file can hold: a None power, a list id, a bool bus, a
+    # numpy bool flag where a number belongs
+    net = chain3()
+    bad = (
+        (replace(net, demands=(replace(net.demands[0], p=None), net.demands[1])),
+         "demand 1: field 'p' must be JSON number, got None"),
+        (replace(net, buses=(net.buses[0], replace(net.buses[1], id=[2]), net.buses[2])),
+         "bus [2]: field 'id' must be JSON integer, got [2]"),
+        (replace(net, generators=(replace(net.generators[0], bus=True),)),
+         "generator 1: field 'bus' must be JSON integer, got True"),
+        (replace(net, lines=(replace(net.lines[0], g=np.bool_(True)), net.lines[1])),
+         "line 1: field 'g' must be JSON number, got"),
+        (replace(net, base_mva=None), "base_mva must be positive and finite, got None"),
+    )
+    for network, message in bad:
+        report = validate(network)
+        assert any(v.startswith(message) for v in report.violations), report
+    # the well-typed records of the same network are still checked
+    negative = replace(net.demands[1], p=-1.0)
+    report = validate(replace(net, demands=(replace(net.demands[0], p=None), negative, negative)))
+    assert "duplicate demand id 2" in report.violations
+    assert "demand 2: active power must be non-negative" in report.violations
+
+
+def test_validate_accepts_numpy_scalars_and_checks_them():
+    net = chain3()
+    scalar = replace(
+        net,
+        buses=tuple(replace(b, id=np.int64(b.id), v_max=np.float64(b.v_max),
+                            is_reference=np.bool_(b.is_reference)) for b in net.buses),
+        demands=tuple(replace(d, bus=np.int32(d.bus), p=np.float32(d.p)) for d in net.demands),
+        base_mva=np.float64(1.0),
+    )
+    assert validate(scalar).ok
+    lines = (replace(scalar.lines[0], to_bus=np.int64(9)), scalar.lines[1])
+    assert "line 1: to_bus 9 does not exist" in validate(replace(scalar, lines=lines)).violations
+
+
 def test_customer_der_cannot_be_damaged():
     net = Network(
         buses=(Bus(1, is_reference=True), Bus(2)),
@@ -294,6 +333,12 @@ def test_time_grid_sizing(storm_network):
         TimeGrid(0)
     with pytest.raises(ValueError):
         TimeGrid(5, step_hours=0.0)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_time_grid_refuses_non_finite_step(step):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(3, step)
 
 
 def test_missing_field_is_format_error(tmp_path):

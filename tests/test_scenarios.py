@@ -179,3 +179,29 @@ def test_mode_parsing_aliases():
     assert DerMode.parse("community_microgrid") is DerMode.COMMUNITY_MICROGRID
     with pytest.raises(CaseFormatError):
         DerMode.parse("solar")
+
+
+def test_placement_with_unknown_field_is_format_error(tmp_path):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"placement": {"name": "x", "der_nodes": [2], "p_mx": 0.5}}))
+    with pytest.raises(CaseFormatError, match=f"scenario file {path} placement: unknown field 'p_mx'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_der_ratings_are_refused(value):
+    for rating in ("p_max", "q_min", "q_max"):
+        with pytest.raises(ValueError, match="finite"):
+            DerPlacement("x", (2,), **{rating: value})
+    with pytest.raises(ValueError, match="finite"):
+        home_microgrid_load(0.1, value)
+    with pytest.raises(ValueError, match="finite"):
+        home_microgrid_load(value, 0.075)
+
+
+def test_scenario_with_overflowing_rating_is_format_error(tmp_path):
+    # 1e400 is a JSON number, which json.loads reads as inf
+    path = tmp_path / "scen.json"
+    path.write_text('{"placement": {"name": "x", "der_nodes": [2], "p_max": 1e400}}')
+    with pytest.raises(CaseFormatError, match="finite"):
+        load_scenario(path)
