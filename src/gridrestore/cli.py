@@ -170,19 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _one_case(args, mode_text: str):
-    """The output directory (made), network, placement, DER mode and case
-    that ``plan`` and ``simulate`` read."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """The network, placement, DER mode and case that ``plan`` and ``simulate`` read."""
     network = _network(args)
     placement = _placements(args)[0]
     mode = DerMode.parse(mode_text)
-    return out, network, placement, mode, apply_der_mode(network, placement, mode)
+    return network, placement, mode, apply_der_mode(network, placement, mode)
+
+
+def _out(args) -> Path:
+    """The output directory, made once every input is read: a refused input leaves none."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def cmd_plan(args) -> int:
-    out, network, placement, mode, case = _one_case(args, args.mode)
+    network, placement, mode, case = _one_case(args, args.mode)
     instance = build_rop(case, _time_grid(args, network))
+    out = _out(args)
     plan = solve_rop(instance, rel_gap=args.gap)
     plan.save(out / "plan.json")
     ens = rop_ens_mwh(plan, instance)
@@ -204,8 +209,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out, _, placement, mode, case = _one_case(args, args.actual_mode)
+    _, placement, mode, case = _one_case(args, args.actual_mode)
     plan = RestorationPlan.load(args.plan)
+    out = _out(args)
     result = simulate_plan(case, plan, tol=args.tol)
     result.save(out / "rip_result.json")
     result.write_served_csv(out / "served.csv")
@@ -230,12 +236,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    network = _network(args)
-    study = run_study(
-        network, _placements(args), _time_grid(args, network), rel_gap=args.gap, tol=args.tol
-    )
+    network, placements = _network(args), _placements(args)
+    grid, out = _time_grid(args, network), _out(args)
+    study = run_study(network, placements, grid, rel_gap=args.gap, tol=args.tol)
 
     for (name, mode), plan in study.plans.items():
         plan.save(out / f"plan_{name}_{mode.value}.json")

@@ -2,9 +2,10 @@
 
 Group splits (customers with vs. without DERs) follow the placement that
 defined the case, so the base scenario reports the same two groups even
-though its DERs supply nothing. Reconnection times walk the radial
-feeder tree (``Network.radial_tree``) once, under the gating rule the
-ordering model and the replay share (``Network.gates``).
+though its DERs supply nothing. Reconnection times run down the radial
+feeder tree (``Network.radial_tree``) one depth level at a time, from
+each element's first working period (``Network.work_periods``), which
+the AC replay reads too.
 """
 
 from __future__ import annotations
@@ -76,31 +77,24 @@ def reconnection_times(
 ) -> ReconnectionReport:
     """First period each demand works and has a working path to the substation.
 
-    One pass down the feeder tree: the reference bus is reached when it
-    works, any other bus in the later of its parent's period and the
-    period its line to the parent works. Raises ``CaseValidationError``
-    for a meshed or disconnected network.
+    A running maximum down the feeder tree, one depth level at a time:
+    the reference bus is reached when it works, any other bus in the
+    later of its parent's period and the period its line to the parent
+    works (``Network.work_periods``). Raises ``CaseValidationError`` for
+    a meshed or disconnected network.
     """
     net = case.network
     tree = net.radial_tree
-    waits = net.gates
-    never = plan.n_periods
-
-    def works(element) -> int:
-        return max((plan.energization.get(k, never) for k in waits[element]), default=0)
-
-    reached: dict[int, int] = {}
-    for bid, parent, line in zip(tree.order, tree.parent, tree.up):
-        if line is None:
-            reached[bid] = works(("bus", bid))
-        else:
-            reached[bid] = max(reached[tree.order[parent]], works(("line", line.id)))
-    t_d = {d.id: max(reached[d.bus], works(("demand", d.id))) for d in net.demands}
-    missing = [i for i, t in t_d.items() if t >= never]
+    work = net.work_periods(plan.energization, plan.n_periods)
+    reached = np.empty(len(tree.order), dtype=np.int64)
+    reached[0] = work["bus"][tree.bus_rows[0]]
+    for lv in tree.levels[1:]:
+        reached[lv] = np.maximum(reached[tree.parent[lv]], work["line"][tree.up_rows[lv]])
+    at_bus = reached[np.argsort(tree.bus_rows)][net.arrays.demand_bus]  # at each demand's bus
+    t_d = dict(zip(net.arrays.demand_ids.tolist(), np.maximum(at_bus, work["demand"]).tolist()))
+    missing = [i for i, t in t_d.items() if t >= plan.n_periods]
     if missing:
-        raise GridRestoreError(
-            f"demands never reconnected to the substation: {missing}"
-        )
+        raise GridRestoreError(f"demands never reconnected to the substation: {missing}")
     der_ids = set(case.der_demand_ids)
     der = [t_d[d.id] for d in net.demands if d.id in der_ids]
     non = [t_d[d.id] for d in net.demands if d.id not in der_ids]

@@ -244,7 +244,18 @@ class ProblemBuilder:
         return i
 
     def build_lp(self) -> LinearProgram:
-        lp = LinearProgram(
+        lp = self._assemble()
+        lp.validate()
+        return lp
+
+    def build_milp(self) -> MilpProblem:
+        """The MILP, validated once: ``MilpProblem.validate`` checks its LP too."""
+        p = MilpProblem(lp=self._assemble(), integer_columns=frozenset(self._integer))
+        p.validate()
+        return p
+
+    def _assemble(self) -> LinearProgram:
+        return LinearProgram(
             maximize=self.maximize,
             c=np.asarray(self._obj, dtype=float),
             a_rows=np.asarray(self._rows, dtype=np.int64),
@@ -256,10 +267,3 @@ class ProblemBuilder:
             col_lower=np.asarray(self._col_lower, dtype=float),
             col_upper=np.asarray(self._col_upper, dtype=float),
         )
-        lp.validate()
-        return lp
-
-    def build_milp(self) -> MilpProblem:
-        p = MilpProblem(lp=self.build_lp(), integer_columns=frozenset(self._integer))
-        p.validate()
-        return p

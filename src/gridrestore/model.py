@@ -9,12 +9,15 @@ MVA) and :func:`load_case` performs the conversion.
 
 The facts that both steps of the method read are cached on the
 immutable :class:`Network`, each computed once: ``radial_tree`` (the
-feeder tree, refused when meshed or disconnected), ``damage`` (the
-damaged components) and ``gates`` (what each element waits for). The
-ordering model, the AC replay and the reconnection times read them.
-The AC replay also reads ``line_block``, the pi-model flows of every
-line (:class:`LineBlock`), and ``arrays``, the data of the buses, units
-and demands in network order (:class:`NetworkArrays`).
+feeder tree with its per-level arrays, refused when meshed or
+disconnected), ``damage`` (the damaged components), ``gates`` (what
+each element waits for; the ordering model builds its rows from it) and
+``gate_incidence``, from which ``work_periods`` gives each element's
+first working period under a schedule for the AC replay, the
+reconnection times and the subset DP. The AC replay also reads
+``line_block``, the pi-model flows of every line (:class:`LineBlock`),
+and ``arrays``, the data of the buses, units and demands in network
+order (:class:`NetworkArrays`).
 """
 
 from __future__ import annotations
@@ -122,20 +125,27 @@ class ValidationReport:
             raise CaseValidationError(self.violations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeederTree:
     """The feeder rooted at its reference bus, damage ignored.
 
     ``order`` lists the buses breadth-first from the reference bus. For
     the bus at position k, ``parent[k]`` is the position of its parent
-    (-1 at the root) and ``up[k]`` the line to the parent (None at the
-    root). Buses the walk cannot reach are missing from ``order``; on a
-    meshed network the first line to reach a bus is its ``up`` line.
+    and ``up[k]`` the line to the parent, ``bus_rows[k]`` the bus's row
+    in ``Network.buses`` and ``up_rows[k]`` the up line's row in
+    ``Network.lines`` (-1, None and -1 at the root). ``levels`` holds one
+    slice of positions per depth, the root's first, so a walk down the
+    tree takes one array step per level. Buses the walk cannot reach are
+    missing from ``order``; on a meshed network the first line to reach
+    a bus is its ``up`` line.
     """
 
     order: tuple[int, ...]
-    parent: tuple[int, ...]
+    parent: np.ndarray
     up: tuple[Line | None, ...]
+    bus_rows: np.ndarray
+    up_rows: np.ndarray
+    levels: tuple[slice, ...]
 
 
 class LineTerms(NamedTuple):
@@ -263,11 +273,8 @@ class DamageSets:
     demands: tuple[int, ...]
 
     def component_keys(self) -> tuple[str, ...]:
-        keys = [component_key("bus", i) for i in self.buses]
-        keys += [component_key("line", i) for i in self.lines]
-        keys += [component_key("gen", i) for i in self.generators]
-        keys += [component_key("demand", i) for i in self.demands]
-        return tuple(keys)
+        kinds = zip(("bus", "line", "gen", "demand"), (self.buses, self.lines, self.generators, self.demands))
+        return tuple(component_key(kind, i) for kind, ids in kinds for i in ids)
 
     @property
     def total(self) -> int:
@@ -328,29 +335,19 @@ class Network:
 
     @cached_property
     def lines_at(self) -> dict[int, tuple[Line, ...]]:
-        acc = defaultdict(list)
-        for l in self.lines:
-            acc[l.from_bus].append(l)
-            acc[l.to_bus].append(l)
-        return {i: tuple(v) for i, v in acc.items()}
+        return _by_bus((b, l) for l in self.lines for b in (l.from_bus, l.to_bus))
 
     @cached_property
     def generators_at(self) -> dict[int, tuple[Generator, ...]]:
-        acc = defaultdict(list)
-        for g in self.generators:
-            acc[g.bus].append(g)
-        return {i: tuple(v) for i, v in acc.items()}
+        return _by_bus((g.bus, g) for g in self.generators)
 
     @cached_property
     def demands_at(self) -> dict[int, tuple[Demand, ...]]:
-        acc = defaultdict(list)
-        for d in self.demands:
-            acc[d.bus].append(d)
-        return {i: tuple(v) for i, v in acc.items()}
+        return _by_bus((d.bus, d) for d in self.demands)
 
     @cached_property
     def tree(self) -> FeederTree:
-        order, parent, up = [self.reference_bus.id], [-1], [None]
+        order, parent, up, depth = [self.reference_bus.id], [-1], [None], [0]
         seen = set(order)
         for pos, bid in enumerate(order):
             for line in self.lines_at.get(bid, ()):
@@ -360,7 +357,14 @@ class Network:
                     order.append(other)
                     parent.append(pos)
                     up.append(line)
-        return FeederTree(tuple(order), tuple(parent), tuple(up))
+                    depth.append(depth[pos] + 1)
+        bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
+        return FeederTree(
+            tuple(order), np.array(parent, dtype=np.intp), tuple(up),
+            bus_rows=np.array([self.bus_position[b] for b in order], dtype=np.intp),
+            up_rows=np.array([-1] + [self.line_position[l.id] for l in up[1:]], dtype=np.intp),
+            levels=tuple(slice(a, b) for a, b in zip(bounds, bounds[1:])),
+        )
 
     @cached_property
     def radial_tree(self) -> FeederTree:
@@ -399,6 +403,26 @@ class Network:
         out.update({("demand", d.id): waits("demand", d, d.bus) for d in self.demands})
         return out
 
+    @cached_property
+    def gate_incidence(self) -> dict[str, np.ndarray]:
+        """``gates`` by kind: an element x widest-gate matrix of positions in
+        ``damage.component_keys()``, each row padded with the position one
+        past them, which :meth:`work_periods` reads as period 0."""
+        slot = {k: i for i, k in enumerate(self.damage.component_keys())}
+        width = max([1, *map(len, self.gates.values())])
+        rows = {kind: [] for kind in ("bus", "line", "gen", "demand")}
+        for (kind, _), keys in self.gates.items():
+            rows[kind].append([slot[k] for k in keys] + [len(slot)] * (width - len(keys)))
+        return {kind: np.array(r, dtype=np.intp).reshape(-1, width) for kind, r in rows.items()}
+
+    def work_periods(self, energization: dict[str, int], never: int) -> dict[str, np.ndarray]:
+        """The first period each element works, by kind of ``gates`` and in
+        network order: the latest period ``energization`` gives a component
+        the element waits for, ``never`` for one it does not name, and 0 if
+        it waits for none. One ``max`` per kind."""
+        periods = np.array([energization.get(k, never) for k in self.damage.component_keys()] + [0])
+        return {kind: periods[rows].max(axis=1) for kind, rows in self.gate_incidence.items()}
+
     @property
     def reference_bus(self) -> Bus:
         for b in self.buses:
@@ -410,30 +434,44 @@ class Network:
         return sum(d.p for d in self.demands)
 
 
+def _by_bus(pairs) -> dict:
+    """The elements of ``(bus id, element)`` pairs grouped by bus, in order."""
+    acc = defaultdict(list)
+    for bus, element in pairs:
+        acc[bus].append(element)
+    return {i: tuple(v) for i, v in acc.items()}
+
+
 def validate(network: Network) -> ValidationReport:
     """Check every structural invariant; returns a report, never raises.
 
     One pass over each record kind of ``_RECORD_FORMATS`` reports ill-typed
-    fields, non-finite numbers, missing buses and duplicate ids; the kind's
-    rules check its well-typed records, and radiality runs if all are."""
+    fields, integers outside int64, non-finite numbers, missing buses and
+    duplicate ids; the kind's rules check its well-typed records, and
+    radiality runs if all are."""
     v: list[str] = []
 
-    def typed(x, kind):  # a numpy scalar has the type of the Python value it holds
-        return type(x.item() if isinstance(x, np.generic) else x) in _JSON_TYPES[kind]
+    def fault(x, kind):  # why a field value is refused, or None
+        y = x.item() if isinstance(x, np.generic) else x  # the Python value a numpy scalar holds
+        if type(y) not in _JSON_TYPES[kind]:
+            return f"must be JSON {kind}, got {x!r}"
+        if type(y) is int and not _INT64.min <= y <= _INT64.max:
+            return "is an integer outside int64"
 
-    if not (typed(network.base_mva, "number") and 0.0 < network.base_mva < math.inf):
+    if fault(network.base_mva, "number") or not 0.0 < network.base_mva < math.inf:
         v.append(f"base_mva must be positive and finite, got {network.base_mva!r}")
     well_typed, bus_ids, failed = {}, set(), False
     for key, (name, _, types, _, _) in _RECORD_FORMATS.items():
         records = getattr(network, key)
-        ill = set()  # the positions of the records with an ill-typed field
+        ill = set()  # the positions of the records with a refused field
         # each field's JSON type and values; a record's __dict__ holds its fields in order
         columns = list(zip(types.items(), zip(*[vars(e).values() for e in records])))
         for (f, kind), column in columns:
-            if not set(map(type, column)) <= set(_JSON_TYPES[kind]):
-                bad = [k for k, x in enumerate(column) if not typed(x, kind)]
-                v.extend(f"{name} {records[k].id}: field {f!r} must be JSON {kind}, got {column[k]!r}"
-                         for k in bad)
+            ints = [x for x in column if type(x) is int]
+            if not set(map(type, column)) <= set(_JSON_TYPES[kind]) or not (
+                    _INT64.min <= min(ints, default=0) and max(ints, default=0) <= _INT64.max):
+                bad = {k: why for k, x in enumerate(column) if (why := fault(x, kind))}
+                v.extend(f"{name} {records[k].id}: field {f!r} {why}" for k, why in bad.items())
                 ill.update(bad)
         if ill:  # the checks below read the well-typed records only
             failed, records = True, [e for k, e in enumerate(records) if k not in ill]
@@ -527,6 +565,10 @@ _JSON_TYPES = {
     "list": (list,),
 }
 
+# JSON integers are read and validated within int64 only: the model's
+# arrays hold ids as int64
+_INT64 = np.iinfo(np.int64)
+
 # the JSON type of a record field annotated with each Python type
 _ANNOTATION_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
@@ -556,15 +598,23 @@ _RECORD_FORMATS = {
 
 
 def read_json(path, what: str):
-    """Parse a JSON input file; an unreadable or malformed one, or one that
-    holds NaN, Infinity or -Infinity (not JSON), is a CaseFormatError."""
+    """Parse a JSON input file; an unreadable or malformed one, one that
+    holds NaN, Infinity or -Infinity (not JSON) or an integer outside
+    int64 is a CaseFormatError."""
     path = Path(path)
 
     def refuse(constant):
         raise CaseFormatError(f"{what} file {path} holds {constant}, which is not JSON")
 
+    def integer(text):  # the length test first: int() refuses over 4300 digits
+        value = int(text) if len(text) <= 20 else None
+        if value is None or not _INT64.min <= value <= _INT64.max:
+            short = f"{text[:24]}{'...' * (len(text) > 24)}"
+            raise CaseFormatError(f"{what} file {path} holds the integer {short}, outside int64")
+        return value
+
     try:
-        return json.loads(path.read_text(), parse_constant=refuse)
+        return json.loads(path.read_text(), parse_constant=refuse, parse_int=integer)
     except OSError as exc:
         raise CaseFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,9 +6,9 @@ and their flows are removed from the problem entirely (so zero flow
 holds exactly, not numerically), and buses in islands without an
 energized source are fixed at V = 0 with full shed before any solver
 runs. An element works when it and its damaged buses are back
-(``Network.gates``); the islands come from one walk down
-``Network.radial_tree``, so the network must be radial. Live islands
-are solved independently with one angle reference each; the lower
+(``Network.work_periods``); the islands are found one depth level at
+a time down ``Network.radial_tree``, so the network must be radial.
+Live islands are solved independently with one angle reference each; the lower
 voltage bound is soft, charged to the objective at ``PENALTY_WEIGHT``.
 Each island is solved by a sparse primal-dual interior point from a flat
 start, with the exact Hessian of the polar line flows; an island that
@@ -90,8 +90,8 @@ class AcOpfProblem:
 
     ``energized`` holds the keys of the damaged components back in service.
     The ``energized_*`` masks, in network order, mark the elements that
-    work (``Network.gates``), and ``live_buses`` the buses of islands with
-    a working unit. A meshed or disconnected network raises
+    work (``Network.work_periods``), and ``live_buses`` the buses of
+    islands with a working unit. A meshed or disconnected network raises
     ``CaseValidationError``.
     """
 
@@ -108,59 +108,42 @@ class AcOpfProblem:
 
     def __post_init__(self):
         net = self.case.network
-        waits = net.gates
-
-        def working(kind, elements) -> np.ndarray:
-            return np.array(
-                [self.energized.issuperset(waits[(kind, e.id)]) for e in elements], dtype=bool
-            )
-
-        self.energized_buses = working("bus", net.buses)
-        self.energized_lines = working("line", net.lines)
-        self.energized_gens = working("gen", net.generators)
-        self.energized_demands = working("demand", net.demands)
+        # the components back work from period 0, the others never (1)
+        work = net.work_periods(dict.fromkeys(self.energized, 0), 1)
+        self.energized_buses, self.energized_lines, self.energized_gens, self.energized_demands = (
+            w == 0 for w in work.values()
+        )
         self.islands, self.live_buses = _split_islands(net, self)
 
 
 def _split_islands(net: Network, p: AcOpfProblem) -> tuple[tuple[Island, ...], np.ndarray]:
-    """Energized buses grouped into islands by one walk down the feeder
-    tree, and the mask of the buses in live islands.
-
-    An energized bus joins its parent's island when the line between
-    them is energized, and otherwise starts an island of its own.
-    Islands come in the order of their smallest bus.
-    """
+    """Working buses grouped into islands one depth level at a time down the
+    feeder tree, and the mask of the buses in live islands: a bus joins its
+    parent's island when its line to the parent works (so both its ends
+    do), and otherwise heads its own. Islands come in the order of their
+    smallest bus; each lists its buses and lines by id, its units and
+    demands in network order."""
     tree = net.radial_tree
-    at = net.bus_position
-    island = np.full(len(net.buses), -1)  # each bus's island; -1: de-energized
-    roots: list[int] = []
-    for bid, parent, line in zip(tree.order, tree.parent, tree.up):
-        if not p.energized_buses[at[bid]]:
-            continue
-        if line is not None and p.energized_lines[net.line_position[line.id]]:
-            island[at[bid]] = island[at[tree.order[parent]]]
-        else:
-            island[at[bid]] = len(roots)
-            roots.append(bid)
-    # an energized line, unit or demand has its buses energized
+    head = np.arange(len(tree.order))  # the position of each position's island head
+    for lv in tree.levels[1:]:
+        head[lv] = np.where(p.energized_lines[tree.up_rows[lv]], head[tree.parent[lv]], head[lv])
+    working = p.energized_buses[tree.bus_rows]
+    island = np.full(len(net.buses), -1)  # each bus's island head; -1: not working
+    island[tree.bus_rows] = np.where(working, head, -1)
+    # a working line, unit or demand has its buses working
     arrays, block = net.arrays, net.line_block
     line_island = np.where(p.energized_lines, island[block.i], -1)
     gen_island = np.where(p.energized_gens, island[arrays.gen_bus], -1)
     demand_island = np.where(p.energized_demands, island[arrays.demand_bus], -1)
     islands = []
-    for k, root in enumerate(roots):
+    for k in np.flatnonzero(working & (head == np.arange(len(head)))):
         buses = sorted(arrays.bus_ids[island == k].tolist())
         gens = tuple(arrays.gen_ids[gen_island == k].tolist())
-        islands.append(
-            Island(
-                buses=tuple(buses),
-                lines=tuple(sorted(block.ids[line_island == k].tolist())),
-                generators=gens,
-                demands=tuple(arrays.demand_ids[demand_island == k].tolist()),
-                live=bool(gens),
-                reference=root if root == tree.order[0] else buses[0],
-            )
-        )
+        islands.append(Island(
+            tuple(buses), tuple(sorted(block.ids[line_island == k].tolist())), gens,
+            tuple(arrays.demand_ids[demand_island == k].tolist()), live=bool(gens),
+            reference=tree.order[0] if k == 0 else buses[0],
+        ))
     live = np.isin(island, gen_island[p.energized_gens])
     return tuple(sorted(islands, key=lambda island: island.buses[0])), live
 
@@ -193,26 +176,14 @@ class AcState:
     message: str = ""
 
     def to_dict(self) -> dict:
-        arrays, lines = self.network.arrays, self.network.line_block.ids
-
-        def fmt(ids, values):
-            return {str(k): x for k, x in sorted(zip(ids.tolist(), values.tolist()))}
-
-        return {
-            "v": fmt(arrays.bus_ids, self.v),
-            "theta": fmt(arrays.bus_ids, self.theta),
-            "v_violation": fmt(arrays.bus_ids, self.v_violation),
-            "served": fmt(arrays.demand_ids, self.served),
-            "p_gen": fmt(arrays.gen_ids, self.p_gen),
-            "q_gen": fmt(arrays.gen_ids, self.q_gen),
-            "p_flow_fr": fmt(lines, self.p_flow_fr),
-            "p_flow_to": fmt(lines, self.p_flow_to),
-            "q_flow_fr": fmt(lines, self.q_flow_fr),
-            "q_flow_to": fmt(lines, self.q_flow_to),
-            "objective": self.objective,
-            "converged": self.converged,
-            "max_residual": self.max_residual,
-        }
+        a, lines = self.network.arrays, self.network.line_block.ids
+        ids = {"v": a.bus_ids, "theta": a.bus_ids, "v_violation": a.bus_ids, "served": a.demand_ids,
+               "p_gen": a.gen_ids, "q_gen": a.gen_ids, "p_flow_fr": lines, "p_flow_to": lines,
+               "q_flow_fr": lines, "q_flow_to": lines}
+        out = {name: {str(k): x for k, x in sorted(zip(i.tolist(), getattr(self, name).tolist()))}
+               for name, i in ids.items()}
+        return out | {"objective": self.objective, "converged": self.converged,
+                      "max_residual": self.max_residual}
 
 
 @dataclass
@@ -580,8 +551,7 @@ class _Batch:
         # the feeder tree over the groups: each bus's parent (-1 at its
         # island's root), its height above the deepest bus below it, and
         # its island
-        tree_order = np.array([net.bus_position[b] for b in net.radial_tree.order])
-        rank = np.argsort(tree_order)[stack([n.bus_rows for n in nlps])]
+        rank = np.argsort(net.radial_tree.bus_rows)[stack([n.bus_rows for n in nlps])]
         below = rank[block.i] > rank[block.j]  # the from end hangs below the to end
         self.parent = parent = np.full(nb, -1, dtype=np.int64)
         parent[np.where(below, block.i, block.j)] = np.where(below, block.j, block.i)

@@ -9,8 +9,8 @@ but no angle columns, and a gated line is switched off by its thermal
 bound alone. At most one component comes back per period, on both
 solution paths. A line, unit or demand is gated by the damaged
 components it waits for, itself and its damaged buses
-(``Network.gates``); the AC replay and the reconnection times read the
-same map.
+(``Network.gates``); the AC replay, the reconnection times and the DP's
+dispatch read it through ``Network.work_periods``.
 
 :func:`solve_rop` finds the exact optimum of an eligible instance by a
 subset dynamic program instead of the MILP search: only lines damaged,
@@ -140,12 +140,7 @@ class RopInstance:
 
     def total_demand_energy_mwh(self) -> float:
         net = self.case.network
-        return (
-            net.total_demand_p()
-            * net.base_mva
-            * self.time.n_periods
-            * self.time.step_hours
-        )
+        return net.total_demand_p() * net.base_mva * self.time.n_periods * self.time.step_hours
 
 
 def build_rop(case: EffectiveCase, time: TimeGrid) -> RopInstance:
@@ -319,22 +314,22 @@ def _dp_point(instance: RopInstance, order: list[int]) -> np.ndarray:
     net = instance.case.network
     T = instance.time.n_periods
     tree = net.tree
-    back = {lid: t + 1 for t, lid in enumerate(order)}  # first period a line works
+    energization = {component_key("line", lid): t + 1 for t, lid in enumerate(order)}
+    works = net.work_periods(energization, T)["line"]  # the first period a line works
     periods = np.arange(T)
-    closed = periods >= np.array([0] + [back.get(l.id, 0) for l in tree.up[1:]])[:, None]
+    closed = periods >= np.r_[0, works[tree.up_rows[1:]]][:, None]
     served, drawn, inflow = _shed_evenly(_FeederTree(net), closed)
-    pos = {bid: k for k, bid in enumerate(tree.order)}
+    pos = np.argsort(tree.bus_rows)  # each bus row's position
     x = np.zeros(instance.problem.lp.n_cols)
     demands, units, up = net.demands, net.generators, tree.up[1:]
-    x[_cols(instance.x_col, [d.id for d in demands], T)] = served[[pos[d.bus] for d in demands]]
+    x[_cols(instance.x_col, [d.id for d in demands], T)] = served[pos[net.arrays.demand_bus]]
     x[_cols(instance.pg_col, [g.id for g in units], T)] = (
-        drawn[[pos[g.bus] for g in units]] * np.array([g.p_max for g in units])[:, None]
+        drawn[pos[net.arrays.gen_bus]] * np.array([g.p_max for g in units])[:, None]
     )
     sign = [1.0 if l.from_bus == tree.order[p] else -1.0 for l, p in zip(up, tree.parent[1:])]
     x[_cols(instance.pl_col, [l.id for l in up], T)] = np.array(sign)[:, None] * inflow[1:]
-    lines = net.damage.lines
-    x[_cols(instance.z_col, [component_key("line", lid) for lid in lines], T)] = (
-        periods >= np.array([back[lid] for lid in lines])[:, None]
+    x[_cols(instance.z_col, list(energization), T)] = (
+        periods >= np.array(list(energization.values()))[:, None]
     )
     return x
 
@@ -496,9 +491,8 @@ class _FeederTree:
     breadth-first, so segment 0 holds the reference bus and every damaged
     line opens a new segment below its parent segment. Per bus:
     ``parent`` (``network.tree.parent``), ``seg``, ``cap`` (the thermal
-    limit of the line to the parent), ``supply`` (summed ``p_max``) and
-    ``load``. ``levels`` holds one slice of bus positions per depth, the
-    root's first: the bus order is breadth-first. Per segment:
+    limit of the line to the parent), ``supply`` (summed ``p_max``),
+    ``load`` and ``levels`` (``network.tree.levels``). Per segment:
     ``seg_parent``, ``seg_children`` (ascending), ``seg_top``, the index
     of the damaged line above it (-1 at the root), and the bit range
     ``[seg_lo, seg_lo + seg_width)`` that the segment's line and every
@@ -510,7 +504,7 @@ class _FeederTree:
     def __init__(self, network: Network):
         tree = network.tree
         damaged = {lid: k for k, lid in enumerate(network.damage.lines)}
-        self.parent, self.seg = tree.parent, [0]
+        self.parent, self.levels, self.seg = tree.parent, tree.levels, [0]
         self.seg_parent, self.seg_top = [-1], [-1]
         for line, pos in zip(tree.up[1:], tree.parent[1:]):
             if line.id in damaged:
@@ -539,11 +533,6 @@ class _FeederTree:
         self.load = np.array(
             [math.fsum(d.p for d in network.demands_at.get(b, ())) for b in tree.order]
         )
-        depth = [0]
-        for pos in tree.parent[1:]:
-            depth.append(depth[pos] + 1)
-        bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
-        self.levels = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _island_values(islands: np.ndarray, tree: _FeederTree) -> np.ndarray:
@@ -610,7 +599,7 @@ def _shed_evenly(
     fraction of exactly 1.
     """
     n, n_periods = closed.shape
-    parent = np.asarray(tree.parent)
+    parent = tree.parent
     cap = np.where(closed, tree.cap[:, None], 0.0)
     supply = np.repeat(tree.supply[:, None], n_periods, axis=1)
     demand = np.repeat(tree.load[:, None], n_periods, axis=1)

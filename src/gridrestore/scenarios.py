@@ -125,26 +125,18 @@ def apply_der_mode(network: Network, placement: DerPlacement, mode: DerMode) -> 
 
     # community microgrid: stacked entries coexist as separate generators
     next_id = max((g.id for g in network.generators), default=0) + 1
-    new_gens = []
-    for offset, node in enumerate(placement.der_nodes):
-        new_gens.append(
-            Generator(
-                id=next_id + offset,
-                bus=node,
-                p_min=0.0,
-                p_max=placement.p_max / base,
-                q_min=placement.q_min / base,
-                q_max=placement.q_max / base,
-                kind=CUSTOMER_DER,
-            )
-        )
+    new_gens = tuple(
+        Generator(id=next_id + offset, bus=node, p_min=0.0, p_max=placement.p_max / base,
+                  q_min=placement.q_min / base, q_max=placement.q_max / base, kind=CUSTOMER_DER)
+        for offset, node in enumerate(placement.der_nodes)
+    )
     demands = tuple(
         replace(d, has_der=True) if d.bus in der_buses else d
         for d in network.demands
     )
     net = replace(
         network,
-        generators=network.generators + tuple(new_gens),
+        generators=network.generators + new_gens,
         demands=demands,
     )
     return EffectiveCase(net, mode, placement, der_demand_ids)
@@ -152,11 +144,7 @@ def apply_der_mode(network: Network, placement: DerPlacement, mode: DerMode) -> 
 
 def enumerate_cases(network: Network, placements, modes) -> list[EffectiveCase]:
     """Cartesian product of placements (outer) and modes (inner)."""
-    return [
-        apply_der_mode(network, placement, mode)
-        for placement in placements
-        for mode in modes
-    ]
+    return [apply_der_mode(network, placement, mode) for placement in placements for mode in modes]
 
 
 # A scenario file's placement: its fields' JSON types and the required ones

@@ -17,6 +17,7 @@ import numpy as np
 
 from gridrestore.milp import ProblemBuilder
 from gridrestore.model import Bus, Demand, Generator, Line, Network
+from gridrestore.rop import RestorationPlan
 
 from simplex_reference import solve_lp
 
@@ -143,6 +144,37 @@ def random_der_feeder(rng: np.random.RandomState, n_buses=None, max_damaged=3) -
             )
     return Network(
         buses=buses, lines=lines, generators=tuple(generators), demands=tuple(demands)
+    )
+
+
+def random_gated_feeder(rng: np.random.RandomState) -> Network:
+    """``random_der_feeder`` with damaged buses, units and demands too, and
+    each line's ends in either order, so that either may face the substation."""
+    net = random_der_feeder(rng)
+    return replace(
+        net,
+        buses=tuple(replace(b, damaged=rng.rand() < 0.25) for b in net.buses),
+        lines=tuple(
+            replace(l, from_bus=l.to_bus, to_bus=l.from_bus) if rng.rand() < 0.5 else l
+            for l in net.lines
+        ),
+        generators=tuple(
+            replace(g, kind=g.kind if g.kind == "substation" else "utility_der",
+                    damaged=rng.rand() < 0.3)
+            for g in net.generators
+        ),
+        demands=tuple(replace(d, damaged=rng.rand() < 0.25) for d in net.demands),
+    )
+
+
+def random_order_plan(rng: np.random.RandomState, net: Network) -> RestorationPlan:
+    """A plan that brings the damaged components back one per period, in random order."""
+    keys = list(net.damage.component_keys())
+    rng.shuffle(keys)
+    return RestorationPlan(
+        schedule=((),) + tuple((k,) for k in keys),
+        energization={k: t + 1 for t, k in enumerate(keys)},
+        objective_mwh=0.0,
     )
 
 

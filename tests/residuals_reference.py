@@ -1,9 +1,9 @@
 """Reference residual check: the loop version of ``replay.residuals``.
 
 It reads the period state by element id, works out the energized
-elements from ``Network.gates`` itself, picks the energized lines of
-live islands out of ``Network.line_block`` and walks the buses, units
-and demands one at a time. ``replay.residuals`` evaluates the whole line
+elements from ``Network.gates`` itself (``gate_reference.working``),
+picks the energized lines of live islands out of ``Network.line_block``
+and walks the buses, units and demands one at a time. ``replay.residuals`` evaluates the whole line
 block at once and masks the de-energized and dead elements. Both add
 each bus's injections in the same order (the flows from and to each
 line in line order, then the units, then the demands) and take the same
@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from gate_reference import working
 from helpers import STATE_ELEMENTS, by_id
 
 
@@ -25,14 +26,9 @@ def residuals(state, problem) -> dict[str, float]:
     net = problem.case.network
     state = SimpleNamespace(**{name: by_id(state, name) for name in STATE_ELEMENTS})
 
-    def working(kind, elements) -> frozenset[int]:
-        return frozenset(
-            e.id for e in elements if problem.energized.issuperset(net.gates[(kind, e.id)])
-        )
-
-    energized_line_ids = working("line", net.lines)
-    energized_gen_ids = working("gen", net.generators)
-    energized_demand_ids = working("demand", net.demands)
+    energized_line_ids = working(net, problem.energized, net.lines)
+    energized_gen_ids = working(net, problem.energized, net.generators)
+    energized_demand_ids = working(net, problem.energized, net.demands)
 
     v = np.array([state.v[b.id] for b in net.buses])
     th = np.array([state.theta[b.id] for b in net.buses])

@@ -18,6 +18,7 @@ from gridrestore.scenarios import DerMode, apply_der_mode, home_microgrid_load
 from gridrestore.study import ALL_MODES, run_study
 
 import residuals_reference
+from gate_reference import assert_period_follows_gates, reconnection_periods
 from helpers import by_id, permutation_oracle, random_radial
 
 ENS_TARGETS_MWH = {
@@ -240,6 +241,20 @@ def test_residuals_match_loop_reference_on_every_replayed_period(study):
             assert max(reference.values()) == state.max_residual
             checked += 1
     assert checked == 18 * 19
+
+
+def test_masks_islands_and_reconnection_follow_the_gate_rule_on_every_study_period(study):
+    # every period of all 18 replays, and the reconnection times of all 6 plans
+    checked = 0
+    for (pname, assumed, actual) in study.replays:
+        case, plan = study.cases[(pname, actual)], study.plans[(pname, assumed)]
+        for t in range(plan.n_periods):
+            assert_period_follows_gates(build_rip_step(case, plan, t))
+            checked += 1
+    assert checked == 18 * 19
+    for key, plan in study.plans.items():
+        found = study.reconnection[key].period_by_demand
+        assert found == reconnection_periods(plan, study.cases[key]), key
 
 
 def test_criterion_8_formula_unit_tests():

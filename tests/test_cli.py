@@ -420,6 +420,7 @@ def test_bad_input_exits_one(toy_dir, capsys, monkeypatch, corrupt):
     code = main([command, *_args(toy_dir, toy_dir / "out_bad"), *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (toy_dir / "out_bad").exists()  # a refused input leaves no output directory
 
 
 @pytest.mark.parametrize(
@@ -436,6 +437,23 @@ def test_number_flag_ranges_are_checked_before_any_work(toy_dir, capsys, argv, m
     out = toy_dir / "never_made"
     assert main([*argv, "--case", str(toy_dir / "missing_case.json"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file, text",
+    [
+        ("damage.json", '{"damaged_line_ids": [2], "damaged_bus_ids": []}'),
+        ("scen.json", '{"placement": {"name": "typo", "der_nodes": [3], "p_mx": 0.5}}'),
+        ("case.json", '{"base_mva": 1%s}' % ("0" * 400)),
+    ],
+    ids=["misspelt damage field", "misspelt placement field", "base_mva 10**400"],
+)
+def test_refused_sweep_input_leaves_no_output_directory(toy_dir, capsys, file, text):
+    (toy_dir / file).write_text(text)
+    out = toy_dir / "out_sweep"
+    assert main(["sweep", *_args(toy_dir, out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 

@@ -11,7 +11,8 @@ from gridrestore.rop import RestorationPlan
 from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 from gridrestore.study import run_study
 
-from helpers import chain3
+from gate_reference import reconnection_periods
+from helpers import chain3, random_gated_feeder, random_order_plan
 
 NO_DER = DerPlacement("none", ())
 
@@ -141,6 +142,25 @@ def test_reconnection_reports_never_connected():
     )
     with pytest.raises(GridRestoreError):
         reconnection_times(bad_plan, case)
+
+
+def test_reconnection_times_match_the_tree_walk_on_random_gated_feeders():
+    rng = np.random.RandomState(8)
+    refused = 0
+    for _ in range(40):
+        net = random_gated_feeder(rng)
+        case = apply_der_mode(net, NO_DER, DerMode.BASE)
+        plan = random_order_plan(rng, net)
+        if plan.energization and rng.rand() < 0.3:  # one component never comes back
+            plan.energization.pop(next(iter(plan.energization)))
+        walked = reconnection_periods(plan, case)
+        if max(walked.values(), default=0) >= plan.n_periods:
+            refused += 1
+            with pytest.raises(GridRestoreError, match="never reconnected"):
+                reconnection_times(plan, case)
+        else:
+            assert reconnection_times(plan, case).period_by_demand == walked
+    assert 0 < refused < 40
 
 
 ONE_DER = DerPlacement("one", (3,), p_max=0.5, q_min=-0.2, q_max=0.2)

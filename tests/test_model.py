@@ -290,6 +290,46 @@ def test_feeder_tree_spans_every_bus(storm_network):
             ends = {tree.up[k].from_bus, tree.up[k].to_bus}
             assert ends == {tree.order[k], tree.order[tree.parent[k]]}
         assert sorted(l.id for l in tree.up[1:]) == sorted(l.id for l in net.lines)
+        assert [net.buses[r].id for r in tree.bus_rows] == list(tree.order)
+        assert tree.up_rows[0] == -1
+        assert [net.lines[r] for r in tree.up_rows[1:]] == list(tree.up[1:])
+        depth = [0]
+        for k in range(1, len(tree.order)):
+            depth.append(depth[tree.parent[k]] + 1)
+        # the levels cover the positions in order, one depth each
+        assert [k for lv in tree.levels for k in range(len(tree.order))[lv]] == list(range(len(depth)))
+        assert [sorted({depth[k] for k in range(len(depth))[lv]}) for lv in tree.levels] == [
+            [d] for d in range(len(tree.levels))
+        ]
+
+
+def test_work_periods_read_every_gate():
+    net = chain3(damage=(1, 2))  # demand 1 on bus 2, demand 2 on bus 3
+    net = replace(
+        net,
+        buses=(net.buses[0], replace(net.buses[1], damaged=True), net.buses[2]),
+        demands=(net.demands[0], replace(net.demands[1], damaged=True)),
+    )
+    # the widest gate is a line's: itself and its damaged bus 2; each row
+    # is padded with the slot past the four damaged components
+    assert {k: m.tolist() for k, m in net.gate_incidence.items()} == {
+        "bus": [[4, 4], [0, 4], [4, 4]],
+        "line": [[1, 0], [2, 0]],
+        "gen": [[4, 4]],
+        "demand": [[0, 4], [3, 4]],
+    }
+    work = net.work_periods({"bus:2": 3, "line:1": 1, "line:2": 2}, never=5)
+    assert {k: w.tolist() for k, w in work.items()} == {
+        "bus": [0, 3, 0], "line": [3, 3], "gen": [0], "demand": [3, 5],
+    }
+    # nothing damaged: every gate is padding alone, and everything works from 0
+    plain = chain3(damage=())
+    assert {k: m.shape for k, m in plain.gate_incidence.items()} == {
+        "bus": (3, 1), "line": (2, 1), "gen": (1, 1), "demand": (2, 1),
+    }
+    assert all(not w.any() for w in plain.work_periods({}, never=1).values())
+    # a network without demands still has its demand entry
+    assert replace(plain, demands=()).work_periods({}, never=1)["demand"].shape == (0,)
 
 
 def _counted(monkeypatch, name: str) -> list:
@@ -316,13 +356,59 @@ def test_network_facts_are_computed_once_per_network(monkeypatch):
     monkeypatch.setattr(model, "_radiality_violations", lambda n: checks.append(n) or check(n))
     counts = {
         name: _counted(monkeypatch, name)
-        for name in ("radial_tree", "damage", "gates", "line_block")
+        for name in ("radial_tree", "damage", "gates", "gate_incidence", "line_block")
     }
     plan = solve_rop(build_rop(case, time_grid_for(case.network)))
     simulate_plans(case, [plan, plan])
     reconnection_times(plan, case)
     assert checks == [case.network]
     assert counts == {name: [case.network] for name in counts}
+
+
+@pytest.mark.parametrize(
+    "record, field, literal",
+    [
+        ("buses", "v_max", str(10**400)),
+        ("buses", "id", str(2**70)),
+        ("demands", "p", str(-2**63 - 1)),
+        ("lines", "thermal_limit", "9" * 5000),  # beyond what int() reads by default
+    ],
+    ids=["v_max 10**400", "bus id 2**70", "p below -2**63", "5000 digits"],
+)
+def test_integer_outside_int64_is_format_error(tmp_path, bundled_network, record, field, literal):
+    raw = network_to_dict(bundled_network)
+    raw[record][1][field] = "HUGE"
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(raw).replace('"HUGE"', literal))
+    with pytest.raises(CaseFormatError, match=f"case file {path} holds the integer .*outside int64"):
+        load_case(path)
+
+
+def test_integers_at_the_int64_bounds_are_read(tmp_path, bundled_network):
+    raw = network_to_dict(bundled_network)
+    raw["demands"][0]["id"], raw["demands"][1]["id"] = 2**63 - 1, -2**63
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(raw))
+    assert load_case(path).arrays.demand_ids[:2].tolist() == [2**63 - 1, -2**63]
+
+
+def test_validate_reports_integers_outside_int64_and_never_raises():
+    net = chain3()
+    buses = net.buses
+    bad = (
+        (replace(net, buses=(buses[0], replace(buses[1], v_max=10**400), buses[2])),
+         "bus 2: field 'v_max' is an integer outside int64"),
+        (replace(net, buses=(buses[0], replace(buses[1], id=2**70), buses[2])),
+         f"bus {2**70}: field 'id' is an integer outside int64"),
+        (replace(net, demands=(replace(net.demands[0], p=-2**63 - 1), net.demands[1])),
+         "demand 1: field 'p' is an integer outside int64"),
+        (replace(net, base_mva=10**400), "base_mva must be positive and finite"),
+    )
+    for network, message in bad:
+        report = validate(network)
+        assert any(v.startswith(message) for v in report.violations), report
+    edge = replace(net, demands=(replace(net.demands[0], id=2**63 - 1), replace(net.demands[1], id=-2**63)))
+    assert validate(edge).ok
 
 
 def test_time_grid_sizing(storm_network):

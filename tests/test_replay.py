@@ -41,12 +41,14 @@ from gridrestore.scenarios import DerMode, DerPlacement, apply_der_mode
 
 import residuals_reference
 import slsqp_reference
+from gate_reference import assert_period_follows_gates
 from helpers import (
     PF_Q,
     STATE_ELEMENTS,
     by_id,
     chain3,
     random_der_feeder,
+    random_gated_feeder,
     simple_line,
     substation,
     two_bus,
@@ -307,63 +309,10 @@ def test_dead_island_penalty_counts_dead_bus_periods():
     assert dead_penalty == pytest.approx(0.9 * 3, abs=1e-5)
 
 
-KEY_KIND = {Bus: "bus", Line: "line", Generator: "gen", Demand: "demand"}
-
-
-def _union_find_islands(net, energized):
-    """Connected components of the working buses and lines, by union-find."""
-    def works(element, *buses):
-        key = f"{KEY_KIND[type(element)]}:{element.id}"
-        return (not element.damaged or key in energized) and all(bus_works[b] for b in buses)
-
-    bus_works = {b.id: works(b) for b in net.buses}
-    root = {b: b for b, on in bus_works.items() if on}
-
-    def find(b):
-        while root[b] != b:
-            b = root[b]
-        return b
-
-    on_lines = [l for l in net.lines if works(l, l.from_bus, l.to_bus)]
-    for l in on_lines:
-        root[find(l.from_bus)] = find(l.to_bus)
-    members = {}
-    for b in sorted(root):
-        members.setdefault(find(b), []).append(b)
-    ref = net.reference_bus.id
-    islands = []
-    for buses in sorted(members.values()):
-        gens = tuple(g.id for g in net.generators if g.bus in buses and works(g, g.bus))
-        islands.append(replay.Island(
-            buses=tuple(buses),
-            lines=tuple(sorted(l.id for l in on_lines if l.from_bus in buses)),
-            generators=gens,
-            demands=tuple(d.id for d in net.demands if d.bus in buses and works(d, d.bus)),
-            live=bool(gens),
-            reference=ref if ref in buses else buses[0],
-        ))
-    return tuple(islands)
-
-
 def test_islands_are_the_connected_components_of_working_elements():
     rng = np.random.RandomState(21)
     for _ in range(20):
-        net = random_der_feeder(rng)
-        net = replace(
-            net,
-            buses=tuple(replace(b, damaged=rng.rand() < 0.25) for b in net.buses),
-            # either end of a line may face the substation
-            lines=tuple(
-                replace(l, from_bus=l.to_bus, to_bus=l.from_bus) if rng.rand() < 0.5 else l
-                for l in net.lines
-            ),
-            generators=tuple(
-                replace(g, kind=g.kind if g.kind == "substation" else "utility_der",
-                        damaged=rng.rand() < 0.3)
-                for g in net.generators
-            ),
-            demands=tuple(replace(d, damaged=rng.rand() < 0.25) for d in net.demands),
-        )
+        net = random_gated_feeder(rng)
         keys = net.damage.component_keys()
         on = tuple(k for k in keys if rng.rand() < 0.5)
         off = tuple(k for k in keys if k not in on)
@@ -372,8 +321,10 @@ def test_islands_are_the_connected_components_of_working_elements():
             energization={k: int(k in off) for k in keys},
             objective_mwh=0.0,
         )
-        problem = build_rip_step(apply_der_mode(net, NO_DER, DerMode.BASE), plan, 0)
-        assert problem.islands == _union_find_islands(net, set(on))
+        case = apply_der_mode(net, NO_DER, DerMode.BASE)
+        for t in range(2):  # a random subset back, then everything
+            # the masks and live buses too, against gates and union-find
+            assert_period_follows_gates(build_rip_step(case, plan, t))
 
 
 def test_replay_and_reconnection_reject_meshed_network():

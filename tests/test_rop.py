@@ -6,7 +6,7 @@ import pytest
 
 from gridrestore import datasets, rop
 from gridrestore.errors import CaseValidationError, InfeasibleError, SolverError
-from gridrestore.milp import UNBOUNDED, Solution, solve_milp
+from gridrestore.milp import UNBOUNDED, LinearProgram, Solution, solve_milp
 from gridrestore.model import Bus, Demand, Generator, Network, TimeGrid, time_grid_for
 from gridrestore.rop import (
     RestorationPlan,
@@ -353,3 +353,12 @@ def test_plan_round_trip(tmp_path):
     assert loaded.schedule == plan.schedule
     assert loaded.energization == plan.energization
     assert loaded.objective_mwh == pytest.approx(plan.objective_mwh)
+
+
+def test_build_rop_validates_its_linear_program_once(monkeypatch):
+    calls = []
+    check = LinearProgram.validate
+    monkeypatch.setattr(LinearProgram, "validate", lambda lp: calls.append(lp) or check(lp))
+    case = apply_der_mode(chain3(), DerPlacement("none", ()), DerMode.BASE)
+    instance = build_rop(case, time_grid_for(case.network))
+    assert calls == [instance.problem.lp]

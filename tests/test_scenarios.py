@@ -205,3 +205,11 @@ def test_scenario_with_overflowing_rating_is_format_error(tmp_path):
     path.write_text('{"placement": {"name": "x", "der_nodes": [2], "p_max": 1e400}}')
     with pytest.raises(CaseFormatError, match="finite"):
         load_scenario(path)
+
+
+def test_scenario_with_integer_rating_outside_int64_is_format_error(tmp_path):
+    # 10**400 stays a Python int, which no float holds
+    path = tmp_path / "scen.json"
+    path.write_text('{"placement": {"name": "x", "der_nodes": [2], "p_max": 1%s}}' % ("0" * 400))
+    with pytest.raises(CaseFormatError, match=f"scenario file {path} holds the integer .*outside int64"):
+        load_scenario(path)
